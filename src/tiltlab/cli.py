@@ -3,8 +3,9 @@
 Outputs are written atomically (temp file + rename) and contain a full
 config echo, so a result file always identifies the run that produced
 it.  Identical config + seed gives byte-identical files.  Exit codes:
-0 success (numerical warnings still exit 0), 2 precondition violation,
-3 numerical failure.
+0 success (numerical warnings still exit 0), 2 precondition violation
+(including a NaN or infinite float argument), 3 numerical failure
+(including a non-finite value in a JSON result, which is never written).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ if _threads:
 
 import argparse
 import json
+import math
 import sys
 import tempfile
 import warnings
@@ -67,6 +69,10 @@ class RunConfig:
             raise ValueError(f"format must be json or csv, got {self.fmt!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
+        for name, value in self.parameters.items():
+            for x in value if isinstance(value, list) else [value]:
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ValueError(f"{name} must be finite, got {x}")
 
 
 def _fmt_float(x):
@@ -97,7 +103,13 @@ def _emit(config: RunConfig, results: dict, rows, warnings_list):
     }
     if config.fmt == "json":
         payload = {"config": echo, "results": results, "warnings": warnings_list}
-        text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+        try:
+            text = json.dumps(
+                payload, sort_keys=True, indent=2, default=_json_default, allow_nan=False
+            )
+        except ValueError as exc:  # a NaN or infinity would make the file invalid JSON
+            raise FloatingPointError(f"non-finite result: {exc}") from None
+        text += "\n"
     else:
         header_kv = " ".join(f"{k}={v}" for k, v in sorted(config.parameters.items()))
         lines = [

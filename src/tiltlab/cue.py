@@ -16,12 +16,14 @@ which is what makes 10^5-sample Monte Carlo runs at N=200 cheap.
 |Z|^{2k} d_Haar itself (integer k), through the splitting of det(I - U)
 into independent factors.  Streams are sharded by fixed-size blocks of
 the (master_seed, stream_index) space, so results never depend on how
-many workers consumed them.
+many workers consumed them; the shards run on a thread pool of
+TILTLAB_THREADS workers (default: the CPUs this process may use).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +208,60 @@ def _szego_log_abs(alphas_block, z):
 STREAM_SHARD = 4096
 
 
+def _stream_workers(shards):
+    """Threads for a sharded stream: TILTLAB_THREADS, else the CPUs this process may use.
+
+    Never more than the number of shards, so at most that many shards'
+    temporaries are alive at once.
+    """
+    setting = os.environ.get("TILTLAB_THREADS")
+    if setting:
+        workers = int(setting)
+        if workers < 1:
+            raise ValueError(f"TILTLAB_THREADS must be a positive integer, got {setting!r}")
+    elif hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without CPU affinity
+        workers = os.cpu_count() or 1
+    return min(workers, shards)
+
+
+def _sharded(count, seed: SeedSpec, shard_body, shard_size=STREAM_SHARD, scratch=None):
+    """count values, shard j of fixed size drawn by shard_body(rng_j, take, buffers).
+
+    rng_j is stream (master_seed, stream_index + j) and each shard writes
+    its own slice of the output, so the result is bit-identical for any
+    number of workers.  numpy releases the GIL in the random fills and
+    ufunc loops that make up a shard, so threads overlap.  scratch() makes
+    one worker's reusable buffers; it runs here, once per worker, so the
+    large arrays are allocated and freed by the calling thread and no
+    shard allocates them anew.
+    """
+    out = np.empty(count)
+    shards = -(-count // shard_size)
+    workers = _stream_workers(shards)
+    idle = [scratch() if scratch else None for _ in range(workers)]
+
+    def fill(j):
+        lo = j * shard_size
+        take = min(shard_size, count - lo)
+        buffers = idle.pop()  # atomic; never more shards in flight than buffers
+        out[lo : lo + take] = shard_body(seed.shifted(j).rng(), take, buffers)
+        idle.append(buffers)
+
+    if workers == 1:
+        for j in range(shards):
+            fill(j)
+    else:
+        # imported on first use: it would add about 0.7 MiB to every CLI process
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in pool.map(fill, range(shards)):
+                pass
+    return out
+
+
 def log_char_poly_stream(n, count, seed: SeedSpec, theta=0.0, shard_size=STREAM_SHARD):
     """count i.i.d. values of log|Z(U, theta)| under Haar, via the CMV fast path.
 
@@ -215,24 +271,30 @@ def log_char_poly_stream(n, count, seed: SeedSpec, theta=0.0, shard_size=STREAM_
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
     z = np.exp(1j * theta)
-    out = np.empty(count)
-    ks = np.arange(n - 1)
-    expo = 1.0 / (n - 1 - ks) if n > 1 else np.empty(0)
-    pos = 0
-    shard = 0
-    while pos < count:
-        take = min(shard_size, count - pos)
-        rng = seed.shifted(shard).rng()
-        u = rng.random((take, n - 1))
-        radii = np.sqrt(1.0 - u**expo)
-        phases = rng.random((take, n)) * TWO_PI
-        alphas = np.empty((take, n), dtype=np.complex128)
-        alphas[:, : n - 1] = radii * np.exp(1j * phases[:, : n - 1])
-        alphas[:, n - 1] = np.exp(1j * phases[:, n - 1])
-        out[pos : pos + take] = _szego_log_abs(alphas, z)
-        pos += take
-        shard += 1
-    return out
+    expo = 1.0 / (n - 1 - np.arange(n - 1)) if n > 1 else np.empty(0)
+    size = min(shard_size, count)
+
+    def scratch():
+        return np.empty((size, n - 1)), np.empty((size, n)), np.empty((n, size), np.complex128)
+
+    def shard(rng, take, buffers):
+        u, phases, alphas = buffers
+        u = rng.random(out=u[:take])
+        phases = rng.random(out=phases[:take])
+        phases *= TWO_PI
+        # Verblunsky block held transposed, (n, take): each coefficient's column
+        # is contiguous for the recurrence; cos/sin equal exp(1j * phases) bit for bit
+        alphas = alphas[:, :take]
+        np.cos(phases.T, out=alphas.real)
+        np.sin(phases.T, out=alphas.imag)
+        np.power(u, expo, out=u)
+        np.subtract(1.0, u, out=u)
+        radii = np.sqrt(u, out=u).T
+        alphas.real[: n - 1] *= radii
+        alphas.imag[: n - 1] *= radii
+        return _szego_log_abs(alphas.T, z)
+
+    return _sharded(count, seed, shard, shard_size, scratch)
 
 
 def _split_mixture_thresholds(n, k):
@@ -274,12 +336,8 @@ def tilted_log_char_poly_stream(n, k, count, seed: SeedSpec):
     k = int(k)
     thresholds = _split_mixture_thresholds(n, k)
     inv_denoms = 1.0 / (np.arange(1, n, dtype=float) + np.arange(k + 1)[:, None])
-    out = np.empty(count)
-    pos = 0
-    shard = 0
-    while pos < count:
-        take = min(STREAM_SHARD, count - pos)
-        rng = seed.shifted(shard).rng()
+
+    def shard(rng, take, _buffers):
         r = np.ones((take, n))
         if n > 1:
             expo = rng.standard_exponential((k + 1, take, n - 1))
@@ -296,10 +354,9 @@ def tilted_log_char_poly_stream(n, k, count, seed: SeedSpec):
             reject = rng.random(pending.size) * (1.0 + r[pending]) ** (2 * k) > sq[pending] ** k
             pending = pending[reject]
             sq[pending] = _factor_abs_sq(r[pending], rng.random(pending.size))
-        out[pos : pos + take] = 0.5 * np.log(sq).reshape(take, n).sum(axis=1)
-        pos += take
-        shard += 1
-    return out
+        return 0.5 * np.log(sq).reshape(take, n).sum(axis=1)
+
+    return _sharded(count, seed, shard)
 
 
 _KS_COEFF_1PCT = 1.6276  # sqrt(-log(alpha/2)/2) at alpha = 0.01
@@ -331,8 +388,11 @@ def rotation_invariance_check(
     Haar rotation invariance makes the two laws identical; a sampler
     without QR phase correction fails this at the 1% level.  With
     share_stream=True both sets reuse the same draws (so phi=0 gives
-    statistic exactly 0).
+    statistic exactly 0).  log|Z|(U, theta) = log|det(I - e^{-i theta} U)|
+    comes from a batched slogdet, with no eigendecomposition.
     """
+    if n < 1:
+        raise ValueError(f"matrix size must be >= 1, got {n}")
     if trials < 10**3:
         raise ValueError(f"trials must be >= 1000, got {trials}")
     rng_a = seed.rng()
@@ -341,21 +401,14 @@ def rotation_invariance_check(
     batch = max(1, 4096 // max(1, n))
     pos = 0
     rng_b = seed.rng() if share_stream else seed.shifted(1).rng()
+    eye = np.eye(n)
     while pos < trials:
         take = min(batch, trials - pos)
         ua = _haar_unitary_batch(rng_a, n, take, phase_correction)
-        angles = np.mod(np.angle(np.linalg.eigvals(ua)), TWO_PI)
-        set_a[pos : pos + take] = _log_abs_rows(angles, 0.0)
+        set_a[pos : pos + take] = np.linalg.slogdet(eye - ua)[1]
         ub = _haar_unitary_batch(rng_b, n, take, phase_correction)
-        angles_b = np.mod(np.angle(np.linalg.eigvals(ub)), TWO_PI)
-        set_b[pos : pos + take] = _log_abs_rows(angles_b, phi)
+        set_b[pos : pos + take] = np.linalg.slogdet(eye - np.exp(-1j * phi) * ub)[1]
         pos += take
     stat = _two_sample_ks(set_a, set_b)
     threshold = float(_KS_COEFF_1PCT * np.sqrt(2.0 / trials))
     return RotationCheck(stat, threshold, bool(stat < threshold), trials, phi)
-
-
-def _log_abs_rows(angles, theta):
-    s = np.abs(np.sin(0.5 * (angles - theta)))
-    s = np.maximum(s, 1e-300)
-    return np.sum(np.log(2.0 * s), axis=1)

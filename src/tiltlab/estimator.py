@@ -24,7 +24,6 @@ from . import rmt_exact
 from .cue import (
     SeedSpec,
     _haar_unitary_batch,
-    _log_abs_rows,
     log_char_poly_stream,
     tilted_log_char_poly_stream,
 )
@@ -117,6 +116,64 @@ def _weighted_stats(values, log_weights, n_max):
     return mean, moments, standardized, log_mean_weight
 
 
+_BOOTSTRAP_BLOCK = 8  # resamples whose counts are contracted together
+_HEAVY = 64  # a resample holding none of the 64 heaviest points gets its own shift
+_SHIFT_GAP = 300.0  # a resample whose largest log-weight sits further below gets its own shift
+
+
+def _bootstrap_stats(values, log_weights, mean, n_max, n_boot, seed):
+    """One row per resample: mean, log mean-weight, m_2..m_n_max, m_n / m_2^{n/2} for n >= 3.
+
+    Each resample is the draw rng.integers(0, m, m) of a per-resample loop,
+    kept as counts c = bincount(idx).  Its weighted sums S_p = c @ (w y^p),
+    p = 0..n_max, with w = exp(log_weights - max) under one global shift and
+    y = values - mean, come from one matrix product per block of resamples.
+    The resample's mean is mean + S_1/S_0; its central moments about that
+    mean follow from S_p/S_0 by binomial re-centring on the shift S_1/S_0.
+    A resample that misses every heavy point (among the _HEAVY largest
+    log-weights and within _SHIFT_GAP of the largest) could lose its sums
+    to underflow, so its sums are taken under its own max-shift instead.
+    """
+    m = len(values)
+    top = max(n_max, 1)
+    shift = np.max(log_weights)
+    y = values - mean
+    powers = np.empty((m, top + 1))
+    powers[:, 0] = np.exp(log_weights - shift)
+    for p in range(1, top + 1):
+        np.multiply(powers[:, p - 1], y, out=powers[:, p])
+    heavy = np.argsort(log_weights)[-_HEAVY:]
+    heavy = heavy[log_weights[heavy] >= shift - _SHIFT_GAP]
+
+    rng = np.random.default_rng(seed)
+    sums = np.empty((n_boot, top + 1))
+    scale = np.full(n_boot, shift)
+    counts = np.empty((min(_BOOTSTRAP_BLOCK, n_boot), m))
+    for lo in range(0, n_boot, len(counts)):
+        block = counts[: min(len(counts), n_boot - lo)]
+        for row in block:
+            row[:] = np.bincount(rng.integers(0, m, m), minlength=m)
+        sums[lo : lo + len(block)] = block @ powers
+        for b in np.flatnonzero(~(block[:, heavy] > 0).any(axis=1)):
+            drawn = np.flatnonzero(block[b])
+            own = np.max(log_weights[drawn])
+            scale[lo + b] = own
+            w = block[b, drawn] * np.exp(log_weights[drawn] - own)
+            sums[lo + b] = w @ (y[drawn, None] ** np.arange(top + 1))
+
+    raw = sums / sums[:, :1]  # E_b[y^p]
+    d = raw[:, 1]
+    stats = [mean + d, scale + np.log(sums[:, 0]) - math.log(m)]
+    central = {}
+    for n in range(2, n_max + 1):
+        central[n] = sum(math.comb(n, j) * raw[:, j] * (-d) ** (n - j) for j in range(n + 1))
+        stats.append(central[n])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for n in range(3, n_max + 1):
+            stats.append(np.where(central[2] > 0, central[n] / central[2] ** (0.5 * n), np.nan))
+    return np.column_stack(stats)
+
+
 def reduce_weighted(
     values,
     log_weights,
@@ -150,21 +207,13 @@ def reduce_weighted(
     n_boot = int(bootstrap)
     if n_boot < 200:
         raise ValueError("bootstrap resample count must be >= 200")
-    rng = np.random.default_rng(bootstrap_seed)
-    boot = np.empty((n_boot, 2 * (n_max + 1) + 2))
-    for b in range(n_boot):
-        idx = rng.integers(0, m, m)
-        bm, bmom, bstd, blmw = _weighted_stats(values[idx], log_weights[idx], n_max)
-        boot[b] = [bm, blmw] + bmom + bstd
-    ses = np.std(boot, axis=0, ddof=1)
-    se_mean = float(ses[0])
-    se_mw_log = ses[1]
-    standard_errors = [0.0, se_mean] + [float(s) for s in ses[2 + 2 : 2 + n_max + 1]]
-    standardized_errors = [0.0] * min(3, n_max + 1) + [
-        float(s) for s in ses[2 + (n_max + 1) + 3 :]
-    ]
+    boot = _bootstrap_stats(values, log_weights, mean, n_max, n_boot, bootstrap_seed)
+    ses = [float(s) for s in np.std(boot, axis=0, ddof=1)]
+    first_std = 2 + max(n_max - 1, 0)  # columns: mean, log mean-weight, m_2.., standardized 3..
+    standard_errors = [0.0, ses[0]] + ses[2:first_std]
+    standardized_errors = [0.0, 0.0, 0.0] + ses[first_std:]
     mean_weight = math.exp(log_mw)
-    mean_weight_se = float(mean_weight * se_mw_log)  # delta method on log scale
+    mean_weight_se = float(mean_weight * ses[1])  # delta method on log scale
 
     low = ess < ESS_FLOOR
     if low:
@@ -252,8 +301,7 @@ def _qr_value_stream(n, samples, seed):
         take = min(batch, samples - pos)
         rng = seed.shifted(shard).rng()
         u = _haar_unitary_batch(rng, n, take)
-        angles = np.mod(np.angle(np.linalg.eigvals(u)), 2.0 * np.pi)
-        out[pos : pos + take] = _log_abs_rows(angles, 0.0)
+        out[pos : pos + take] = np.linalg.slogdet(np.eye(n) - u)[1]
         pos += take
         shard += 1
     return out

@@ -221,3 +221,40 @@ def selberg_variance(T):
         arithmetic += (1.0 / m**2 - 1.0 / m) * float(np.sum(p ** (-float(m))))
     size = math.log(T / (2.0 * math.pi)) + 2.0 * math.log(2.0) - 1.0
     return 0.5 * math.log(size) + 0.5 * (1.0 + euler_gamma_series()) + 0.5 * arithmetic
+
+
+def bootstrap_errors_loop(values, log_weights, n_max, n_boot, seed):
+    """Bootstrap SEs of a weighted-moment reduction, one full pass per resample.
+
+    The reference for estimator.reduce_weighted: the pairs are sorted the
+    same way, and resample b is the b-th rng.integers(0, m, m) draw.  Each
+    resample takes its own max-shift, its own weighted mean, and central
+    moments about that mean.  Returns (standard_errors, standardized_errors,
+    mean_weight_se) laid out as in MomentReport.
+    """
+    order = np.lexsort((log_weights, values))
+    values = np.asarray(values, dtype=float)[order]
+    log_weights = np.asarray(log_weights, dtype=float)[order]
+    m = len(values)
+
+    def stats(v, lw):
+        shift = lw.max()
+        w = np.exp(lw - shift)
+        sw = w.sum()
+        mean = float(np.sum(w * v) / sw)
+        central = [float(np.sum(w * (v - mean) ** n) / sw) for n in range(2, n_max + 1)]
+        m2 = central[0] if central else math.nan
+        std = [c / m2 ** (0.5 * n) if m2 > 0 else math.nan for n, c in enumerate(central[1:], start=3)]
+        return [mean, shift + math.log(sw) - math.log(m)] + central + std
+
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n_boot):
+        idx = rng.integers(0, m, m)
+        rows.append(stats(values[idx], log_weights[idx]))
+    ses = np.std(np.array(rows), axis=0, ddof=1)
+    mean_weight = math.exp(stats(values, log_weights)[1])
+    central_ses = list(ses[2 : 2 + max(n_max - 1, 0)])
+    standard_errors = ([0.0, ses[0]] + central_ses)[: n_max + 1]
+    standardized_errors = ([0.0, 0.0, 0.0] + list(ses[2 + len(central_ses) :]))[: n_max + 1]
+    return standard_errors, standardized_errors, mean_weight * ses[1]

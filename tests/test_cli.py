@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
-from tiltlab.cli import EXIT_OK, EXIT_PRECONDITION, main
+import tiltlab
+from tiltlab import cli
+from tiltlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
 
 from oracles import harmonic
 
@@ -159,3 +163,49 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tiltlab-")]
     assert leftovers == []
     assert out.exists()
+
+
+def test_cue_check_rejects_empty_matrix(tmp_path):
+    out = tmp_path / "cue.json"
+    code = run_cli(["cue-check", "--n", "0", "--trials", "1000", "--out", str(out)])
+    assert code == EXIT_PRECONDITION
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_float_argument_exit_code(tmp_path, token):
+    out = tmp_path / "recipe.json"
+    code = run_cli(
+        ["recipe-k1", "--t-lo", "1000", "--t-hi", "2000", f"--alpha={token}", "--out", str(out)]
+    )
+    assert code == EXIT_PRECONDITION
+    assert not out.exists()
+    code = run_cli(["mu-alpha", "--lo", "1", "--hi", "100", "--alpha", "0", f"--alpha={token}"])
+    assert code == EXIT_PRECONDITION
+
+
+def test_non_finite_result_exits_numerical_without_writing(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "second_moment_recipe_k1", lambda *args: float("nan"))
+    out = tmp_path / "recipe.json"
+    code = run_cli(["recipe-k1", "--t-lo", "1000", "--t-hi", "2000", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert os.listdir(tmp_path) == []
+
+
+def test_mc_tilt_byte_identical_across_stream_workers(tmp_path):
+    # three shards of the cmv stream, consumed by one or two worker threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tiltlab.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"mc-{threads}.json"
+        env = dict(os.environ, TILTLAB_THREADS=threads, PYTHONPATH=src)
+        args = ["mc-tilt", "--n", "20", "--k", "1", "--samples", "10000", "--seed", "3"]
+        done = subprocess.run(
+            [sys.executable, "-m", "tiltlab.cli", *args, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            timeout=300,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -1,9 +1,12 @@
 import math
+import sys
+from concurrent import futures
 
 import numpy as np
 import pytest
 
 from tiltlab.cue import (
+    STREAM_SHARD,
     EigenAngles,
     NearSingularEvaluation,
     SeedSpec,
@@ -182,3 +185,49 @@ def test_seed_and_angle_validation():
         sample_cue(4, SeedSpec(1), method="magic")
     with pytest.raises(ValueError):
         rotation_invariance_check(4, 10, SeedSpec(1))
+    with pytest.raises(ValueError):
+        rotation_invariance_check(0, 1000, SeedSpec(1))
+
+
+def test_streams_bit_identical_for_any_worker_count(monkeypatch):
+    # a short switch interval interleaves the workers finely, so two of them
+    # sharing a scratch buffer or an output slice would change the values
+    count = 3 * STREAM_SHARD + 123  # three full shards and a short one
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("TILTLAB_THREADS", workers)
+            runs.append(
+                (
+                    log_char_poly_stream(9, count, SeedSpec(5, 2), theta=0.3),
+                    tilted_log_char_poly_stream(9, 2, count, SeedSpec(5, 2)),
+                )
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    for plain, tilted in runs[1:]:
+        assert np.array_equal(plain, runs[0][0])
+        assert np.array_equal(tilted, runs[0][1])
+
+
+def test_stream_pool_capped_by_setting_and_shards(monkeypatch):
+    started = []
+
+    class RecordingPool(futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setenv("TILTLAB_THREADS", "8")
+    log_char_poly_stream(5, 2 * STREAM_SHARD, SeedSpec(1))
+    monkeypatch.setenv("TILTLAB_THREADS", "3")
+    tilted_log_char_poly_stream(5, 1, 5 * STREAM_SHARD, SeedSpec(1))
+    monkeypatch.setenv("TILTLAB_THREADS", "4")
+    log_char_poly_stream(5, STREAM_SHARD, SeedSpec(1))  # one shard: no pool at all
+    assert started == [2, 3]
+    monkeypatch.setenv("TILTLAB_THREADS", "0")
+    with pytest.raises(ValueError, match="TILTLAB_THREADS"):
+        log_char_poly_stream(5, 10, SeedSpec(1))

@@ -14,7 +14,7 @@ from tiltlab.estimator import (
 )
 from tiltlab.rmt_exact import TiltSpec, weighted_central_moments, weighted_mean
 
-from oracles import harmonic
+from oracles import bootstrap_errors_loop, harmonic
 
 
 def test_ess_equal_weights():
@@ -78,6 +78,39 @@ def test_permutation_invariance_bit_identical():
     assert a.standardized == b.standardized
     assert a.ess == b.ess
     assert a.mean_weight == b.mean_weight
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1.5])
+def test_bootstrap_matches_per_resample_loop(tilt):
+    # tilt 0: zero log-weights; tilt 1.5: importance weights 1.5 * value
+    rng = np.random.default_rng(12)
+    values = rng.normal(0.4, 1.2, size=1001)
+    log_w = tilt * values
+    for n_max in range(9):
+        report = reduce_weighted(values, log_w, n_max, bootstrap=200, bootstrap_seed=31)
+        ses, std_ses, mw_se = bootstrap_errors_loop(values, log_w, n_max, 200, 31)
+        assert len(report.standard_errors) == len(report.standardized_errors) == n_max + 1
+        np.testing.assert_allclose(report.standard_errors, ses, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(report.standardized_errors, std_ses, rtol=1e-9, atol=0)
+        assert report.mean_weight_se == pytest.approx(mw_se, rel=1e-9)
+
+
+def test_bootstrap_resample_missing_heavy_points_takes_own_shift():
+    # three points carry all the weight; e^-800 underflows under their shift, so a
+    # resample that misses all three (about 1 in 22) must be reduced on its own shift
+    values = np.arange(20.0)
+    log_w = np.full(20, -800.0)
+    log_w[[3, 11, 17]] = 0.0
+    rng = np.random.default_rng(5)
+    assert any(
+        not np.isin([3, 11, 17], rng.integers(0, 20, 20)).any() for _ in range(400)
+    )
+    with pytest.warns(RuntimeWarning, match="effective sample size"):
+        report = reduce_weighted(values, log_w, 2, bootstrap=400, bootstrap_seed=5)
+    ses, _, mw_se = bootstrap_errors_loop(values, log_w, 2, 400, 5)
+    assert all(math.isfinite(se) for se in report.standard_errors)
+    np.testing.assert_allclose(report.standard_errors, ses, rtol=1e-9, atol=0)
+    assert report.mean_weight_se == pytest.approx(mw_se, rel=1e-9)
 
 
 def test_bootstrap_se_scaling():
