@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partitions import exp_derivative
+from . import jet
 from .special import (
-    DEFAULT_BUDGET,
     digamma,
     digamma_diff,
     log_barnes_g,
@@ -49,6 +48,10 @@ class TiltSpec:
     n_max: int
 
     def __post_init__(self):
+        for name in ("N", "k", "n_max"):
+            value = getattr(self, name)
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.N < 1:
             raise ValueError(f"matrix size N must be >= 1, got {self.N}")
         if self.k < 0:
@@ -182,21 +185,14 @@ def fj_derivative_sum(N, k, i):
 def weighted_central_moments(spec: TiltSpec) -> ExactMomentReport:
     """Central moments <|Z|^{2k} (log|Z| - mu)^n> / M_{2k} for n <= n_max.
 
-    Uses the partition expansion of d^n/dx^n exp(-x mu + sum_j f_j(x)) at 0
-    with c_1 = 0 by centering and c_i = (sum_j f_j^{(i)}(0))/i! for i >= 2.
+    n! times the coefficients of the jet of exp(-x mu + sum_j f_j(x)) at
+    x = 0: g_1 = 0 by centering and g_i = (sum_j f_j^{(i)}(0))/i! for i >= 2.
     """
     N, k, n_max = spec.N, spec.k, spec.n_max
     mu = weighted_mean(N, k)
     fj = [fj_derivative_sum(N, k, i) for i in range(1, n_max + 1)]
-    coeffs = [0.0] + [fj[i - 1] / math.factorial(i) for i in range(2, n_max + 1)]
-    central = []
-    for n in range(n_max + 1):
-        if n == 0:
-            central.append(1.0)
-        elif n == 1:
-            central.append(0.0)
-        else:
-            central.append(float(exp_derivative(coeffs, n)))
+    g = [0.0] + [0.0 if i == 1 else fj[i - 1] / math.factorial(i) for i in range(1, n_max + 1)]
+    central = [float(math.factorial(n) * c) for n, c in enumerate(jet.exp(g))]
     return ExactMomentReport(
         spec=spec,
         log_mn=log_moment_mn(N, 2.0 * k),

@@ -5,7 +5,8 @@ the alpha- and beta-shifts; each selection swaps its chosen shifts by
 alpha_i -> -beta_l, beta_l -> -alpha_i (in sorted index order) and
 contributes a per-prime factor g_p(S, T).  The Gaussian main term
 exp(z^2 L / 4 - k z mu + (z/2) sum_p g_p/p) is differentiated at z = 0
-by the same partition expansion the exact RMT moments use.
+through the Taylor-jet exponential (`tiltlab.jet`) that the exact RMT
+moments use.
 
 For k = 1 the recipe's main term is evaluated in closed form and can be
 compared against direct quadrature of |zeta(1/2 + it)|^2.
@@ -20,14 +21,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .partitions import exp_derivative
+from . import jet
 from .special import digamma
 from .zeta_eval import RS_MAX_T, zeta_em, zeta_em_many
 
 __all__ = [
     "ShiftTuple",
     "SelectionPair",
-    "RecipeKernelConfig",
     "enumerate_selections",
     "swap_shifts",
     "g_p_factor",
@@ -86,22 +86,6 @@ class SelectionPair:
         return len(self.S)
 
 
-@dataclass(frozen=True)
-class RecipeKernelConfig:
-    """Choice of the even mollifier G (G(0) = 1) and of the V-cutoff mode.
-
-    Main terms do not depend on G; the smoothed mode only documents the
-    dependence and evaluates identically to the sharp cutoff.
-    """
-
-    g_choice: str = "even-gaussian"
-    v_cutoff_mode: str = "sharp"
-
-    def __post_init__(self):
-        if self.v_cutoff_mode not in ("sharp", "smoothed"):
-            raise ValueError("v_cutoff_mode must be 'sharp' or 'smoothed'")
-
-
 def enumerate_selections(k):
     """All selection pairs for tilt k, grouped by j; count is C(2k, k)."""
     if not 0 <= k <= MAX_SELECTION_K:
@@ -149,18 +133,18 @@ def gaussian_exponent(z, L, mu, k, g_sum):
 
 
 def gaussian_exponent_derivatives(L, mu, k, g_sum, n_max):
-    """d^n/dz^n exp(E(z)) at z = 0 for n = 0..n_max, by the partition expansion.
+    """d^n/dz^n exp(E(z)) at z = 0 for n = 0..n_max, from the jet of exp(E).
 
     Exact for exact (Fraction/integer) inputs, which is how the odd/even
     Gaussian coefficient identity is checked without rounding.
     """
     c1 = -k * mu + g_sum / 2  # wants to vanish under the matched centering
     c2 = L / 4
-    coeffs = [c1, c2]
-    return [exp_derivative(coeffs, n) for n in range(n_max + 1)]
+    coeffs = ([0, c1, c2] + [0] * n_max)[: n_max + 1]
+    return [math.factorial(n) * f for n, f in enumerate(jet.exp(coeffs))]
 
 
-def second_moment_recipe_k1(t_lo, t_hi, alpha, beta, config: RecipeKernelConfig | None = None):
+def second_moment_recipe_k1(t_lo, t_hi, alpha, beta):
     """Main term of int_{t_lo}^{t_hi} zeta(1/2+a+it) zeta(1/2+b-it) dt at k = 1.
 
     The two selections give (t_hi - t_lo) zeta(1 + a + b) plus

@@ -9,14 +9,11 @@ re-entrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "AccuracyBudget",
-    "DEFAULT_BUDGET",
     "log_gamma",
     "digamma",
     "polygamma",
@@ -46,34 +43,16 @@ _DIGAMMA_C = [_B2N[n - 1] / (2 * n) for n in range(1, _N_BERN + 1)]
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class AccuracyBudget:
-    """Accuracy contract for the scalar kernels.
-
-    abs_tol is the absolute error bound per call; series_cutoff is the
-    argument above which the asymptotic series is trusted directly.
-    """
-
-    abs_tol: float = 1e-12
-    series_cutoff: float = 12.0
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.series_cutoff < 8:
-            raise ValueError("series_cutoff must be >= 8")
+# argument above which the asymptotic series is summed directly
+SERIES_CUTOFF = 12.0
 
 
-DEFAULT_BUDGET = AccuracyBudget()
-
-
-def log_gamma(x, budget=DEFAULT_BUDGET):
+def log_gamma(x):
     """log Gamma(x) for x > 0."""
     if not x > 0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    cutoff = budget.series_cutoff
     shift = 0.0
-    while x < cutoff:
+    while x < SERIES_CUTOFF:
         shift += math.log(x)
         x += 1.0
     return _log_gamma_series(x) - shift
@@ -89,13 +68,12 @@ def _log_gamma_series(x):
     return tot
 
 
-def digamma(x, budget=DEFAULT_BUDGET):
+def digamma(x):
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
     if not x > 0:
         raise ValueError(f"digamma requires x > 0, got {x}")
-    cutoff = budget.series_cutoff
     shift = 0.0
-    while x < cutoff:
+    while x < SERIES_CUTOFF:
         shift += 1.0 / x
         x += 1.0
     return _digamma_series(x) - shift
@@ -111,7 +89,7 @@ def _digamma_series(x):
     return tot
 
 
-def polygamma(m, x, budget=DEFAULT_BUDGET):
+def polygamma(m, x):
     """psi^(m)(x), the m-th derivative of digamma, for m >= 1 and x > 0.
 
     Orders up to ~30 are supported; the series cutoff grows with the
@@ -123,7 +101,7 @@ def polygamma(m, x, budget=DEFAULT_BUDGET):
         raise ValueError(f"polygamma order {m} too large (max 30)")
     if not x > 0:
         raise ValueError(f"polygamma requires x > 0, got {x}")
-    cutoff = budget.series_cutoff + m
+    cutoff = SERIES_CUTOFF + m
     shift = 0.0
     fact_m = math.factorial(m)
     while x < cutoff:
@@ -131,36 +109,22 @@ def polygamma(m, x, budget=DEFAULT_BUDGET):
         shift += fact_m / x ** (m + 1)
         x += 1.0
     sign = -1.0 if m % 2 == 0 else 1.0
-    return _polygamma_series(m, x) + sign * shift
-
-
-def _polygamma_series(m, x):
-    # psi^(m)(x) = (-1)^{m-1} [ (m-1)!/x^m + m!/(2 x^{m+1})
-    #                           + sum_n B_{2n} (2n+m-1)!/(2n)! x^{-2n-m} ]
-    inv = 1.0 / x
-    invm = inv**m
-    tot = math.factorial(m - 1) * invm + 0.5 * math.factorial(m) * invm * inv
-    ratio = float(math.factorial(m + 1)) / 2.0  # (2n+m-1)!/(2n)! at n=1
-    p = invm * inv * inv
-    xi = inv * inv
-    for n in range(1, _N_BERN + 1):
-        tot += _B2N[n - 1] * ratio * p
-        ratio *= (2 * n + m) * (2 * n + m + 1) / ((2 * n + 1) * (2 * n + 2))
-        p *= xi
-    return tot if m % 2 == 1 else -tot
+    return float(polygamma_series_vec(m, x)) + sign * shift
 
 
 def polygamma_series_vec(m, x):
     """Vectorized psi^(m) for arrays already above the series cutoff.
 
-    Caller must guarantee x >= series_cutoff + m elementwise; no shifting
+    Caller must guarantee x >= SERIES_CUTOFF + m elementwise; no shifting
     is performed.
     """
+    # psi^(m)(x) = (-1)^{m-1} [ (m-1)!/x^m + m!/(2 x^{m+1})
+    #                           + sum_n B_{2n} (2n+m-1)!/(2n)! x^{-2n-m} ]
     x = np.asarray(x, dtype=float)
     inv = 1.0 / x
     invm = inv**m
     tot = math.factorial(m - 1) * invm + 0.5 * math.factorial(m) * invm * inv
-    ratio = float(math.factorial(m + 1)) / 2.0
+    ratio = float(math.factorial(m + 1)) / 2.0  # (2n+m-1)!/(2n)! at n=1
     p = invm * inv * inv
     xi = inv * inv
     for n in range(1, _N_BERN + 1):
@@ -170,7 +134,7 @@ def polygamma_series_vec(m, x):
     return tot if m % 2 == 1 else -tot
 
 
-def digamma_diff(x, d, budget=DEFAULT_BUDGET):
+def digamma_diff(x, d):
     """psi(x + d) - psi(x) without cancellation, for x > 0, x + d > 0.
 
     Small nonnegative integer d uses the exact recurrence sum; otherwise
@@ -184,8 +148,8 @@ def digamma_diff(x, d, budget=DEFAULT_BUDGET):
     if float(d).is_integer() and 0 < d <= 64:
         return math.fsum(1.0 / (x + i) for i in range(int(d)))
     if d < 0:
-        return -digamma_diff(x + d, -d, budget)
-    cutoff = budget.series_cutoff + 4.0
+        return -digamma_diff(x + d, -d)
+    cutoff = SERIES_CUTOFF + 4.0
     extra = 0.0
     while x < cutoff:
         extra += d / (x * (x + d))
@@ -201,13 +165,13 @@ def digamma_diff(x, d, budget=DEFAULT_BUDGET):
     return tot + extra
 
 
-def log_barnes_g(n, budget=DEFAULT_BUDGET):
+def log_barnes_g(n):
     """log G(n) at integer n >= 1 via G(m+1) = Gamma(m) G(m), G(1) = 1."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"log_barnes_g requires an integer n >= 1, got {n}")
     if n <= 3:
         return 0.0
-    return math.fsum(log_gamma(float(m), budget) for m in range(2, n - 1 + 1))
+    return math.fsum(log_gamma(float(m)) for m in range(2, n - 1 + 1))
 
 
 def gaussian_central_moment(n, variance):

@@ -1,8 +1,14 @@
-"""Critical-line zeta evaluators: Euler-Maclaurin and Riemann-Siegel.
+"""Critical-line zeta evaluators and their derivatives: Euler-Maclaurin and Riemann-Siegel.
 
-Euler-Maclaurin handles any complex s (needed off the line for the
-Cauchy-circle derivatives) at O(|t|) cost; Riemann-Siegel covers the
-line up to t = 1e8 at O(sqrt t) cost with correction terms C_0..C_4.
+Euler-Maclaurin handles any complex s at O(|t|) cost; Riemann-Siegel
+covers the line up to t = 1e8 at O(sqrt t) cost with correction terms
+C_0..C_4.
+
+Derivatives are Taylor jets in eps (`tiltlab.jet`).  Euler-Maclaurin
+expands zeta(s + eps) term by term: the main sum gives
+sum n^{-s} (-log n)^r / r!, and its tail terms are jets.  Riemann-Siegel
+expands every factor of zeta(1/2 + i(t + eps)) = e^{-i theta} Z: the
+main-sum phases, the correction terms (to full order) and e^{-i theta}.
 
 The correction terms are polynomials in derivatives of
 Phi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), an entire function.
@@ -22,17 +28,18 @@ import math
 
 import numpy as np
 
+from . import jet
 from .special import _bernoulli_even
 
 __all__ = [
     "zeta_em",
     "zeta_em_many",
-    "rs_z",
     "zeta_rs",
     "zeta_rs_many",
     "zeta_half_line",
     "zeta_half_line_many",
     "zeta_derivative",
+    "zeta_derivative_many",
     "siegel_theta",
     "EM_AUTO_MAX_T",
     "RS_MIN_T",
@@ -48,10 +55,16 @@ EM_AUTO_MAX_T = 1000.0  # auto path switch; EM itself stays accurate well beyond
 EM_HARD_MAX_T = 10000.0
 RS_MIN_T = 40.0
 RS_MAX_T = 1.0e8
-CAUCHY_MAX_T = 2000.0
+EM_DERIVATIVE_MAX_T = 2000.0  # derivatives: EM jets up to here, RS jets above
+MAX_DERIVATIVE = 4
 
 _B2N = _bernoulli_even(16)
 _EM_J = 14
+
+
+def _linear(c, order):
+    """Jet of c + eps to the given order."""
+    return [c, 1.0] + [0.0] * (order - 1) if order else [c]
 
 
 # ---------------------------------------------------------------------------
@@ -68,37 +81,45 @@ def zeta_em(s, terms=None):
     s = complex(s)
     if s == 1.0:
         raise ValueError("zeta has a pole at s = 1")
-    m = terms if terms is not None else _em_terms(abs(s.imag))
-    n = np.arange(1, m)
-    total = complex(np.sum(n ** (-s))) if m > 1 else 0.0 + 0.0j
-    total += m ** (1.0 - s) / (s - 1.0) + 0.5 * m ** (-s)
-    rising = s
-    power = m ** (-s - 1.0)
-    m2 = float(m) ** -2.0
-    for j in range(1, _EM_J + 1):
-        total += _B2N[j - 1] / math.factorial(2 * j) * rising * power
-        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
-        power *= m2
-    return total
+    return complex(zeta_em_many(np.array([s]), terms)[0])
 
 
-def zeta_em_many(s_values, terms=None, chunk=1024):
-    """Vectorized Euler-Maclaurin over an array of complex s (shared term count)."""
+def zeta_em_many(s_values, terms=None, m=0, chunk=1024):
+    """zeta^{(m)}(s) by Euler-Maclaurin over an array of complex s (shared term count M).
+
+    The main sum is sum_{n<M} n^{-s} (-log n)^m.  The tail
+    M^{-s} [M/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} M^{1-2j}], with
+    (s)_r the rising factorial, is a jet in eps at s + eps; its order-m
+    coefficient times m! completes the derivative.
+    """
     s = np.asarray(s_values, dtype=np.complex128).ravel()
-    m = terms if terms is not None else _em_terms(float(np.max(np.abs(s.imag))) if s.size else 0.0)
-    log_n = np.log(np.arange(1, m, dtype=float))
+    if terms is None:
+        terms = _em_terms(float(np.max(np.abs(s.imag))) if s.size else 0.0)
+    log_n = np.log(np.arange(1, terms, dtype=float))
+    weight = (-log_n) ** m
     out = np.empty(s.shape, dtype=np.complex128)
+    buf = np.empty((min(chunk, s.size), log_n.size), dtype=np.complex128)
     for lo in range(0, s.size, chunk):
         blk = s[lo : lo + chunk]
-        out[lo : lo + chunk] = np.exp(-blk[:, None] * log_n[None, :]).sum(axis=1)
-    out += m ** (1.0 - s) / (s - 1.0) + 0.5 * m ** (-s)
-    rising = s.copy()
-    power = m ** (-s - 1.0)
-    m2 = float(m) ** -2.0
+        powers = buf[: blk.size]
+        np.exp(np.multiply(-blk[:, None], log_n, out=powers), out=powers)
+        if m:
+            powers *= weight
+        out[lo : lo + chunk] = powers.sum(axis=1)
+    pole = terms ** (1.0 - s) / (s - 1.0)
+    bracket = [pole * (-1.0 / (s - 1.0)) ** r for r in range(m + 1)]
+    bracket[0] = bracket[0] + 0.5 * terms ** (-s)
+    rising = _linear(s, m)
+    power = terms ** (-s - 1.0)
+    m2 = float(terms) ** -2.0
     for j in range(1, _EM_J + 1):
-        out += _B2N[j - 1] / math.factorial(2 * j) * rising * power
-        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
+        c = _B2N[j - 1] / math.factorial(2 * j) * power
+        bracket = [b + c * x for b, x in zip(bracket, rising)]
+        rising = jet.mul(jet.mul(rising, _linear(s + 2 * j - 1, m)), _linear(s + 2 * j, m))
         power = power * m2
+    log_m = math.log(terms)
+    m_power = [(-log_m) ** r / math.factorial(r) for r in range(m + 1)]  # M^{-eps}
+    out += math.factorial(m) * jet.mul(m_power, bracket)[m]
     return out.reshape(np.shape(s_values))
 
 
@@ -160,14 +181,6 @@ def _phi_derivative(p, order):
     return acc * w ** (e_min - order)
 
 
-def _correction_values(p, n_corr):
-    """C_0(p)..C_{n_corr}(p) for scalar or array p."""
-    return [
-        sum(coef * _phi_derivative(p, order) for order, coef in _C_RELATIONS[k])
-        for k in range(n_corr + 1)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # theta(t) and the Riemann-Siegel main formula
 # ---------------------------------------------------------------------------
@@ -186,51 +199,82 @@ def siegel_theta(t):
     )
 
 
-def _theta_derivatives(t, orders=4):
-    """theta', theta'', ... in float64 (plenty away from huge t)."""
-    t = float(t)
-    d1 = 0.5 * math.log(t / TWO_PI) - 1.0 / (48.0 * t * t) - 7.0 / (1920.0 * t**4)
-    d2 = 0.5 / t + 1.0 / (24.0 * t**3) + 7.0 / (480.0 * t**5)
-    d3 = -0.5 / (t * t) - 1.0 / (8.0 * t**4)
-    d4 = 1.0 / t**3 + 1.0 / (2.0 * t**5)
-    return [d1, d2, d3, d4][:orders]
+def _log1p_jet(t, order):
+    """Jet of log(1 + eps/t); every power of t + eps is t^q exp(q log1p)."""
+    return [0.0] + [(-1.0) ** (r + 1) / (r * t**r) for r in range(1, order + 1)]
 
 
-def rs_z(t, n_corr=4):
-    """Hardy Z(t) by the Riemann-Siegel formula with n_corr correction terms."""
-    return float(_rs_z_many(np.asarray([t], dtype=float), n_corr)[0])
+def _theta_jet(t, log1p):
+    """Jet of theta(t + eps) from the asymptotic form, in float64.
+
+    Phases take their order-0 term from siegel_theta instead.
+    """
+    order = len(log1p) - 1
+    out = jet.mul([x / 2 for x in _linear(t, order)], [np.log(t / TWO_PI) - 1.0] + log1p[1:])
+    out[0] = out[0] - math.pi / 8
+    for q, c in ((1, 1 / 48), (3, 7 / 5760), (5, 31 / 80640)):
+        power = jet.exp([-q * x for x in log1p])
+        out = [x + c * t**-q * y for x, y in zip(out, power)]
+    return out
 
 
-def _rs_z_many(t_arr, n_corr=4):
+def _rs_jet(t_arr, order, n_corr=4):
+    """Jet in eps of zeta(1/2 + i(t + eps)) = e^{-i theta} Z by Riemann-Siegel.
+
+    Z(t) = 2 sum_{n<=N} n^{-1/2} cos(theta - t log n)
+           + (-1)^{N-1} a^{-1/2} sum_k C_k(p) a^{-k},
+    with a = sqrt(t/2pi), N = floor(a) held at its value at t, p = a - N.
+    The main sum is batched over the points that share N; at order 0 it
+    is a plain cosine sum.
+    """
+    t_arr = np.asarray(t_arr, dtype=float)
     if np.any(t_arr < RS_MIN_T):
         raise ValueError(f"Riemann-Siegel path requires t >= {RS_MIN_T}")
     if np.any(t_arr > RS_MAX_T):
         raise ValueError(f"t above Riemann-Siegel ceiling {RS_MAX_T:.0e}")
     if not 0 <= n_corr <= RS_MAX_CORRECTIONS:
         raise ValueError(f"n_corr must be in [0, {RS_MAX_CORRECTIONS}]")
-    t_arr = np.asarray(t_arr, dtype=float)
     a = np.sqrt(t_arr / TWO_PI)
     big_n = a.astype(np.int64)
     p = a - big_n
     theta_ld = siegel_theta(t_arr)
-    out = np.empty(t_arr.shape)
+    log1p = _log1p_jet(t_arr, order)
+    theta = _theta_jet(t_arr, log1p)
     max_n = int(big_n.max())
     log_n_ld = np.log(np.arange(1, max_n + 1, dtype=_LD))
+    log_n = log_n_ld.astype(float)
     inv_sqrt = 1.0 / np.sqrt(np.arange(1, max_n + 1, dtype=float))
     t_ld = t_arr.astype(_LD)
+    z = [np.empty(t_arr.shape) for _ in range(order + 1)]
     for nv in np.unique(big_n):
         sel = big_n == nv
         phase = theta_ld[sel, None] - t_ld[sel, None] * log_n_ld[None, :nv]
         phase = np.remainder(phase, TWO_PI_LD).astype(float)
-        out[sel] = 2.0 * (np.cos(phase) * inv_sqrt[None, :nv]).sum(axis=1)
-    corr = _correction_values(p, n_corr)
-    omega = a**-0.5
-    acc = np.zeros_like(t_arr)
+        z[0][sel] = 2.0 * (np.cos(phase) * inv_sqrt[None, :nv]).sum(axis=1)
+        if order:
+            # e^{i phase(t + eps)} = e^{i phase} times the jet exp of its eps-terms
+            dphase = [0.0, theta[1][sel, None] - log_n[:nv]] + [th[sel, None] for th in theta[2:]]
+            shifted = jet.exp([1j * x for x in dphase])
+            rot = np.exp(1j * phase) * inv_sqrt[:nv]
+            for r in range(1, order + 1):
+                z[r][sel] = 2.0 * (rot * shifted[r]).real.sum(axis=1)
+    # remainder: a, p and each C_k(p) (its Phi-derivative series composed with p) are jets
+    p_jet = [p] + [a * x for x in jet.exp([0.5 * x for x in log1p])[1:]]
+    inv_a = [x / a for x in jet.exp([-0.5 * x for x in log1p])]
+    needed = {j + r for rel in _C_RELATIONS[: n_corr + 1] for j, _ in rel for r in range(order + 1)}
+    phi = {q: _phi_derivative(p, q) for q in needed}
+    acc = [0.0] * (order + 1)
     for k in range(n_corr, -1, -1):
-        acc = acc / a + corr[k]
+        series = [
+            sum(coef * phi[j + r] for j, coef in _C_RELATIONS[k]) / math.factorial(r)
+            for r in range(order + 1)
+        ]
+        acc = [x + y for x, y in zip(jet.mul(acc, inv_a), jet.compose(series, p_jet))]
+    omega = [x * a**-0.5 for x in jet.exp([-0.25 * x for x in log1p])]
     sign = np.where(big_n % 2 == 1, 1.0, -1.0)
-    out += sign * omega * acc
-    return out
+    z = [zr + sign * rr for zr, rr in zip(z, jet.mul(omega, acc))]
+    e_theta = np.exp(-1j * np.remainder(theta_ld, TWO_PI_LD).astype(float))
+    return [e_theta * w for w in jet.mul(jet.exp([-1j * x for x in theta]), z)]
 
 
 def zeta_rs(t, n_corr=4):
@@ -239,10 +283,8 @@ def zeta_rs(t, n_corr=4):
 
 
 def zeta_rs_many(t_arr, n_corr=4):
-    t_arr = np.asarray(t_arr, dtype=float)
-    z = _rs_z_many(t_arr, n_corr)
-    theta_mod = np.remainder(siegel_theta(t_arr), TWO_PI_LD).astype(float)
-    return np.exp(-1j * theta_mod) * z
+    """zeta(1/2 + it) on the Riemann-Siegel path: order 0 of its jet."""
+    return _rs_jet(t_arr, 0, n_corr)[0]
 
 
 def zeta_half_line(t, method="auto"):
@@ -289,118 +331,52 @@ def zeta_half_line_many(t_arr, method="auto"):
 # Derivatives
 # ---------------------------------------------------------------------------
 
-CAUCHY_RADIUS = 1e-2
-CAUCHY_NODES = 64
-MAX_DERIVATIVE = 4
-
 
 def zeta_derivative(t, m):
-    """m-th derivative of zeta at 1/2 + it, for 0 <= m <= 4.
+    """m-th derivative of zeta at 1/2 + it, for 0 <= m <= 4; negative t by conjugation.
 
-    Up to t ~ 2e3 a Cauchy circle of radius 1e-2 around the point (64
-    trapezoid nodes over the Euler-Maclaurin evaluator) gives uniform
-    accuracy in m.  Beyond that the Riemann-Siegel representation
-    zeta = exp(-i theta) Z is differentiated analytically in t.
+    One point of zeta_derivative_many: Euler-Maclaurin jets up to
+    t = 2e3, the Riemann-Siegel jet above.
+    """
+    t = float(t)
+    if t < 0:
+        return np.conj(zeta_derivative(-t, m))
+    return complex(zeta_derivative_many(np.array([t]), m)[0])
+
+
+def zeta_derivative_many(t_arr, m):
+    """Vectorized zeta^{(m)}(1/2 + it) for nonnegative t arrays, 0 <= m <= 4.
+
+    m = 0 is zeta_half_line_many.  Above it, Euler-Maclaurin jets carry
+    t <= EM_DERIVATIVE_MAX_T and Riemann-Siegel jets the rest up to 1e8.
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"derivative order must be a nonnegative integer, got {m}")
     if m > MAX_DERIVATIVE:
         raise ValueError(f"derivative order {m} unsupported (max {MAX_DERIVATIVE})")
-    t = float(t)
-    if t < 0:
-        return np.conj(zeta_derivative(-t, m))
     if m == 0:
-        return zeta_half_line(t)
-    if t <= CAUCHY_MAX_T:
-        return _derivative_cauchy(t, m)
-    return complex(zeta_derivative_rs_many(np.asarray([t]), m)[0])
-
-
-def _derivative_cauchy(t, m):
-    s0 = complex(0.5, t)
-    q = np.arange(CAUCHY_NODES)
-    nodes = np.exp(2j * math.pi * q / CAUCHY_NODES)
-    vals = zeta_em_many(s0 + CAUCHY_RADIUS * nodes)
-    coeff = np.mean(vals * np.exp(-2j * math.pi * m * q / CAUCHY_NODES))
-    return complex(coeff * math.factorial(m) / CAUCHY_RADIUS**m)
-
-
-def _bell_exp_derivatives(c1, higher, order):
-    """d^r e^{g}/e^{g} for r = 0..order, with g' = c1 (array) and g^{(i)} = higher[i-2] scalars."""
-    outs = [np.ones_like(c1)]
-    if order >= 1:
-        outs.append(c1)
-    if order >= 2:
-        g2 = higher[0]
-        outs.append(c1 * c1 + g2)
-    if order >= 3:
-        g2, g3 = higher[0], higher[1]
-        outs.append(c1**3 + 3.0 * c1 * g2 + g3)
-    if order >= 4:
-        g2, g3, g4 = higher[0], higher[1], higher[2]
-        outs.append(c1**4 + 6.0 * c1 * c1 * g2 + 3.0 * g2 * g2 + 4.0 * c1 * g3 + g4)
-    return outs
+        return zeta_half_line_many(t_arr)
+    t_arr = np.asarray(t_arr, dtype=float)
+    if np.any(t_arr < 0):
+        raise ValueError("zeta_derivative_many requires t >= 0")
+    em_mask = t_arr <= EM_DERIVATIVE_MAX_T
+    out = np.empty(t_arr.shape, dtype=np.complex128)
+    if np.any(em_mask):
+        out[em_mask] = zeta_em_many(0.5 + 1j * t_arr[em_mask], m=m)
+    if np.any(~em_mask):
+        out[~em_mask] = zeta_derivative_rs_many(t_arr[~em_mask], m)
+    return out
 
 
 def zeta_derivative_rs_many(t_arr, m, n_corr=4):
-    """zeta^{(m)}(1/2+it) for arrays of large t, by differentiating the RS form.
+    """zeta^{(m)}(1/2+it) for arrays of t above EM_DERIVATIVE_MAX_T, from the RS jet.
 
-    Main-sum phases are differentiated exactly (complete Bell polynomials
-    in i phi'); correction terms carry their first t-derivative, higher
-    ones being O(t^{-2}) relative and dropped.
+    On the line d/dt = i d/ds, so zeta^{(m)} = i^{-m} m! times the
+    eps^m coefficient of zeta(1/2 + i(t + eps)).
     """
     t_arr = np.asarray(t_arr, dtype=float)
-    if np.any(t_arr <= CAUCHY_MAX_T):
-        raise ValueError("RS derivative path requires t above the Cauchy ceiling")
+    if np.any(t_arr <= EM_DERIVATIVE_MAX_T):
+        raise ValueError("RS derivative path requires t above the EM derivative ceiling")
     if not 1 <= m <= MAX_DERIVATIVE:
-        raise ValueError("m must be in [1, 4]")
-    a = np.sqrt(t_arr / TWO_PI)
-    big_n = a.astype(np.int64)
-    p = a - big_n
-    theta_ld = siegel_theta(t_arr)
-    theta_mod = np.remainder(theta_ld, TWO_PI_LD).astype(float)
-    t_ld = t_arr.astype(_LD)
-    max_n = int(big_n.max())
-    log_n_ld = np.log(np.arange(1, max_n + 1, dtype=_LD))
-    log_n = log_n_ld.astype(float)
-    inv_sqrt = 1.0 / np.sqrt(np.arange(1, max_n + 1, dtype=float))
-
-    z_derivs = np.zeros((m + 1, t_arr.size))
-    for idx in range(t_arr.size):
-        nv = big_n[idx]
-        th_d = _theta_derivatives(t_arr[idx], m)
-        phase = np.remainder(theta_ld[idx] - t_ld[idx] * log_n_ld[:nv], TWO_PI_LD).astype(float)
-        e_phase = np.exp(1j * phase)
-        c1 = 1j * (th_d[0] - log_n[:nv])
-        higher = [1j * d for d in th_d[1:]]
-        bells = _bell_exp_derivatives(c1, higher, m)
-        for r in range(m + 1):
-            z_derivs[r, idx] = 2.0 * np.sum((e_phase * bells[r]).real * inv_sqrt[:nv])
-    # correction term and its first derivative
-    corr = _correction_values(p, n_corr)
-    corr_d = [
-        sum(coef * _phi_derivative(p, order + 1) for order, coef in _C_RELATIONS[k])
-        for k in range(n_corr + 1)
-    ]
-    omega = a**-0.5
-    acc = np.zeros_like(t_arr)
-    acc_d = np.zeros_like(t_arr)
-    a_prime = 1.0 / (4.0 * math.pi * a)
-    for k in range(n_corr + 1):
-        acc += corr[k] * a ** (-float(k))
-        acc_d += (corr_d[k] * a_prime - corr[k] * (k + 0.5) * a_prime / a) * a ** (-float(k))
-    sign = np.where(big_n % 2 == 1, 1.0, -1.0)
-    z_derivs[0] += sign * omega * acc
-    if m >= 1:
-        z_derivs[1] += sign * omega * acc_d
-
-    # W(t) = e^{-i theta} Z(t); zeta^{(m)} = i^{-m} W^{(m)}
-    th_d_all = np.array([_theta_derivatives(tv, m) for tv in t_arr]).T  # (m, P)
-    e_fac = np.exp(-1j * theta_mod)
-    exp_derivs = _bell_exp_derivatives(
-        -1j * th_d_all[0], [-1j * d for d in th_d_all[1:]], m
-    )
-    w_m = np.zeros(t_arr.size, dtype=np.complex128)
-    for j in range(m + 1):
-        w_m += math.comb(m, j) * exp_derivs[j] * z_derivs[m - j]
-    return (1j) ** (-m) * e_fac * w_m
+        raise ValueError(f"m must be in [1, {MAX_DERIVATIVE}]")
+    return (1j) ** (-m) * math.factorial(m) * _rs_jet(t_arr, m, n_corr)[m]

@@ -18,12 +18,7 @@ import numpy as np
 
 from .cue import SeedSpec
 from .estimator import MomentReport, reduce_weighted
-from .zeta_eval import (
-    CAUCHY_MAX_T,
-    zeta_derivative,
-    zeta_derivative_rs_many,
-    zeta_half_line_many,
-)
+from .zeta_eval import zeta_derivative_many, zeta_half_line_many
 
 __all__ = [
     "PrimeWindow",
@@ -32,7 +27,6 @@ __all__ = [
     "ScanStream",
     "sieve_primes",
     "default_window",
-    "dirichlet_poly",
     "dirichlet_poly_many",
     "mertens_l",
     "mu_alpha",
@@ -109,15 +103,8 @@ def mu_alpha(window: PrimeWindow, alpha: float) -> float:
     return float(math.fsum(np.cos(alpha * np.log(p)) / p))
 
 
-def dirichlet_poly(t, window: PrimeWindow) -> complex:
-    """P(t) = sum_{p in X} p^{-1/2 - it}."""
-    p = window.primes.astype(float)
-    if p.size == 0:
-        return 0.0 + 0.0j
-    return complex(np.sum(np.exp(-1j * t * np.log(p)) / np.sqrt(p)))
-
-
 def dirichlet_poly_many(t_arr, window: PrimeWindow):
+    """P(t) = sum_{p in X} p^{-1/2 - it} for an array of heights t."""
     p = window.primes.astype(float)
     t_arr = np.asarray(t_arr, dtype=float)
     if p.size == 0:
@@ -172,6 +159,10 @@ class ScanSpec:
     seed: SeedSpec = SeedSpec(42)
 
     def __post_init__(self):
+        for name in ("T", "samples", "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.T < 10:
             raise ValueError(f"T must be >= 10, got {self.T}")
         if self.samples < 10**2:
@@ -211,13 +202,7 @@ def scan_log_weights(t, k, m, alpha):
     t = np.asarray(t, dtype=float)
     if k == 0:
         return np.zeros(t.shape)
-    shifted = t + alpha
-    if m == 0:
-        w_abs = np.abs(zeta_half_line_many(shifted))
-    elif np.all(shifted > CAUCHY_MAX_T):
-        w_abs = np.abs(zeta_derivative_rs_many(shifted, m))
-    else:
-        w_abs = np.abs([zeta_derivative(tv, m) for tv in shifted])
+    w_abs = np.abs(zeta_derivative_many(t + alpha, m))
     with np.errstate(divide="ignore"):
         return 2.0 * k * np.log(w_abs)
 

@@ -179,6 +179,20 @@ def test_odd_standardized_moment_decay():
         prev = skew
 
 
+@pytest.mark.parametrize(
+    "field, args",
+    [
+        ("k", (5, math.nan, 4)),
+        ("k", (5, math.inf, 4)),
+        ("N", (math.nan, 1.0, 4)),
+        ("n_max", (5, 1.0, math.nan)),
+    ],
+)
+def test_tilt_spec_rejects_non_finite(field, args):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        TiltSpec(*args)
+
+
 def test_tilt_spec_guards():
     with pytest.raises(ValueError):
         TiltSpec(0, 1.0, 4)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from tiltlab.shifts import (
-    RecipeKernelConfig,
     SelectionPair,
     ShiftTuple,
     enumerate_selections,
@@ -168,8 +167,6 @@ def test_recipe_guards():
         second_moment_recipe_k1(10, 100, 0.0, 0.0)
     with pytest.raises(ValueError):
         second_moment_recipe_k1(200, 100, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        RecipeKernelConfig(v_cutoff_mode="fuzzy")
     with pytest.raises(ValueError):
         ShiftTuple(1, (1.5,), (0.0,))
     with pytest.raises(ValueError):

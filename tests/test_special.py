@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tiltlab.special import (
-    AccuracyBudget,
     digamma,
     digamma_diff,
     gaussian_central_moment,
@@ -131,12 +130,3 @@ def test_domain_errors():
         gaussian_central_moment(-1, 1.0)
     with pytest.raises(ValueError):
         gaussian_central_moment(2, -1.0)
-
-
-def test_accuracy_budget_invariants():
-    with pytest.raises(ValueError):
-        AccuracyBudget(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        AccuracyBudget(series_cutoff=4.0)
-    budget = AccuracyBudget(abs_tol=1e-10, series_cutoff=16.0)
-    assert digamma(1.0, budget) == pytest.approx(digamma(1.0), abs=1e-13)

@@ -6,10 +6,12 @@ from scipy.optimize import brentq
 
 from tiltlab.zeta_eval import (
     EM_AUTO_MAX_T,
+    EM_DERIVATIVE_MAX_T,
     RS_MAX_T,
     _phi_derivative,
     siegel_theta,
     zeta_derivative,
+    zeta_derivative_many,
     zeta_derivative_rs_many,
     zeta_em,
     zeta_em_many,
@@ -124,7 +126,7 @@ def test_derivative_conjugation():
             assert left == right
 
 
-def test_cauchy_derivatives_against_mpmath():
+def test_low_height_derivatives_against_mpmath():
     import mpmath as mp
 
     mp.mp.dps = 25
@@ -132,6 +134,27 @@ def test_cauchy_derivatives_against_mpmath():
         ref = complex(mp.zeta(mp.mpc(0.5, t), derivative=m))
         got = zeta_derivative(t, m)
         assert abs(got - ref) < 1e-6 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_em_jet_derivatives_against_mpmath(m):
+    import mpmath as mp
+
+    mp.mp.dps = 25
+    t = np.array([13.0, 100.0, 450.0, 800.0, 1999.0])
+    got = zeta_derivative_many(t, m)
+    for ti, gi in zip(t, got):
+        ref = complex(mp.zeta(mp.mpc(0.5, ti), derivative=m))
+        assert abs(gi - ref) < 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_derivative_many_matches_scalar(m):
+    # one batch across the EM/RS ceiling; the batch shares one EM term count
+    t = np.array([0.0, 14.5, 333.3, 1500.0, EM_DERIVATIVE_MAX_T, 2000.5, 7777.7, 1e6 + 0.1])
+    many = zeta_derivative_many(t, m)
+    for ti, vi in zip(t, many):
+        assert vi == pytest.approx(zeta_derivative(float(ti), m), rel=1e-10, abs=1e-12)
 
 
 def test_rs_derivatives_against_mpmath():
@@ -142,6 +165,20 @@ def test_rs_derivatives_against_mpmath():
         ref = complex(mp.zeta(mp.mpc(0.5, t), derivative=m))
         got = complex(zeta_derivative_rs_many(np.array([t]), m)[0])
         assert abs(got - ref) < 1e-5 * abs(ref)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_rs_jet_derivatives_to_full_order_against_mpmath(m):
+    # the correction terms enter the jet to full order; dropping their
+    # higher t-derivatives leaves errors near 2e-6 relative at m >= 2
+    import mpmath as mp
+
+    mp.mp.dps = 25
+    t = np.array([2000.5, 5000.0, 33333.3, 1e5, 1e6 + 0.37, 1e8 - 0.2])
+    got = zeta_derivative_rs_many(t, m)
+    for ti, gi in zip(t, got):
+        ref = complex(mp.zeta(mp.mpc(0.5, ti), derivative=m))
+        assert abs(gi - ref) < 1e-8 * abs(ref)
 
 
 def test_phi_table_matches_direct_formula():
@@ -181,6 +218,8 @@ def test_ceilings_and_guards():
         zeta_derivative(10.0, 5)
     with pytest.raises(ValueError):
         zeta_derivative(10.0, -1)
+    with pytest.raises(ValueError):
+        zeta_derivative_many(np.array([-1.0]), 1)
     with pytest.raises(ValueError):
         zeta_em(1.0)
     with pytest.raises(ValueError):

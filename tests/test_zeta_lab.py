@@ -9,7 +9,6 @@ from tiltlab.zeta_lab import (
     ScanSpec,
     WeightedHistogram,
     default_window,
-    dirichlet_poly,
     dirichlet_poly_many,
     mertens_l,
     mu_alpha,
@@ -103,12 +102,12 @@ def test_mu_alpha_lipschitz_bound():
 
 def test_dirichlet_poly_empty_window():
     w = PrimeWindow(lo=24.0, hi=28.0, primes=np.empty(0, dtype=np.int64))
-    assert dirichlet_poly(1.0, w) == 0.0
+    assert dirichlet_poly_many(np.array([1.0]), w)[0] == 0.0
 
 
 def test_dirichlet_poly_real_at_zero():
     w = PrimeWindow.from_bounds(1, 100)
-    value = dirichlet_poly(0.0, w)
+    value = dirichlet_poly_many(np.array([0.0]), w)[0]
     assert value.imag == pytest.approx(0.0, abs=1e-14)
     assert value.real == pytest.approx(
         math.fsum(1.0 / math.sqrt(p) for p in w.primes), abs=1e-12
@@ -154,6 +153,20 @@ def test_scan_spec_validation():
         ScanSpec(T=100.0, samples=500, m=5)
     spec = ScanSpec(T=1e4, samples=500)
     assert spec.window.lo == pytest.approx(math.log(1e4))
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("T", dict(T=math.nan)),
+        ("T", dict(T=math.inf)),
+        ("samples", dict(samples=math.nan)),
+        ("alpha", dict(alpha=math.nan)),
+    ],
+)
+def test_scan_spec_rejects_non_finite(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ScanSpec(**{"T": 1e4, "samples": 500, **kwargs})
 
 
 def test_scan_stream_determinism_and_range():
