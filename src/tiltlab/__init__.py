@@ -1,15 +1,16 @@
 """tiltlab: tilted CUE statistics and weighted value distributions of zeta.
 
 Exact side: closed-form moments/cumulants of log|Z| under |Z|^{2k} d_Haar.
-Monte Carlo side: an exact tilted sampler, and Haar sampling (QR and CMV
-routes) with self-normalized importance sampling.  Zeta side:
-critical-line evaluators, prime-window Dirichlet polynomials, weighted
-scans, and the shifted-moment recipe combinatorics.
+Monte Carlo side: sharded streams of log|Z| (an exact tilted sampler, and
+Haar draws by the Szego/CMV recurrence or dense QR, reweighted by
+self-normalized importance sampling).  Zeta side: critical-line
+evaluators, prime-window Dirichlet polynomials, weighted scans, and the
+shifted-moment recipe combinatorics.
 """
 
 __version__ = "0.1.0"
 
-from .cue import EigenAngles, SeedSpec, log_abs_char_poly, sample_cue
+from .cue import SeedSpec
 from .estimator import MomentReport, effective_sample_size, gaussian_conformance, tilted_moments_mc
 from .rmt_exact import (
     ExactMomentReport,
@@ -33,10 +34,7 @@ from .zeta_lab import PrimeWindow, ScanSpec, mertens_l, mu_alpha, sieve_primes, 
 
 __all__ = [
     "__version__",
-    "EigenAngles",
     "SeedSpec",
-    "log_abs_char_poly",
-    "sample_cue",
     "MomentReport",
     "effective_sample_size",
     "gaussian_conformance",

@@ -37,16 +37,6 @@ from .zeta_lab import PrimeWindow, ScanSpec, default_window, mu_alpha, weighted_
 
 __all__ = ["RunConfig", "run", "main"]
 
-SUBCOMMANDS = (
-    "exact-moments",
-    "mc-tilt",
-    "cue-check",
-    "zeta-scan",
-    "mu-alpha",
-    "shift-table",
-    "recipe-k1",
-)
-
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
@@ -63,7 +53,7 @@ class RunConfig:
     fmt: str
 
     def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
+        if self.subcommand not in _HANDLERS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.fmt!r}")
@@ -398,28 +388,16 @@ def _build_parser():
     return parser
 
 
-_PARAM_KEYS = {
-    "exact-moments": ("n", "k", "orders"),
-    "mc-tilt": ("n", "k", "samples", "orders", "sampler"),
-    "cue-check": ("n", "trials", "phi"),
-    "zeta-scan": ("t", "samples", "k", "m", "alpha", "window_lo", "window_hi"),
-    "mu-alpha": ("lo", "hi", "alphas"),
-    "shift-table": ("k",),
-    "recipe-k1": ("t_lo", "t_hi", "alpha", "beta", "quadrature", "step"),
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    params = {key: getattr(args, key) for key in _PARAM_KEYS[args.subcommand]}
+    args = vars(_build_parser().parse_args(argv))
+    subcommand, out, fmt, seed = (args.pop(key) for key in ("subcommand", "out", "format", "seed"))
     try:
         config = RunConfig(
-            subcommand=args.subcommand,
-            parameters=params,
-            output_path=args.out,
-            seed=args.seed,
-            fmt=args.format,
+            subcommand=subcommand,
+            parameters=args,
+            output_path=out,
+            seed=seed,
+            fmt=fmt,
         )
         return run(config)
     except ValueError as exc:

@@ -1,23 +1,25 @@
-"""Haar-random CUE eigenphases and stable evaluation of log|Z(U, theta)|.
+"""Haar CUE streams of log|Z(U, theta)| = log|det(I - e^{-i theta} U)|.
 
-Two samplers share one contract:
+Three streams, one shard driver:
 
-* ``qr``  -- complex Ginibre -> QR -> multiply Q by the phases of diag(R)
-  (without that correction Q is *not* Haar) -> eigenphases.  O(N^3), easy
-  to cross-check against a dense determinant.
-* ``cmv`` -- Verblunsky coefficients alpha_k with |alpha_k|^2 ~
-  Beta(1, N-1-k) and a final uniform phase; the pentadiagonal CMV matrix
-  built from them has CUE-distributed eigenvalues (Killip-Nenciu).
+* ``log_char_poly_stream`` -- Verblunsky coefficients alpha_k with
+  |alpha_k|^2 ~ Beta(1, N-1-k) and a final uniform phase give a CMV matrix
+  with CUE eigenvalues (Killip-Nenciu); the monic Szego recurrence then
+  evaluates its characteristic polynomial at one point in O(N), which is
+  what makes 10^5-sample Monte Carlo runs at N=200 cheap.
+* ``qr_log_char_poly_stream`` -- complex Ginibre -> QR -> multiply Q by
+  the phases of diag(R) (without that correction Q is *not* Haar;
+  Mezzadri), then a batched slogdet.  O(N^3): the dense cross-check.
+* ``tilted_log_char_poly_stream`` -- log|Z| drawn from the tilted law
+  |Z|^{2k} d_Haar itself (integer k), through the splitting of det(I - U)
+  into independent factors.
 
-The CMV draw also powers ``log_char_poly_stream``: the monic Szego
-recurrence evaluates the characteristic polynomial at one point in O(N),
-which is what makes 10^5-sample Monte Carlo runs at N=200 cheap.
-``tilted_log_char_poly_stream`` draws log|Z| from the tilted law
-|Z|^{2k} d_Haar itself (integer k), through the splitting of det(I - U)
-into independent factors.  Streams are sharded by fixed-size blocks of
-the (master_seed, stream_index) space, so results never depend on how
-many workers consumed them; the shards run on a thread pool of
-TILTLAB_THREADS workers (default: the CPUs this process may use).
+Streams are sharded by fixed-size blocks of the (master_seed,
+stream_index) space, so results never depend on how many workers
+consumed them; the shards run on a thread pool of TILTLAB_THREADS
+workers (default: the CPUs this process may use).
+``rotation_invariance_check`` draws its two sets through the same QR
+helper as the dense stream.
 """
 
 from __future__ import annotations
@@ -30,25 +32,14 @@ import numpy as np
 
 __all__ = [
     "SeedSpec",
-    "EigenAngles",
-    "NearSingularEvaluation",
-    "sample_cue",
-    "sample_verblunsky",
-    "cmv_matrix",
-    "log_abs_char_poly",
     "log_char_poly_stream",
+    "qr_log_char_poly_stream",
     "tilted_log_char_poly_stream",
     "rotation_invariance_check",
     "RotationCheck",
 ]
 
-ANGLE_EPSILON = 1e-12
-UNITARITY_TOL = 1e-10
 TWO_PI = 2.0 * np.pi
-
-
-class NearSingularEvaluation(ValueError):
-    """theta collides with an eigenphase; the caller should resample theta."""
 
 
 @dataclass(frozen=True)
@@ -72,30 +63,10 @@ class SeedSpec:
         return SeedSpec(self.master_seed, self.stream_index + offset)
 
 
-@dataclass(frozen=True)
-class EigenAngles:
-    """One CUE sample: n eigenphases in [0, 2*pi)."""
-
-    n: int
-    angles: np.ndarray
-
-    def __post_init__(self):
-        angles = np.asarray(self.angles, dtype=float)
-        if angles.shape != (self.n,):
-            raise ValueError(f"expected {self.n} angles, got shape {angles.shape}")
-        if np.any(angles < 0) or np.any(angles >= TWO_PI):
-            raise ValueError("angles must lie in [0, 2*pi)")
-        object.__setattr__(self, "angles", angles)
-
-
-def _ginibre(rng, n, count=None):
-    shape = (n, n) if count is None else (count, n, n)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def _haar_unitary_batch(rng, n, count, phase_correction=True):
-    """QR route; phase_correction=False is the known-biased negative control."""
-    a = _ginibre(rng, n, count)
+    """count Haar(U(n)) draws by QR; phase_correction=False is the known-biased negative control."""
+    shape = (count, n, n)
+    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     q, r = np.linalg.qr(a)
     if phase_correction:
         d = np.einsum("...ii->...i", r).copy()
@@ -103,89 +74,13 @@ def _haar_unitary_batch(rng, n, count, phase_correction=True):
     return q
 
 
-def _angles_from_unitary(u):
-    ev = np.linalg.eigvals(u)
-    return np.mod(np.angle(ev), TWO_PI)
+def _haar_log_abs(rng, n, take, theta=0.0, phase_correction=True):
+    """log|det(I - e^{-i theta} U)| for take QR Haar draws U, by batched slogdet."""
+    u = _haar_unitary_batch(rng, n, take, phase_correction)
+    return np.linalg.slogdet(np.eye(n) - np.exp(-1j * theta) * u)[1]
 
 
-def sample_cue(n, seed: SeedSpec, method="qr", phase_correction=True) -> EigenAngles:
-    """One Haar(U(n)) sample of eigenphases.
-
-    method='qr' is the reference sampler; method='cmv' diagonalizes the
-    CMV matrix of a Verblunsky draw instead (same law, cheaper to extend
-    to bulk streams).  Draws failing the unitarity guard are resampled.
-    """
-    if n < 1:
-        raise ValueError(f"matrix size must be >= 1, got {n}")
-    rng = seed.rng()
-    if method == "cmv":
-        alphas = sample_verblunsky(n, rng)
-        return EigenAngles(n, _angles_from_unitary(cmv_matrix(alphas)))
-    if method != "qr":
-        raise ValueError(f"unknown sampler method {method!r}")
-    for _ in range(8):
-        u = _haar_unitary_batch(rng, n, None, phase_correction)
-        drift = np.abs(u.conj().T @ u - np.eye(n)).max()
-        if drift < UNITARITY_TOL:
-            return EigenAngles(n, _angles_from_unitary(u))
-    raise RuntimeError("repeated unitarity failures in QR sampling")  # pragma: no cover
-
-
-def sample_verblunsky(n, rng):
-    """Verblunsky coefficients whose CMV matrix is CUE(n)-distributed."""
-    ks = np.arange(n - 1)
-    u = rng.random(n - 1)
-    radii = np.sqrt(1.0 - u ** (1.0 / (n - 1 - ks))) if n > 1 else np.empty(0)
-    phases = rng.random(n) * TWO_PI
-    alphas = np.empty(n, dtype=np.complex128)
-    alphas[: n - 1] = radii * np.exp(1j * phases[: n - 1])
-    alphas[n - 1] = np.exp(1j * phases[n - 1])
-    return alphas
-
-
-def cmv_matrix(alphas):
-    """Dense CMV matrix C = L M for the given Verblunsky coefficients."""
-    alphas = np.asarray(alphas, dtype=np.complex128)
-    n = len(alphas)
-    rho = np.sqrt(np.clip(1.0 - np.abs(alphas) ** 2, 0.0, None))
-
-    def block(k):
-        return np.array([[np.conj(alphas[k]), rho[k]], [rho[k], -alphas[k]]])
-
-    left = np.zeros((n, n), dtype=np.complex128)
-    right = np.zeros((n, n), dtype=np.complex128)
-    i = 0
-    while i < n:
-        if i + 1 < n:
-            left[i : i + 2, i : i + 2] = block(i)
-        else:
-            left[i, i] = np.conj(alphas[i])
-        i += 2
-    right[0, 0] = 1.0
-    i = 1
-    while i < n:
-        if i + 1 < n:
-            right[i : i + 2, i : i + 2] = block(i)
-        else:
-            right[i, i] = np.conj(alphas[i])
-        i += 2
-    return left @ right
-
-
-def log_abs_char_poly(sample: EigenAngles, theta: float) -> float:
-    """log|det(I - U e^{-i theta})| = sum_j log(2 |sin((theta_j - theta)/2)|)."""
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
-    half = 0.5 * (sample.angles - theta)
-    s = np.abs(np.sin(half))
-    if np.any(s < 0.5 * ANGLE_EPSILON):
-        raise NearSingularEvaluation(
-            f"theta={theta} within {ANGLE_EPSILON} of an eigenphase"
-        )
-    return float(np.sum(np.log(2.0 * s)))
-
-
-def _szego_log_abs(alphas_block, z):
+def _szego_log_abs(alphas_block, z=1.0):
     """log|det(zI - C)| for a (count, n) block of Verblunsky draws, O(n) each."""
     count, n = alphas_block.shape
     phi = np.ones(count, dtype=np.complex128)
@@ -262,17 +157,16 @@ def _sharded(count, seed: SeedSpec, shard_body, shard_size=STREAM_SHARD, scratch
     return out
 
 
-def log_char_poly_stream(n, count, seed: SeedSpec, theta=0.0, shard_size=STREAM_SHARD):
-    """count i.i.d. values of log|Z(U, theta)| under Haar, via the CMV fast path.
+def log_char_poly_stream(n, count, seed: SeedSpec):
+    """count i.i.d. values of log|Z(U, 0)| under Haar, via the CMV fast path.
 
     Shard j of fixed size uses stream (master_seed, stream_index + j), so
     the output is bit-stable regardless of how shards are scheduled.
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
-    z = np.exp(1j * theta)
     expo = 1.0 / (n - 1 - np.arange(n - 1)) if n > 1 else np.empty(0)
-    size = min(shard_size, count)
+    size = min(STREAM_SHARD, count)
 
     def scratch():
         return np.empty((size, n - 1)), np.empty((size, n)), np.empty((n, size), np.complex128)
@@ -292,9 +186,23 @@ def log_char_poly_stream(n, count, seed: SeedSpec, theta=0.0, shard_size=STREAM_
         radii = np.sqrt(u, out=u).T
         alphas.real[: n - 1] *= radii
         alphas.imag[: n - 1] *= radii
-        return _szego_log_abs(alphas.T, z)
+        return _szego_log_abs(alphas.T)
 
-    return _sharded(count, seed, shard, shard_size, scratch)
+    return _sharded(count, seed, shard, scratch=scratch)
+
+
+def qr_log_char_poly_stream(n, count, seed: SeedSpec):
+    """count i.i.d. values of log|Z(U, 0)| under Haar, via dense QR and slogdet.
+
+    Sharded like log_char_poly_stream, in shards of 2048 // n draws.
+    """
+    if n < 1 or count < 1:
+        raise ValueError("n and count must be >= 1")
+
+    def shard(rng, take, _buffers):
+        return _haar_log_abs(rng, n, take)
+
+    return _sharded(count, seed, shard, max(1, 2048 // n))
 
 
 def _split_mixture_thresholds(n, k):
@@ -381,34 +289,29 @@ class RotationCheck:
 
 
 def rotation_invariance_check(
-    n, trials, seed: SeedSpec, phi=1.0, share_stream=False, phase_correction=True
+    n, trials, seed: SeedSpec, phi=1.0, phase_correction=True
 ) -> RotationCheck:
     """Two-sample KS test of {log|Z|(., 0)} against {log|Z|(., phi)}.
 
     Haar rotation invariance makes the two laws identical; a sampler
-    without QR phase correction fails this at the 1% level.  With
-    share_stream=True both sets reuse the same draws (so phi=0 gives
-    statistic exactly 0).  log|Z|(U, theta) = log|det(I - e^{-i theta} U)|
-    comes from a batched slogdet, with no eigendecomposition.
+    without QR phase correction fails this at the 1% level.  The sets are
+    drawn from streams (master_seed, stream_index) and (.., stream_index + 1)
+    by the QR helper of qr_log_char_poly_stream.
     """
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got {n}")
     if trials < 10**3:
         raise ValueError(f"trials must be >= 1000, got {trials}")
-    rng_a = seed.rng()
-    set_a = np.empty(trials)
-    set_b = np.empty(trials)
-    batch = max(1, 4096 // max(1, n))
-    pos = 0
-    rng_b = seed.rng() if share_stream else seed.shifted(1).rng()
-    eye = np.eye(n)
-    while pos < trials:
-        take = min(batch, trials - pos)
-        ua = _haar_unitary_batch(rng_a, n, take, phase_correction)
-        set_a[pos : pos + take] = np.linalg.slogdet(eye - ua)[1]
-        ub = _haar_unitary_batch(rng_b, n, take, phase_correction)
-        set_b[pos : pos + take] = np.linalg.slogdet(eye - np.exp(-1j * phi) * ub)[1]
-        pos += take
+    batch = max(1, 4096 // n)
+
+    def draws(rng, theta):
+        takes = [min(batch, trials - lo) for lo in range(0, trials, batch)]
+        return np.concatenate(
+            [_haar_log_abs(rng, n, take, theta, phase_correction) for take in takes]
+        )
+
+    set_a = draws(seed.rng(), 0.0)
+    set_b = draws(seed.shifted(1).rng(), phi)
     stat = _two_sample_ks(set_a, set_b)
     threshold = float(_KS_COEFF_1PCT * np.sqrt(2.0 / trials))
     return RotationCheck(stat, threshold, bool(stat < threshold), trials, phi)

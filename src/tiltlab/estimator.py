@@ -23,8 +23,8 @@ import numpy as np
 from . import rmt_exact
 from .cue import (
     SeedSpec,
-    _haar_unitary_batch,
     log_char_poly_stream,
+    qr_log_char_poly_stream,
     tilted_log_char_poly_stream,
 )
 from .special import gaussian_central_moment
@@ -276,7 +276,7 @@ def tilted_moments_mc(
     elif sampler == "cmv":
         values = log_char_poly_stream(n, samples, seed)
     elif sampler == "qr":
-        values = _qr_value_stream(n, samples, seed)
+        values = qr_log_char_poly_stream(n, samples, seed)
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
     log_weights = np.zeros_like(values) if sampler == "split" else 2.0 * k * values
@@ -290,21 +290,6 @@ def tilted_moments_mc(
         matrix_size=n,
         tilt=k,
     )
-
-
-def _qr_value_stream(n, samples, seed):
-    out = np.empty(samples)
-    batch = max(1, 2048 // max(1, n))
-    pos = 0
-    shard = 0
-    while pos < samples:
-        take = min(batch, samples - pos)
-        rng = seed.shifted(shard).rng()
-        u = _haar_unitary_batch(rng, n, take)
-        out[pos : pos + take] = np.linalg.slogdet(np.eye(n) - u)[1]
-        pos += take
-        shard += 1
-    return out
 
 
 _ERF = np.frompyfunc(math.erf, 1, 1)

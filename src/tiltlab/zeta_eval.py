@@ -34,7 +34,6 @@ from .special import _bernoulli_even
 __all__ = [
     "zeta_em",
     "zeta_em_many",
-    "zeta_rs",
     "zeta_rs_many",
     "zeta_half_line",
     "zeta_half_line_many",
@@ -51,8 +50,7 @@ _LD = np.longdouble
 PI_LD = _LD("3.14159265358979323846264338327950288420")
 TWO_PI_LD = _LD(2) * PI_LD
 
-EM_AUTO_MAX_T = 1000.0  # auto path switch; EM itself stays accurate well beyond
-EM_HARD_MAX_T = 10000.0
+EM_AUTO_MAX_T = 1000.0  # EM below, RS above; EM itself stays accurate well beyond
 RS_MIN_T = 40.0
 RS_MAX_T = 1.0e8
 EM_DERIVATIVE_MAX_T = 2000.0  # derivatives: EM jets up to here, RS jets above
@@ -277,54 +275,35 @@ def _rs_jet(t_arr, order, n_corr=4):
     return [e_theta * w for w in jet.mul(jet.exp([-1j * x for x in theta]), z)]
 
 
-def zeta_rs(t, n_corr=4):
-    """zeta(1/2 + it) = exp(-i theta(t)) Z(t) on the Riemann-Siegel path."""
-    return complex(zeta_rs_many(np.asarray([t], dtype=float), n_corr)[0])
-
-
 def zeta_rs_many(t_arr, n_corr=4):
     """zeta(1/2 + it) on the Riemann-Siegel path: order 0 of its jet."""
     return _rs_jet(t_arr, 0, n_corr)[0]
 
 
-def zeta_half_line(t, method="auto"):
-    """zeta(1/2 + it); negative t by conjugation.
-
-    The Euler-Maclaurin path carries t <= ~1e3 (1e-8 contract with large
-    margin), Riemann-Siegel the rest up to the 1e8 ceiling.
-    """
+def zeta_half_line(t):
+    """zeta(1/2 + it): one point of zeta_half_line_many; negative t by conjugation."""
     t = float(t)
     if t < 0:
-        return np.conj(zeta_half_line(-t, method))
-    if method == "auto":
-        method = "em" if t <= EM_AUTO_MAX_T else "rs"
-    if method == "em":
-        if t > EM_HARD_MAX_T:
-            raise ValueError(f"Euler-Maclaurin path limited to t <= {EM_HARD_MAX_T}")
-        return zeta_em(complex(0.5, t))
-    if method == "rs":
-        return zeta_rs(t)
-    raise ValueError(f"unknown method {method!r}")
+        return np.conj(zeta_half_line(-t))
+    return complex(zeta_half_line_many(np.array([t]))[0])
 
 
-def zeta_half_line_many(t_arr, method="auto"):
-    """Vectorized zeta(1/2 + it) for nonnegative t arrays."""
+def zeta_half_line_many(t_arr):
+    """Vectorized zeta(1/2 + it) for nonnegative t arrays.
+
+    The Euler-Maclaurin path carries t <= EM_AUTO_MAX_T (1e-8 contract
+    with large margin), Riemann-Siegel the rest up to the 1e8 ceiling.
+    """
     t_arr = np.asarray(t_arr, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("zeta_half_line_many requires t >= 0")
-    if method == "auto":
-        em_mask = t_arr <= EM_AUTO_MAX_T
-        out = np.empty(t_arr.shape, dtype=np.complex128)
-        if np.any(em_mask):
-            out[em_mask] = zeta_em_many(0.5 + 1j * t_arr[em_mask])
-        if np.any(~em_mask):
-            out[~em_mask] = zeta_rs_many(t_arr[~em_mask])
-        return out
-    if method == "em":
-        return zeta_em_many(0.5 + 1j * t_arr)
-    if method == "rs":
-        return zeta_rs_many(t_arr)
-    raise ValueError(f"unknown method {method!r}")
+    em_mask = t_arr <= EM_AUTO_MAX_T
+    out = np.empty(t_arr.shape, dtype=np.complex128)
+    if np.any(em_mask):
+        out[em_mask] = zeta_em_many(0.5 + 1j * t_arr[em_mask])
+    if np.any(~em_mask):
+        out[~em_mask] = zeta_rs_many(t_arr[~em_mask])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -137,8 +137,10 @@ class WeightedHistogram:
         counts = np.asarray(self.weighted_counts, dtype=float)
         if len(counts) != len(edges) - 1:
             raise ValueError("need len(weighted_counts) == len(bin_edges) - 1")
-        if np.any(counts < 0) or self.total_weight <= 0:
-            raise ValueError("weights must be nonnegative with positive total")
+        if np.any(counts < 0) or min(self.underflow_weight, self.overflow_weight) < 0:
+            raise ValueError("weights must be nonnegative")
+        if self.total_weight <= 0:
+            raise ValueError("total_weight must be positive")
         mass = counts.sum() + self.underflow_weight + self.overflow_weight
         if abs(mass - self.total_weight) > 1e-9 * self.total_weight:
             raise ValueError("histogram mass does not add up to total_weight")
@@ -236,10 +238,7 @@ def weighted_scan(spec: ScanSpec, n_max=4, bootstrap=400):
     total = float(weights.sum())
     inside = np.histogram(stream.values, bins=edges, weights=weights)[0]
     under = float(weights[stream.values < edges[0]].sum())
-    over = float(weights[stream.values >= edges[-1]].sum())
-    # histogram ignores values exactly on the last edge; fold the residual in
-    residual = total - float(inside.sum()) - under - over
-    over += residual
+    over = float(weights[stream.values > edges[-1]].sum())
     hist = WeightedHistogram(
         bin_edges=edges,
         weighted_counts=inside,

@@ -2,7 +2,8 @@
 
 Everything here recomputes target values through routes that do not share
 code with the package: plain series, trial division, high-precision
-finite differences, alternating-series acceleration.
+finite differences, alternating-series acceleration, dense CMV matrices
+and eigenphase sums.  Nothing here imports tiltlab.
 """
 
 import math
@@ -99,6 +100,35 @@ def eta_zeta_derivative(s, terms=60):
     zeta = eta / denom
     ddenom = math.log(2.0) * 2.0 ** (1.0 - s)
     return (eta_prime - zeta * ddenom) / denom
+
+
+def verblunsky(n, rng):
+    """Verblunsky coefficients whose CMV matrix is CUE(n)-distributed (Killip-Nenciu)."""
+    radii = np.sqrt(1.0 - rng.random(n - 1) ** (1.0 / (n - 1 - np.arange(n - 1))))
+    phases = rng.random(n) * 2.0 * math.pi
+    return np.append(radii, 1.0) * np.exp(1j * phases)
+
+
+def cmv_matrix(alphas):
+    """Dense CMV matrix L M: 2x2 blocks [[conj a_k, rho_k], [rho_k, -a_k]] from k = 0 (L), 1 (M)."""
+    n = len(alphas)
+    rho = np.sqrt(np.clip(1.0 - np.abs(alphas) ** 2, 0.0, None))
+
+    def blocks(start):
+        out = np.eye(n, dtype=np.complex128)
+        for k in range(start, n, 2):
+            if k + 1 < n:
+                out[k : k + 2, k : k + 2] = [[np.conj(alphas[k]), rho[k]], [rho[k], -alphas[k]]]
+            else:
+                out[k, k] = np.conj(alphas[k])
+        return out
+
+    return blocks(0) @ blocks(1)
+
+
+def log_abs_from_angles(angles, theta):
+    """log|det(I - e^{-i theta} U)| = sum_j log(2 |sin((theta_j - theta)/2)|), over the last axis."""
+    return np.sum(np.log(2.0 * np.abs(np.sin(0.5 * (np.asarray(angles) - theta)))), axis=-1)
 
 
 def log_mn_mp(n_size, s):

@@ -140,6 +140,26 @@ def test_histogram_mass_invariant_enforced():
         overflow_weight=0.25,
     )
     assert hist.total_weight == 2.5
+    for side in ("underflow_weight", "overflow_weight"):
+        with pytest.raises(ValueError):
+            WeightedHistogram(
+                bin_edges=np.array([0.0, 1.0]),
+                weighted_counts=np.array([1.0]),
+                total_weight=1.0,
+                raw_count=1,
+                **{side: -1e-13},
+            )
+
+
+def test_overflow_weight_is_the_weight_above_the_top_edge():
+    window = PrimeWindow.from_bounds(1, 100)
+    spec = ScanSpec(T=300.0, samples=2000, k=1, m=0, window=window, seed=SeedSpec(5))
+    hist, _ = weighted_scan(spec)
+    stream = scan_stream(spec)
+    log_w = scan_log_weights(stream.t, spec.k, spec.m, spec.alpha)
+    weights = np.exp(log_w - log_w.max())
+    assert hist.overflow_weight >= 0.0
+    assert hist.overflow_weight == float(weights[stream.values > hist.bin_edges[-1]].sum())
 
 
 def test_scan_spec_validation():
