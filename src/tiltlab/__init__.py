@@ -1,9 +1,9 @@
 """tiltlab: tilted CUE statistics and weighted value distributions of zeta.
 
 Exact side: closed-form moments/cumulants of log|Z| under |Z|^{2k} d_Haar.
-Monte Carlo side: sharded streams of log|Z| (an exact tilted sampler, and
-Haar draws by the Szego/CMV recurrence or dense QR, reweighted by
-self-normalized importance sampling).  Zeta side: critical-line
+Monte Carlo side: sharded streams of log|Z| (one splitting sampler, exact
+at any integer tilt and plain Haar at tilt 0, and dense QR Haar draws;
+Haar draws are reweighted by self-normalized importance sampling).  Zeta side: critical-line
 evaluators, prime-window Dirichlet polynomials, weighted scans, and the
 shifted-moment recipe combinatorics.
 """

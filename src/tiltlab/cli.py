@@ -5,7 +5,7 @@ config echo, so a result file always identifies the run that produced
 it.  Identical config + seed gives byte-identical files.  Exit codes:
 0 success (numerical warnings still exit 0), 2 precondition violation
 (including a NaN or infinite float argument), 3 numerical failure
-(including a non-finite value in a JSON result, which is never written).
+(including a non-finite value in a result, which is never written).
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ def _emit(config: RunConfig, results: dict, rows, warnings_list):
 
 def _csv_cell(v):
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise FloatingPointError(f"non-finite result: {v}")
         return _fmt_float(v)
     return str(v)
 
@@ -347,7 +349,12 @@ def _build_parser():
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--orders", type=int, default=4)
-    sp.add_argument("--sampler", choices=("cmv", "qr"), default="cmv")
+    sp.add_argument(
+        "--sampler",
+        choices=("cmv", "qr"),
+        default="cmv",
+        help="Haar draws: cmv, the O(N) splitting stream at tilt 0; qr, dense QR",
+    )
     common(sp)
 
     sp = sub.add_parser("cue-check", help="rotation-invariance KS check of the CUE sampler")

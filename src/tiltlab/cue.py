@@ -1,18 +1,17 @@
-"""Haar CUE streams of log|Z(U, theta)| = log|det(I - e^{-i theta} U)|.
+"""CUE streams of log|Z(U, theta)| = log|det(I - e^{-i theta} U)|, Haar and tilted.
 
-Three streams, one shard driver:
+Two streams, one shard driver:
 
-* ``log_char_poly_stream`` -- Verblunsky coefficients alpha_k with
-  |alpha_k|^2 ~ Beta(1, N-1-k) and a final uniform phase give a CMV matrix
-  with CUE eigenvalues (Killip-Nenciu); the monic Szego recurrence then
-  evaluates its characteristic polynomial at one point in O(N), which is
-  what makes 10^5-sample Monte Carlo runs at N=200 cheap.
+* ``log_char_poly_stream`` -- log|Z| drawn from the law
+  |Z|^{2k} d_Haar / M_N(2k) for integer k >= 0 (plain Haar at k = 0),
+  through the splitting of det(I - U) into independent factors
+  1 + r_j e^{i w_j}.  These are the deformed Verblunsky coefficients of
+  the circular Jacobi ensemble (Bourgade-Nikeghbali-Rouault), so one O(N)
+  pass per draw needs no matrix; that is what makes 10^5-sample Monte
+  Carlo runs at N=200 cheap.
 * ``qr_log_char_poly_stream`` -- complex Ginibre -> QR -> multiply Q by
   the phases of diag(R) (without that correction Q is *not* Haar;
   Mezzadri), then a batched slogdet.  O(N^3): the dense cross-check.
-* ``tilted_log_char_poly_stream`` -- log|Z| drawn from the tilted law
-  |Z|^{2k} d_Haar itself (integer k), through the splitting of det(I - U)
-  into independent factors.
 
 Streams are sharded by fixed-size blocks of the (master_seed,
 stream_index) space, so results never depend on how many workers
@@ -34,13 +33,9 @@ __all__ = [
     "SeedSpec",
     "log_char_poly_stream",
     "qr_log_char_poly_stream",
-    "tilted_log_char_poly_stream",
     "rotation_invariance_check",
     "RotationCheck",
 ]
-
-TWO_PI = 2.0 * np.pi
-
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -78,26 +73,6 @@ def _haar_log_abs(rng, n, take, theta=0.0, phase_correction=True):
     """log|det(I - e^{-i theta} U)| for take QR Haar draws U, by batched slogdet."""
     u = _haar_unitary_batch(rng, n, take, phase_correction)
     return np.linalg.slogdet(np.eye(n) - np.exp(-1j * theta) * u)[1]
-
-
-def _szego_log_abs(alphas_block, z=1.0):
-    """log|det(zI - C)| for a (count, n) block of Verblunsky draws, O(n) each."""
-    count, n = alphas_block.shape
-    phi = np.ones(count, dtype=np.complex128)
-    phi_star = np.ones(count, dtype=np.complex128)
-    log_scale = np.zeros(count)
-    for k in range(n - 1):
-        zphi = z * phi
-        a = alphas_block[:, k]
-        phi = zphi - np.conj(a) * phi_star
-        phi_star = phi_star - a * zphi
-        if (k & 63) == 63:
-            mag = np.abs(phi) + np.abs(phi_star)
-            log_scale += np.log(mag)
-            phi /= mag
-            phi_star /= mag
-    final = z * phi - np.conj(alphas_block[:, n - 1]) * phi_star
-    return np.log(np.abs(final)) + log_scale
 
 
 STREAM_SHARD = 4096
@@ -157,36 +132,97 @@ def _sharded(count, seed: SeedSpec, shard_body, shard_size=STREAM_SHARD, scratch
     return out
 
 
-def log_char_poly_stream(n, count, seed: SeedSpec):
-    """count i.i.d. values of log|Z(U, 0)| under Haar, via the CMV fast path.
+def _split_mixture_thresholds(n, k):
+    """(k, n-1) cumulative weights of m = 0..k-1 in the tilted r^2 mixture, j = 2..n.
 
+    Component m of factor j has weight prop. to C(k,m)^2 m! (j-1)!/(j+m-1)!,
+    the Beta(1+m, j-1) mass of E_w |1 + r e^{iw}|^{2k} = sum_m C(k,m)^2 r^{2m}.
+    """
+    j = np.arange(2, n + 1, dtype=float)
+    weights = np.empty((k + 1, n - 1))
+    rising = np.ones(n - 1)
+    for m in range(k + 1):
+        weights[m] = math.comb(k, m) ** 2 * math.factorial(m) / rising
+        rising = rising * (j + m)
+    return np.cumsum(weights, axis=0)[:-1] / weights.sum(axis=0)
+
+
+def _factor_abs_sq(r, u, out):
+    """|1 + r e^{iw}|^2 at w = 2 pi u into out, as (1-r)^2 + 4 r cos^2(w/2): no cancellation near 0.
+
+    u is overwritten.
+    """
+    np.multiply(r, 4.0, out=out)
+    np.multiply(u, np.pi, out=u)
+    np.cos(u, out=u)
+    np.square(u, out=u)
+    out *= u
+    np.subtract(1.0, r, out=u)
+    np.square(u, out=u)
+    out += u
+    return out
+
+
+def log_char_poly_stream(n, count, seed: SeedSpec, k=0):
+    """count i.i.d. values of log|Z(U, 0)| under |Z|^{2k} d_Haar / M_N(2k); k = 0 is Haar.
+
+    Exact, with no importance weights (Bourgade-Hughes-Nikeghbali-Yor
+    splitting): det(I - U) has the law of prod_{j=1..n} (1 + r_j e^{i w_j})
+    with r_j^2 ~ Beta(1, j-1) (r_1 = 1), w_j uniform, all independent.  The
+    weight |Z|^{2k} factorizes, so each factor is tilted on its own: r_j^2
+    becomes the mixture of Beta(1+m, j-1) over m = 0..k, drawn as
+    1 - prod_{i<=m} U_i^{1/(j-1+i)}, and w_j given r_j is drawn by rejection
+    against the envelope (1+r_j)^{2k}.  k must be a nonnegative integer.
     Shard j of fixed size uses stream (master_seed, stream_index + j), so
     the output is bit-stable regardless of how shards are scheduled.
     """
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
-    expo = 1.0 / (n - 1 - np.arange(n - 1)) if n > 1 else np.empty(0)
+    if not (k >= 0 and float(k).is_integer()):
+        raise ValueError(f"tilt k must be a nonnegative integer, got {k}")
+    k = int(k)
+    thresholds = _split_mixture_thresholds(n, k)
+    inv_denoms = 1.0 / (np.arange(1, n, dtype=float) + np.arange(k + 1)[:, None])
     size = min(STREAM_SHARD, count)
 
     def scratch():
-        return np.empty((size, n - 1)), np.empty((size, n)), np.empty((n, size), np.complex128)
+        # exponentials; under a tilt, the mixture uniforms and then the
+        # rejection envelope; r; |1 + r e^{iw}|^2; the phase uniforms
+        flat = [(k + 1) * size * (n - 1), size * n if k else 0] + [size * n] * 3
+        return [np.empty(length) for length in flat]
 
     def shard(rng, take, buffers):
-        u, phases, alphas = buffers
-        u = rng.random(out=u[:take])
-        phases = rng.random(out=phases[:take])
-        phases *= TWO_PI
-        # Verblunsky block held transposed, (n, take): each coefficient's column
-        # is contiguous for the recurrence; cos/sin equal exp(1j * phases) bit for bit
-        alphas = alphas[:, :take]
-        np.cos(phases.T, out=alphas.real)
-        np.sin(phases.T, out=alphas.imag)
-        np.power(u, expo, out=u)
-        np.subtract(1.0, u, out=u)
-        radii = np.sqrt(u, out=u).T
-        alphas.real[: n - 1] *= radii
-        alphas.imag[: n - 1] *= radii
-        return _szego_log_abs(alphas.T)
+        expo, spare, r, sq, u = buffers
+        r, sq, u = r[: take * n], sq[: take * n], u[: take * n]
+        radii = r.reshape(take, n)
+        radii[:, 0] = 1.0
+        if n > 1:
+            expo = expo[: (k + 1) * take * (n - 1)].reshape(k + 1, take, n - 1)
+            rng.standard_exponential(out=expo)
+            log_rest = np.multiply(expo[0], -inv_denoms[0], out=expo[0])
+            if k:
+                mix = rng.random(out=spare[: take * (n - 1)].reshape(take, n - 1))
+            for i in range(1, k + 1):
+                # the uniform passes threshold i-1 exactly when r^2 takes a component m >= i
+                expo[i] *= inv_denoms[i]
+                np.subtract(log_rest, expo[i], out=log_rest, where=mix > thresholds[i - 1])
+            np.expm1(log_rest, out=log_rest)
+            np.sqrt(np.negative(log_rest, out=log_rest), out=radii[:, 1:])
+        _factor_abs_sq(r, rng.random(out=u), sq)
+        if k:
+            # the first rejection round tests every factor, in place
+            envelope = np.add(r, 1.0, out=spare[: take * n])
+            envelope **= 2 * k
+            envelope *= rng.random(out=u)
+            np.copyto(u, sq)
+            u **= k
+            pending = np.flatnonzero(envelope > u)
+            while pending.size:
+                rp = r[pending]
+                sq[pending] = _factor_abs_sq(rp, rng.random(pending.size), np.empty(pending.size))
+                reject = rng.random(pending.size) * (1.0 + rp) ** (2 * k) > sq[pending] ** k
+                pending = pending[reject]
+        return 0.5 * np.log(sq, out=sq).reshape(take, n).sum(axis=1)
 
     return _sharded(count, seed, shard, scratch=scratch)
 
@@ -203,69 +239,6 @@ def qr_log_char_poly_stream(n, count, seed: SeedSpec):
         return _haar_log_abs(rng, n, take)
 
     return _sharded(count, seed, shard, max(1, 2048 // n))
-
-
-def _split_mixture_thresholds(n, k):
-    """(k, n-1) cumulative weights of m = 0..k-1 in the tilted r^2 mixture, j = 2..n.
-
-    Component m of factor j has weight prop. to C(k,m)^2 m! (j-1)!/(j+m-1)!,
-    the Beta(1+m, j-1) mass of E_w |1 + r e^{iw}|^{2k} = sum_m C(k,m)^2 r^{2m}.
-    """
-    j = np.arange(2, n + 1, dtype=float)
-    weights = np.empty((k + 1, n - 1))
-    rising = np.ones(n - 1)
-    for m in range(k + 1):
-        weights[m] = math.comb(k, m) ** 2 * math.factorial(m) / rising
-        rising = rising * (j + m)
-    return np.cumsum(weights, axis=0)[:-1] / weights.sum(axis=0)
-
-
-def _factor_abs_sq(r, u):
-    """|1 + r e^{iw}|^2 at w = 2 pi u, as (1-r)^2 + 4 r cos^2(w/2): no cancellation near 0."""
-    return (1.0 - r) ** 2 + 4.0 * r * np.cos(np.pi * u) ** 2
-
-
-def tilted_log_char_poly_stream(n, k, count, seed: SeedSpec):
-    """count i.i.d. values of log|Z(U, 0)| under the tilted law |Z|^{2k} d_Haar / M_N(2k).
-
-    Exact, with no importance weights (Bourgade-Hughes-Nikeghbali-Yor
-    splitting): det(I - U) has the law of prod_{j=1..n} (1 + r_j e^{i w_j})
-    with r_j^2 ~ Beta(1, j-1) (r_1 = 1), w_j uniform, all independent.  The
-    weight |Z|^{2k} factorizes, so each factor is tilted on its own: r_j^2
-    becomes the mixture of Beta(1+m, j-1) over m = 0..k, drawn as
-    1 - prod_{i<=m} U_i^{1/(j-1+i)}, and w_j given r_j is drawn by rejection
-    against the envelope (1+r_j)^{2k}.  k must be a nonnegative integer.
-    Sharded exactly like log_char_poly_stream.
-    """
-    if n < 1 or count < 1:
-        raise ValueError("n and count must be >= 1")
-    if not (k >= 0 and float(k).is_integer()):
-        raise ValueError(f"tilt k must be a nonnegative integer, got {k}")
-    k = int(k)
-    thresholds = _split_mixture_thresholds(n, k)
-    inv_denoms = 1.0 / (np.arange(1, n, dtype=float) + np.arange(k + 1)[:, None])
-
-    def shard(rng, take, _buffers):
-        r = np.ones((take, n))
-        if n > 1:
-            expo = rng.standard_exponential((k + 1, take, n - 1))
-            log_rest = -expo[0] * inv_denoms[0]
-            if k:
-                mix = (rng.random((take, n - 1))[None] > thresholds[:, None, :]).sum(axis=0)
-            for i in range(1, k + 1):
-                log_rest -= np.where(mix >= i, expo[i] * inv_denoms[i], 0.0)
-            r[:, 1:] = np.sqrt(-np.expm1(log_rest))
-        r = r.ravel()
-        sq = _factor_abs_sq(r, rng.random(r.size))
-        pending = np.arange(r.size) if k else np.empty(0, dtype=np.intp)
-        while pending.size:
-            reject = rng.random(pending.size) * (1.0 + r[pending]) ** (2 * k) > sq[pending] ** k
-            pending = pending[reject]
-            sq[pending] = _factor_abs_sq(r[pending], rng.random(pending.size))
-        return 0.5 * np.log(sq).reshape(take, n).sum(axis=1)
-
-    return _sharded(count, seed, shard)
-
 
 _KS_COEFF_1PCT = 1.6276  # sqrt(-log(alpha/2)/2) at alpha = 0.01
 

@@ -1,15 +1,16 @@
 """Monte Carlo moments of log|Z| under the tilted measure |Z|^{2k} d_Haar.
 
 By default (sampler="split") samples come from the tilted law itself, via
-the exact splitting stream of ``cue.tilted_log_char_poly_stream``; every
+the splitting stream ``cue.log_char_poly_stream`` at tilt k; every
 log-weight is then zero and k must be a nonnegative integer.  The
-importance-sampled routes ("cmv", "qr") draw from plain Haar and carry
-the tilt in self-normalized log-weights 2k log|Z|, for any real k >= 0;
-they degenerate at high tilt (effective sample size ~10^2 of 2e5 at
-N=200, k=1).  All reductions first sort the (value, log-weight) pairs,
-so every reported field is invariant under permutations of the input
-stream, and the bootstrap (which resamples matrices, i.e. pairs) is
-bit-reproducible for a fixed bootstrap seed.
+importance-sampled routes draw from plain Haar ("cmv": the same stream at
+tilt 0; "qr": dense QR) and carry the tilt in self-normalized
+log-weights 2k log|Z|, for any real k >= 0; they degenerate at high tilt
+(effective sample size ~10^2 of 2e5 at N=200, k=1).  All reductions
+first sort the (value, log-weight) pairs, so every reported field is
+invariant under permutations of the input stream, and the bootstrap
+(which resamples matrices, i.e. pairs) is bit-reproducible for a fixed
+bootstrap seed.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rmt_exact
-from .cue import (
-    SeedSpec,
-    log_char_poly_stream,
-    qr_log_char_poly_stream,
-    tilted_log_char_poly_stream,
-)
+from .cue import SeedSpec, log_char_poly_stream, qr_log_char_poly_stream
 from .special import gaussian_central_moment
 
 __all__ = [
@@ -59,8 +55,6 @@ class MomentReport:
     mean_weight: float
     mean_weight_se: float
     low_ess: bool
-    matrix_size: int | None = None
-    tilt: float | None = None
     proxy_correlation: float | None = None
     values: np.ndarray | None = field(default=None, repr=False)
     log_weights: np.ndarray | None = field(default=None, repr=False)
@@ -181,8 +175,6 @@ def reduce_weighted(
     bootstrap=DEFAULT_BOOTSTRAP,
     bootstrap_seed=DEFAULT_BOOTSTRAP_SEED,
     keep_samples=True,
-    matrix_size=None,
-    tilt=None,
 ):
     """Self-normalized moment estimates plus bootstrap standard errors.
 
@@ -233,8 +225,6 @@ def reduce_weighted(
         mean_weight=mean_weight,
         mean_weight_se=mean_weight_se,
         low_ess=bool(low),
-        matrix_size=matrix_size,
-        tilt=tilt,
         values=values if keep_samples else None,
         log_weights=log_weights if keep_samples else None,
     )
@@ -256,7 +246,8 @@ def tilted_moments_mc(
     sampler="split" (the default) draws `samples` values v_i = log|Z_i|
     exactly from the tilted law, with zero log-weights, so the effective
     sample size is `samples` and mean_weight is 1; it needs k in N and
-    raises ValueError otherwise.  sampler="cmv" (Szego stream) or "qr"
+    raises ValueError otherwise.  sampler="cmv" (the splitting stream at
+    k = 0, whose factors are deformed Verblunsky coefficients) or "qr"
     (dense QR) draws Haar instances instead, sets log-weights 2k v_i for
     any real k >= 0, and mean_weight then estimates the normalizer
     M_N(2k).  Either way the estimates are reduced with bootstrap errors.
@@ -272,7 +263,7 @@ def tilted_moments_mc(
             raise ValueError(
                 f'sampler="split" needs an integer tilt k, got {k}; use sampler="cmv" for real k'
             )
-        values = tilted_log_char_poly_stream(n, k, samples, seed)
+        values = log_char_poly_stream(n, samples, seed, k=k)
     elif sampler == "cmv":
         values = log_char_poly_stream(n, samples, seed)
     elif sampler == "qr":
@@ -287,8 +278,6 @@ def tilted_moments_mc(
         bootstrap=bootstrap,
         bootstrap_seed=bootstrap_seed,
         keep_samples=keep_samples,
-        matrix_size=n,
-        tilt=k,
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cue import SeedSpec
-from .estimator import MomentReport, reduce_weighted
+from .estimator import reduce_weighted
 from .zeta_eval import zeta_derivative_many, zeta_half_line_many
 
 __all__ = [
@@ -92,7 +92,7 @@ def mertens_l(window: PrimeWindow) -> float:
     """L = sum_{p in X} 1/p."""
     if window.primes.size == 0:
         return 0.0
-    return float(math.fsum(1.0 / window.primes.astype(float)))
+    return float(np.sum(1.0 / window.primes.astype(float)))
 
 
 def mu_alpha(window: PrimeWindow, alpha: float) -> float:
@@ -100,7 +100,7 @@ def mu_alpha(window: PrimeWindow, alpha: float) -> float:
     p = window.primes.astype(float)
     if p.size == 0:
         return 0.0
-    return float(math.fsum(np.cos(alpha * np.log(p)) / p))
+    return float(np.sum(np.cos(alpha * np.log(p)) / p))
 
 
 def dirichlet_poly_many(t_arr, window: PrimeWindow):
@@ -219,14 +219,7 @@ def weighted_scan(spec: ScanSpec, n_max=4, bootstrap=400):
     stream = scan_stream(spec)
     log_w = scan_log_weights(stream.t, spec.k, spec.m, spec.alpha)
     finite = np.isfinite(stream.values)
-    report = reduce_weighted(
-        stream.values[finite],
-        log_w[finite],
-        n_max,
-        bootstrap=bootstrap,
-        matrix_size=None,
-        tilt=float(spec.k),
-    )
+    report = reduce_weighted(stream.values[finite], log_w[finite], n_max, bootstrap=bootstrap)
     corr = float(np.corrcoef(stream.proxy[finite], stream.values[finite])[0, 1])
     report = dataclasses.replace(report, proxy_correlation=corr)
 

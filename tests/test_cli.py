@@ -192,8 +192,16 @@ def test_non_finite_result_exits_numerical_without_writing(tmp_path, monkeypatch
     assert os.listdir(tmp_path) == []
 
 
+def test_non_finite_csv_cell_exits_numerical_without_writing(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "second_moment_recipe_k1", lambda *args: float("nan"))
+    out = tmp_path / "recipe.csv"
+    args = ["recipe-k1", "--t-lo", "1000", "--t-hi", "2000", "--format", "csv", "--out", str(out)]
+    assert run_cli(args) == EXIT_NUMERICAL
+    assert os.listdir(tmp_path) == []
+
+
 def test_mc_tilt_byte_identical_across_stream_workers(tmp_path):
-    # three shards of the cmv stream, consumed by one or two worker threads
+    # three shards of the Haar stream (sampler cmv), consumed by one or two worker threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(tiltlab.__file__)))
     outputs = []
     for threads in ("1", "2"):

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent import futures
 
 import numpy as np
@@ -10,12 +11,10 @@ from tiltlab.cue import (
     SeedSpec,
     _haar_log_abs,
     _haar_unitary_batch,
-    _szego_log_abs,
     _two_sample_ks,
     log_char_poly_stream,
     qr_log_char_poly_stream,
     rotation_invariance_check,
-    tilted_log_char_poly_stream,
 )
 
 from oracles import cmv_matrix, log_abs_from_angles, verblunsky
@@ -27,10 +26,10 @@ def test_determinism_bit_for_bit():
     sa = log_char_poly_stream(9, 5000, SeedSpec(1, 0))
     sb = log_char_poly_stream(9, 5000, SeedSpec(1, 0))
     assert np.array_equal(sa, sb)
-    ta = tilted_log_char_poly_stream(9, 2, 5000, SeedSpec(1, 0))
-    tb = tilted_log_char_poly_stream(9, 2, 5000, SeedSpec(1, 0))
+    ta = log_char_poly_stream(9, 5000, SeedSpec(1, 0), k=2)
+    tb = log_char_poly_stream(9, 5000, SeedSpec(1, 0), k=2)
     assert np.array_equal(ta, tb)
-    assert not np.array_equal(ta, tilted_log_char_poly_stream(9, 2, 5000, SeedSpec(1, 1)))
+    assert not np.array_equal(ta, log_char_poly_stream(9, 5000, SeedSpec(1, 1), k=2))
 
 
 def test_u1_phase_is_uniform():
@@ -109,18 +108,6 @@ def test_cmv_matrix_is_unitary_with_unimodular_spectrum():
     assert np.abs(np.abs(ev) - 1.0).max() < 1e-12
 
 
-def test_szego_recurrence_matches_dense_cmv():
-    rng = np.random.default_rng(21)
-    for n in (2, 5, 9, 30):
-        alphas = verblunsky(n, rng)
-        ev = np.linalg.eigvals(cmv_matrix(alphas))
-        for theta in (0.0, 1.3):
-            z = np.exp(1j * theta)
-            dense = float(np.sum(np.log(np.abs(z - ev))))
-            rec = float(_szego_log_abs(alphas[None, :], z)[0])
-            assert rec == pytest.approx(dense, abs=1e-10)
-
-
 def test_stream_second_moment_matches_normalizer():
     # E|Z|^2 = n + 1 under Haar
     n, count = 20, 10**5
@@ -132,12 +119,12 @@ def test_stream_second_moment_matches_normalizer():
 
 def test_stream_agrees_with_qr_route_in_distribution():
     n, count = 12, 4000
-    cmv_vals = log_char_poly_stream(n, count, SeedSpec(41))
+    split_vals = log_char_poly_stream(n, count, SeedSpec(41))
     rng = SeedSpec(42, 100).rng()
     u = _haar_unitary_batch(rng, n, count)
     angles = np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI)
     qr_vals = log_abs_from_angles(angles, 0.0)
-    ks = _two_sample_ks(cmv_vals, qr_vals)
+    ks = _two_sample_ks(split_vals, qr_vals)
     assert ks < 1.6276 * math.sqrt(2.0 / count), f"KS={ks:.4f}"
 
 
@@ -148,6 +135,8 @@ def test_seed_and_angle_validation():
         SeedSpec(3, -2)
     with pytest.raises(ValueError):
         qr_log_char_poly_stream(0, 10, SeedSpec(1))
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        log_char_poly_stream(5, 10, SeedSpec(1), k=1.5)
     with pytest.raises(ValueError):
         rotation_invariance_check(4, 10, SeedSpec(1))
     with pytest.raises(ValueError):
@@ -168,7 +157,7 @@ def test_streams_bit_identical_for_any_worker_count(monkeypatch):
             runs.append(
                 (
                     log_char_poly_stream(9, count, SeedSpec(5, 2)),
-                    tilted_log_char_poly_stream(9, 2, count, SeedSpec(5, 2)),
+                    log_char_poly_stream(9, count, SeedSpec(5, 2), k=2),
                     qr_log_char_poly_stream(9, qr_count, SeedSpec(5, 2)),
                 )
             )
@@ -191,10 +180,24 @@ def test_stream_pool_capped_by_setting_and_shards(monkeypatch):
     monkeypatch.setenv("TILTLAB_THREADS", "8")
     log_char_poly_stream(5, 2 * STREAM_SHARD, SeedSpec(1))
     monkeypatch.setenv("TILTLAB_THREADS", "3")
-    tilted_log_char_poly_stream(5, 1, 5 * STREAM_SHARD, SeedSpec(1))
+    log_char_poly_stream(5, 5 * STREAM_SHARD, SeedSpec(1), k=1)
     monkeypatch.setenv("TILTLAB_THREADS", "4")
     log_char_poly_stream(5, STREAM_SHARD, SeedSpec(1))  # one shard: no pool at all
     assert started == [2, 3]
     monkeypatch.setenv("TILTLAB_THREADS", "0")
     with pytest.raises(ValueError, match="TILTLAB_THREADS"):
         log_char_poly_stream(5, 10, SeedSpec(1))
+
+
+@pytest.mark.parametrize("k, limit_mib", [(0, 32), (1, 48)])
+def test_stream_shard_memory_is_bounded(monkeypatch, k, limit_mib):
+    # one worker, two shards at N=200: the shard arrays come from the worker's
+    # scratch, so the second shard allocates none of them anew
+    monkeypatch.setenv("TILTLAB_THREADS", "1")
+    tracemalloc.start()
+    try:
+        log_char_poly_stream(200, 2 * STREAM_SHARD, SeedSpec(3), k=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -71,6 +71,14 @@ def test_mu_alpha_zero_is_mertens():
     assert mu_alpha(w, 0.0) == mertens_l(w)
 
 
+def test_mu_alpha_pairwise_sum_matches_fsum():
+    w = PrimeWindow.from_bounds(1, 10**6)
+    p = w.primes.astype(float)
+    for alpha in (0.0, 0.001, 0.01, 0.5, 0.99, -0.3):
+        exact = math.fsum(np.cos(alpha * np.log(p)) / p)
+        assert mu_alpha(w, alpha) == pytest.approx(exact, rel=1e-13, abs=0)
+
+
 def test_mu_alpha_even_in_alpha():
     w = PrimeWindow.from_bounds(1, 3000)
     for alpha in (0.01, 0.3, 0.77):
