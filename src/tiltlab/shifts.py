@@ -9,7 +9,10 @@ through the Taylor-jet exponential (`tiltlab.jet`) that the exact RMT
 moments use.
 
 For k = 1 the recipe's main term is evaluated in closed form and can be
-compared against direct quadrature of |zeta(1/2 + it)|^2.
+compared against direct Simpson quadrature of
+zeta(1/2 + a + it) zeta(1/2 + b - it); on the uniform Simpson grid each
+factor is one Euler-Maclaurin progression (`zeta_eval.zeta_em_progression`),
+whose main sums for all nodes are one complex matrix product.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import jet
 from .special import digamma
-from .zeta_eval import RS_MAX_T, zeta_em, zeta_em_many
+from .zeta_eval import RS_MAX_T, zeta_em, zeta_em_progression
 
 __all__ = [
     "ShiftTuple",
@@ -178,19 +181,21 @@ def _confluent_antiderivative(t, gamma):
 def second_moment_quadrature_k1(t_lo, t_hi, alpha, beta, step=0.05):
     """Simpson quadrature of zeta(1/2+a+it) zeta(1/2+b-it) over [t_lo, t_hi].
 
-    This is the recipe's independent cross-check; the integrand is
-    evaluated by Euler-Maclaurin off the critical line.
+    This is the recipe's independent cross-check.  The Simpson nodes
+    t_j = t_lo + j h are equally spaced, so both factors are Euler-Maclaurin
+    progressions (`zeta_em_progression`) with steps +ih and -ih.
     """
     if not (50 <= t_lo < t_hi <= 10**4):
         raise ValueError("quadrature window must sit inside the Euler-Maclaurin range")
+    if not step > 0:
+        raise ValueError(f"step must be > 0, got {step}")
     n_panels = int(math.ceil((t_hi - t_lo) / step / 2)) * 2
-    t = np.linspace(t_lo, t_hi, n_panels + 1)
+    h = (t_hi - t_lo) / n_panels
     alpha = complex(alpha)
     beta = complex(beta)
-    left = zeta_em_many(0.5 + alpha + 1j * t)
-    right = zeta_em_many(0.5 + beta - 1j * t)
+    left = zeta_em_progression(0.5 + alpha + 1j * t_lo, 1j * h, n_panels + 1)
+    right = zeta_em_progression(0.5 + beta - 1j * t_lo, -1j * h, n_panels + 1)
     integrand = (left * right).real
-    h = (t_hi - t_lo) / n_panels
     weights = np.ones(n_panels + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

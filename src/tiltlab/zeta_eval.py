@@ -2,7 +2,10 @@
 
 Euler-Maclaurin handles any complex s at O(|t|) cost; Riemann-Siegel
 covers the line up to t = 1e8 at O(sqrt t) cost with correction terms
-C_0..C_4.
+C_0..C_4.  On an arithmetic progression of s (a uniform quadrature
+grid) the Euler-Maclaurin main sums of all nodes are one complex matrix
+product (`zeta_em_progression`); both Euler-Maclaurin evaluators share
+one tail.
 
 Derivatives are Taylor jets in eps (`tiltlab.jet`).  Euler-Maclaurin
 expands zeta(s + eps) term by term: the main sum gives
@@ -34,6 +37,7 @@ from .special import _bernoulli_even
 __all__ = [
     "zeta_em",
     "zeta_em_many",
+    "zeta_em_progression",
     "zeta_rs_many",
     "zeta_half_line",
     "zeta_half_line_many",
@@ -85,10 +89,7 @@ def zeta_em(s, terms=None):
 def zeta_em_many(s_values, terms=None, m=0, chunk=1024):
     """zeta^{(m)}(s) by Euler-Maclaurin over an array of complex s (shared term count M).
 
-    The main sum is sum_{n<M} n^{-s} (-log n)^m.  The tail
-    M^{-s} [M/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} M^{1-2j}], with
-    (s)_r the rising factorial, is a jet in eps at s + eps; its order-m
-    coefficient times m! completes the derivative.
+    The main sum is sum_{n<M} n^{-s} (-log n)^m; `_em_tail` completes it.
     """
     s = np.asarray(s_values, dtype=np.complex128).ravel()
     if terms is None:
@@ -104,6 +105,39 @@ def zeta_em_many(s_values, terms=None, m=0, chunk=1024):
         if m:
             powers *= weight
         out[lo : lo + chunk] = powers.sum(axis=1)
+    out += _em_tail(s, terms, m)
+    return out.reshape(np.shape(s_values))
+
+
+def zeta_em_progression(s0, ds, count):
+    """zeta(s0 + j ds) for j = 0..count-1 by Euler-Maclaurin, as one matrix product.
+
+    With B = isqrt(count) and j = a B + b, each main-sum term factors as
+    n^{-s_j} = n^{-(s0 + a B ds)} n^{-b ds}, so the main sums of all
+    nodes are anchors @ steps.T: about 2 sqrt(count) M complex exps
+    instead of count M.  The term count M is the one zeta_em_many picks
+    for the same nodes.
+    """
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    s0, ds = complex(s0), complex(ds)
+    s = s0 + np.arange(count) * ds
+    terms = _em_terms(max(abs(s[0].imag), abs(s[-1].imag)))
+    log_n = np.log(np.arange(1, terms, dtype=float))
+    block = math.isqrt(count)
+    anchors = np.exp(-(s0 + np.arange(0, count, block) * ds)[:, None] * log_n)
+    steps = np.exp(-(np.arange(block) * ds)[:, None] * log_n)
+    out = (anchors @ steps.T).ravel()[:count]
+    return out + _em_tail(s, terms, 0)
+
+
+def _em_tail(s, terms, m):
+    """Order-m derivative of the Euler-Maclaurin tail at the array s, with M = terms.
+
+    The tail M^{-s} [M/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} M^{1-2j}],
+    with (s)_r the rising factorial, is a jet in eps at s + eps; its
+    order-m coefficient times m! is returned.
+    """
     pole = terms ** (1.0 - s) / (s - 1.0)
     bracket = [pole * (-1.0 / (s - 1.0)) ** r for r in range(m + 1)]
     bracket[0] = bracket[0] + 0.5 * terms ** (-s)
@@ -117,8 +151,7 @@ def zeta_em_many(s_values, terms=None, m=0, chunk=1024):
         power = power * m2
     log_m = math.log(terms)
     m_power = [(-log_m) ** r / math.factorial(r) for r in range(m + 1)]  # M^{-eps}
-    out += math.factorial(m) * jet.mul(m_power, bracket)[m]
-    return out.reshape(np.shape(s_values))
+    return math.factorial(m) * jet.mul(m_power, bracket)[m]
 
 
 # ---------------------------------------------------------------------------

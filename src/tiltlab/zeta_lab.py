@@ -82,10 +82,22 @@ class PrimeWindow:
 
 
 def default_window(T):
-    """The theory-shaped default window (log T, T^0.3]."""
+    """The theory-shaped default window (log T, T^0.3].
+
+    It holds no prime for T in [10, 656.14) or [1096.6, 2960.1), and those
+    heights raise ValueError.
+    """
     if T < 10:
         raise ValueError("default window needs T >= 10")
-    return PrimeWindow.from_bounds(math.log(T), T**0.3)
+    lo, hi = math.log(T), T**0.3
+    window = PrimeWindow.from_bounds(lo, hi) if lo < hi else None
+    if window is None or window.primes.size == 0:
+        raise ValueError(
+            f"the default prime window (log T, T^0.3] = ({lo:.4g}, {hi:.4g}] is empty at "
+            f"T = {T:g}: it holds a prime only for 656.14 <= T < 1096.6 and T >= 2960.1; "
+            "give the window explicitly with --window-lo/--window-hi"
+        )
+    return window
 
 
 def mertens_l(window: PrimeWindow) -> float:

@@ -200,20 +200,53 @@ def test_non_finite_csv_cell_exits_numerical_without_writing(tmp_path, monkeypat
     assert os.listdir(tmp_path) == []
 
 
+def _run_in_subprocess(args, out, threads):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tiltlab.__file__)))
+    env = dict(os.environ, TILTLAB_THREADS=threads, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "tiltlab.cli", *args, "--out", str(out)],
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    return out.read_bytes()
+
+
 def test_mc_tilt_byte_identical_across_stream_workers(tmp_path):
     # three shards of the Haar stream (sampler cmv), consumed by one or two worker threads
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tiltlab.__file__)))
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"mc-{threads}.json"
-        env = dict(os.environ, TILTLAB_THREADS=threads, PYTHONPATH=src)
-        args = ["mc-tilt", "--n", "20", "--k", "1", "--samples", "10000", "--seed", "3"]
-        done = subprocess.run(
-            [sys.executable, "-m", "tiltlab.cli", *args, "--out", str(out)],
-            env=env,
-            capture_output=True,
-            timeout=300,
-        )
-        assert done.returncode == EXIT_OK, done.stderr
-        outputs.append(out.read_bytes())
+    args = ["mc-tilt", "--n", "20", "--k", "1", "--samples", "10000", "--seed", "3"]
+    outputs = [_run_in_subprocess(args, tmp_path / f"mc-{t}.json", t) for t in ("1", "2")]
     assert outputs[0] == outputs[1]
+
+
+def test_recipe_k1_quadrature_byte_identical_across_blas_threads(tmp_path):
+    # the quadrature's main sums are one complex matrix product; TILTLAB_THREADS
+    # also sets the BLAS thread count, which must not change a byte
+    args = ["recipe-k1", "--t-lo", "500", "--t-hi", "600", "--quadrature"]
+    outputs = [_run_in_subprocess(args, tmp_path / f"recipe-{t}.json", t) for t in ("1", "2")]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("step", ["0", "-0.05"])
+def test_recipe_k1_rejects_non_positive_step(tmp_path, capsys, step):
+    out = tmp_path / "recipe.json"
+    args = ["recipe-k1", "--t-lo", "500", "--t-hi", "600", "--quadrature", f"--step={step}"]
+    assert run_cli(args + ["--out", str(out)]) == EXIT_PRECONDITION
+    assert "step" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("t", ["300", "1500"])
+def test_zeta_scan_empty_default_window_exits_precondition(tmp_path, capsys, t):
+    # (log T, T^0.3] holds no prime below T = 656.14 nor in [1096.6, 2960.1)
+    out = tmp_path / "scan.json"
+    args = ["zeta-scan", "--t", t, "--samples", "2000", "--k", "1", "--out", str(out)]
+    assert run_cli(args) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert f"T = {t}" in err and "empty" in err and "--window-lo/--window-hi" in err
+    assert os.listdir(tmp_path) == []
+    # the same height with an explicit window runs
+    window = ["--window-lo", "1", "--window-hi", "100"]
+    assert run_cli(args + window) == EXIT_OK
+    assert json.loads(out.read_text())["results"]["window"]["count"] == 25

@@ -17,6 +17,7 @@ from tiltlab.shifts import (
     second_moment_recipe_k1,
     swap_shifts,
 )
+from tiltlab.zeta_eval import zeta_em_many
 from tiltlab.zeta_lab import PrimeWindow, mu_alpha
 
 
@@ -160,6 +161,27 @@ def test_recipe_matches_quadrature_small_window():
     recipe = second_moment_recipe_k1(500, 1000, 0.0, 0.0)
     quad = second_moment_quadrature_k1(500, 1000, 0.0, 0.0, step=0.05)
     assert abs(recipe - quad) / abs(quad) < 0.025
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.0724, 0.0724), (0.1, -0.05)])
+def test_quadrature_matches_pointwise_em_simpson(alpha, beta):
+    # reference: the same Simpson sum with every node evaluated by zeta_em_many
+    t_lo, t_hi, step = 500.0, 520.0, 0.05
+    n_panels = int(math.ceil((t_hi - t_lo) / step / 2)) * 2
+    t = np.linspace(t_lo, t_hi, n_panels + 1)
+    integrand = (zeta_em_many(0.5 + alpha + 1j * t) * zeta_em_many(0.5 + beta - 1j * t)).real
+    weights = np.ones(n_panels + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    ref = (t_hi - t_lo) / n_panels / 3.0 * np.sum(weights * integrand)
+    got = second_moment_quadrature_k1(t_lo, t_hi, alpha, beta, step=step)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.05])
+def test_quadrature_rejects_non_positive_step(step):
+    with pytest.raises(ValueError, match="step"):
+        second_moment_quadrature_k1(500, 520, 0.0, 0.0, step=step)
 
 
 def test_recipe_guards():

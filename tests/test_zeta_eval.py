@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from tiltlab.zeta_eval import (
@@ -15,6 +17,7 @@ from tiltlab.zeta_eval import (
     zeta_derivative_rs_many,
     zeta_em,
     zeta_em_many,
+    zeta_em_progression,
     zeta_half_line,
     zeta_half_line_many,
     zeta_rs_many,
@@ -55,6 +58,54 @@ def test_first_zero_by_root_find():
     root = brentq(hardy_z, 14.0, 14.3, xtol=1e-9)
     assert abs(root - FIRST_ZERO) < 1e-5
     assert abs(zeta_half_line(FIRST_ZERO)) < 1e-4
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.5 + 0.0724])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("count", [1, 2, 7, 49, 20001])
+def test_em_progression_matches_em_many(count, sign, sigma):
+    # the k=1 quadrature's grid: both factors, from t = 1000 with step 0.05
+    # the reference takes every node up to 200 and a strided subset above;
+    # the subset keeps both ends, so zeta_em_many picks the same term count
+    s0, ds = complex(sigma, sign * 1000.0), sign * 0.05j
+    got = zeta_em_progression(s0, ds, count)
+    assert got.shape == (count,)
+    idx = np.unique(np.r_[np.arange(0, count, max(1, count // 200)), count - 1])
+    direct = zeta_em_many(s0 + idx * ds)
+    assert np.abs(got[idx] - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def test_em_progression_against_mpmath():
+    import mpmath as mp
+
+    mp.mp.dps = 25
+    got = zeta_em_progression(0.5 + 1000j, 250j, 5)
+    for j, gj in enumerate(got):
+        ref = complex(mp.zeta(mp.mpc(0.5, 1000 + 250 * j)))
+        assert abs(gj - ref) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sigma=st.floats(0.2, 0.6),
+    height=st.floats(-500.0, 500.0),
+    step_re=st.floats(-0.005, 0.005),
+    step_im=st.floats(-2.0, 2.0),
+    count=st.integers(1, 40),
+)
+def test_em_progression_matches_em_many_property(sigma, height, step_re, step_im, count):
+    s0, ds = complex(sigma, height), complex(step_re, step_im)
+    direct = zeta_em_many(s0 + np.arange(count) * ds)
+    got = zeta_em_progression(s0, ds, count)
+    # near a zero max|zeta| over a few nodes can be tiny, while the main
+    # sum's rounding is set by its O(1) terms: floor the scale at 1
+    assert np.abs(got - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+
+
+def test_em_progression_rejects_empty_counts():
+    for count in (0, -3, 2.0):
+        with pytest.raises(ValueError, match="count"):
+            zeta_em_progression(0.5 + 1000j, 0.05j, count)
 
 
 def test_rs_vs_em_dual_route():

@@ -170,6 +170,14 @@ def test_overflow_weight_is_the_weight_above_the_top_edge():
     assert hist.overflow_weight == float(weights[stream.values > hist.bin_edges[-1]].sum())
 
 
+def test_default_window_rejects_heights_without_primes():
+    for T in (10.0, 300.0, 656.1, 1097.0, 2960.0):
+        with pytest.raises(ValueError, match="empty"):
+            default_window(T)
+    for T, p in ((656.2, 7), (1096.0, 7), (2961.0, 11), (1e4, 11)):
+        assert p in default_window(T).primes
+
+
 def test_scan_spec_validation():
     with pytest.raises(ValueError):
         ScanSpec(T=5, samples=500)
