@@ -226,6 +226,10 @@ def _handle_cue_check(config):
     return results, rows
 
 
+def _window_fields(window):
+    return {"lo": window.lo, "hi": window.hi, "count": int(len(window.primes)), "truncated": window.truncated}
+
+
 def _handle_zeta_scan(config):
     p = config.parameters
     if p["window_lo"] is not None and p["window_hi"] is not None:
@@ -255,7 +259,7 @@ def _handle_zeta_scan(config):
         "overflow_weight": hist.overflow_weight,
         "bin_edges": list(hist.bin_edges),
         "weighted_counts": list(hist.weighted_counts),
-        "window": {"lo": window.lo, "hi": window.hi, "count": int(len(window.primes))},
+        "window": _window_fields(window),
     }
     rows = (
         ("bin_lo", "bin_hi", "weighted_count"),
@@ -272,7 +276,7 @@ def _handle_mu_alpha(config):
     window = PrimeWindow.from_bounds(p["lo"], p["hi"])
     values = [(a, mu_alpha(window, a)) for a in p["alphas"]]
     results = {
-        "window": {"lo": window.lo, "hi": window.hi, "count": int(len(window.primes))},
+        "window": _window_fields(window),
         "values": [{"alpha": a, "mu_alpha": v} for a, v in values],
     }
     rows = (("alpha", "mu_alpha"), values)

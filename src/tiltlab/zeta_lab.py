@@ -3,6 +3,9 @@
 The prime window X = (lo, hi] is an explicit input everywhere (the
 asymptotic choice x = T^eps is meaningless at reachable heights); the
 default window keeps the (log T, x] shape of the theory at x = T^0.3.
+A window's primes come from a segmented sieve over (lo, hi] alone, which
+stops at PRIME_COUNT_CAP primes and marks the window truncated; its
+memory does not grow with hi - lo.
 Weighted scans sample t uniformly in [T, 2T], weigh by
 |zeta^(m)(1/2 + it + i alpha)|^{2k}, and reuse the self-normalized
 reduction of the Monte Carlo estimator.
@@ -36,36 +39,69 @@ __all__ = [
 ]
 
 PRIME_COUNT_CAP = 10**7
+SIEVE_SEGMENT = 1 << 20  # odd numbers per sieve segment: a 1 MiB bool mask
+SIEVE_LIMIT = 10**12  # keeps the base primes (78,498 up to 1e6) and each segment's loop small
 HISTOGRAM_BINS = 80
 HISTOGRAM_HALF_WIDTHS = 6.0  # in units of sqrt(L/2)
 
 
-def sieve_primes(limit):
-    """All primes <= limit (empty array if limit < 2), by Eratosthenes."""
-    limit = int(limit)
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for i in range(2, int(limit**0.5) + 1):
-        if mask[i]:
-            mask[i * i :: i] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+def sieve_primes(limit, lo=0, cap=None):
+    """The primes p with lo < p <= limit, ascending; only the first `cap` if given.
+
+    Odd-only segmented Eratosthenes: the odd numbers of (lo, limit] are
+    sieved SIEVE_SEGMENT at a time, and sieving stops once `cap` primes
+    are found.  Memory is one segment, the base primes up to sqrt(limit)
+    and the output; it does not grow with limit - lo.  A limit above
+    SIEVE_LIMIT raises ValueError.
+    """
+    limit, lo = int(limit), max(math.floor(lo), 0)
+    if limit > SIEVE_LIMIT:
+        raise ValueError(
+            f"sieve limit {limit} is above {SIEVE_LIMIT:.0e}: each segment near it would loop "
+            "over every base prime up to sqrt(limit)"
+        )
+    root = math.isqrt(max(limit, 0))
+    base = sieve_primes(root)[1:] if root >= 3 else np.empty(0, dtype=np.int64)  # odd base primes
+    pieces = [np.array([2] if lo < 2 <= limit else [], dtype=np.int64)]
+    found = pieces[0].size
+    # odd number n = 2j + 1 has index j; sieve j in [start, stop)
+    start, stop = (lo + 1) // 2, (limit + 1) // 2
+    mask = np.empty(min(SIEVE_SEGMENT, max(stop - start, 0)), dtype=bool)
+    while start < stop and (cap is None or found < cap):
+        seg = mask[: min(SIEVE_SEGMENT, stop - start)]
+        seg.fill(True)
+        if start == 0:
+            seg[0] = False  # 1 is not prime
+        top = 2 * (start + seg.size) - 1
+        q = base[: np.searchsorted(base, math.isqrt(top), side="right")]
+        # first index >= start of an odd multiple of q, and not below q*q
+        first = np.maximum(q * q // 2, start + (q // 2 - start) % q) - start
+        for step, offset in zip(q.tolist(), first.tolist()):
+            seg[offset::step] = False
+        pieces.append(2 * (start + np.flatnonzero(seg)) + 1)
+        found += pieces[-1].size
+        start += seg.size
+    return np.concatenate(pieces)[:cap]
 
 
 @dataclass(frozen=True)
 class PrimeWindow:
-    """Explicit prime interval X = (lo, hi] with its sieved prime list."""
+    """Explicit prime interval X = (lo, hi] with its sieved prime list.
+
+    `truncated` is true when PRIME_COUNT_CAP clipped the requested hi down
+    to the cap-th prime of the window.
+    """
 
     lo: float
     hi: float
     primes: np.ndarray
+    truncated: bool = False
 
     def __post_init__(self):
         if not (self.lo >= 0 and self.hi > self.lo):
             raise ValueError(f"need 0 <= lo < hi, got ({self.lo}, {self.hi}]")
         primes = np.asarray(self.primes, dtype=np.int64)
-        if np.any(np.diff(primes) <= 0):
+        if not np.all(primes[1:] > primes[:-1]):
             raise ValueError("prime list must be strictly ascending")
         if primes.size and (primes[0] <= self.lo or primes[-1] > self.hi):
             raise ValueError("prime list escapes the window bounds")
@@ -73,12 +109,12 @@ class PrimeWindow:
 
     @classmethod
     def from_bounds(cls, lo, hi):
-        primes = sieve_primes(int(math.floor(hi)))
-        primes = primes[primes > lo]
-        if len(primes) > PRIME_COUNT_CAP:
+        primes = sieve_primes(math.floor(hi), lo=lo, cap=PRIME_COUNT_CAP + 1)
+        truncated = len(primes) > PRIME_COUNT_CAP
+        if truncated:
             primes = primes[:PRIME_COUNT_CAP]
             hi = float(primes[-1])
-        return cls(lo=float(lo), hi=float(hi), primes=primes)
+        return cls(lo=float(lo), hi=float(hi), primes=primes, truncated=truncated)
 
 
 def default_window(T):
@@ -112,7 +148,11 @@ def mu_alpha(window: PrimeWindow, alpha: float) -> float:
     p = window.primes.astype(float)
     if p.size == 0:
         return 0.0
-    return float(np.sum(np.cos(alpha * np.log(p)) / p))
+    terms = np.log(p)
+    np.multiply(alpha, terms, out=terms)
+    np.cos(terms, out=terms)
+    np.divide(terms, p, out=terms)
+    return float(np.sum(terms))
 
 
 def dirichlet_poly_many(t_arr, window: PrimeWindow):
@@ -189,6 +229,11 @@ class ScanSpec:
             raise ValueError(f"|alpha| must be < 1, got {self.alpha}")
         if self.window is None:
             object.__setattr__(self, "window", default_window(self.T))
+        if self.window.primes.size == 0:
+            raise ValueError(
+                f"the prime window ({self.window.lo:g}, {self.window.hi:g}] holds no prime; "
+                "the scan's prime proxy needs at least one"
+            )
 
 
 @dataclass(frozen=True)

@@ -250,3 +250,29 @@ def test_zeta_scan_empty_default_window_exits_precondition(tmp_path, capsys, t):
     window = ["--window-lo", "1", "--window-hi", "100"]
     assert run_cli(args + window) == EXIT_OK
     assert json.loads(out.read_text())["results"]["window"]["count"] == 25
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_zeta_scan_prime_free_window_exits_precondition(tmp_path, capsys, k):
+    out = tmp_path / "scan.json"
+    args = ["zeta-scan", "--t", "5000", "--samples", "200", "--k", k, "--window-lo", "8", "--window-hi", "10"]
+    assert run_cli(args + ["--out", str(out)]) == EXIT_PRECONDITION
+    assert "(8, 10] holds no prime" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_mu_alpha_reports_the_prime_count_cap(tmp_path):
+    out = tmp_path / "mu.json"
+    assert run_cli(["mu-alpha", "--lo", "1", "--hi", "1e10", "--alpha", "0", "--out", str(out)]) == EXIT_OK
+    window = json.loads(out.read_text())["results"]["window"]
+    assert window == {"lo": 1.0, "hi": 179424673.0, "count": 10**7, "truncated": True}
+    assert run_cli(["mu-alpha", "--lo", "1", "--hi", "1000", "--alpha", "0", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["results"]["window"]["truncated"] is False
+
+
+@pytest.mark.parametrize("hi", ["1e13", "1e300"])
+def test_mu_alpha_rejects_a_window_above_the_sieve_limit(tmp_path, capsys, hi):
+    out = tmp_path / "mu.json"
+    assert run_cli(["mu-alpha", "--lo", "1", "--hi", hi, "--alpha", "0", "--out", str(out)]) == EXIT_PRECONDITION
+    assert "sieve limit" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

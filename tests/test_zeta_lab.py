@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tiltlab import zeta_lab
 from tiltlab.cue import SeedSpec
 from tiltlab.zeta_lab import (
     PrimeWindow,
@@ -34,12 +38,67 @@ def test_sieve_against_trial_division():
 
 def test_sieve_against_independent_sieve():
     assert len(sieve_primes(10**6)) == 78498
+    assert len(sieve_primes(10**7)) == 664579
     assert list(sieve_primes(10**4)) == odd_only_sieve(10**4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    limit=st.integers(-3, 2500),
+    lo=st.integers(-2, 2500) | st.floats(-2.0, 2500.0),
+    cap=st.none() | st.integers(0, 400),
+    segment=st.integers(1, 40),
+)
+def test_sieve_window_matches_trial_division(limit, lo, cap, segment):
+    # segments of a few odd numbers put many segment edges inside (lo, limit]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeta_lab, "SIEVE_SEGMENT", segment)
+        got = sieve_primes(limit, lo=lo, cap=cap)
+    want = [p for p in trial_division_primes(max(limit, 0)) if p > lo][:cap]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+def test_high_window_sieves_in_bounded_memory():
+    lo, hi = 10**10 - 10**6, 10**10
+    sieve_primes(10**5)  # the base primes' sieve, outside the traced region
+    tracemalloc.start()
+    try:
+        window = PrimeWindow.from_bounds(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 1 MiB segment mask, the ~43k primes found and the base primes;
+    # a mask over (0, hi] would be 10 GB
+    assert peak < 4 * 2**20
+    assert not window.truncated
+    # both ends of the window against trial division by the primes up to sqrt(hi)
+    divisors = np.array(odd_only_sieve(10**5), dtype=np.int64)
+    for numbers in (np.arange(lo + 1, lo + 2001), np.arange(hi - 1999, hi + 1)):
+        composite = np.zeros(numbers.size, dtype=bool)
+        for d in divisors:
+            composite |= numbers % d == 0
+        assert np.array_equal(window.primes[np.isin(window.primes, numbers)], numbers[~composite])
+
+
+def test_sieve_rejects_limits_above_the_base_prime_bound():
+    for hi in (zeta_lab.SIEVE_LIMIT + 1, 1e20, 1e300):
+        with pytest.raises(ValueError, match="sieve limit"):
+            PrimeWindow.from_bounds(1, hi)
+
+
+def test_from_bounds_stops_at_the_prime_count_cap():
+    window = PrimeWindow.from_bounds(1, 1e10)
+    assert window.primes.size == zeta_lab.PRIME_COUNT_CAP == 10**7
+    assert window.hi == 179_424_673.0 == window.primes[-1]  # the 10^7-th prime
+    assert window.truncated
+    assert not PrimeWindow.from_bounds(1, 179_424_673).truncated
 
 
 def test_prime_window_membership():
     w = PrimeWindow.from_bounds(10, 60)
     assert list(w.primes) == [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert not w.truncated
     with pytest.raises(ValueError):
         PrimeWindow(lo=10, hi=5, primes=np.array([7], dtype=np.int64))
     with pytest.raises(ValueError):
@@ -69,6 +128,10 @@ def test_mertens_additivity():
 def test_mu_alpha_zero_is_mertens():
     w = PrimeWindow.from_bounds(1, 5000)
     assert mu_alpha(w, 0.0) == mertens_l(w)
+
+
+def test_mu_alpha_empty_window_is_zero():
+    assert mu_alpha(PrimeWindow.from_bounds(8, 10), 0.3) == 0.0
 
 
 def test_mu_alpha_pairwise_sum_matches_fsum():
@@ -187,6 +250,8 @@ def test_scan_spec_validation():
         ScanSpec(T=100.0, samples=500, alpha=1.5)
     with pytest.raises(ValueError):
         ScanSpec(T=100.0, samples=500, m=5)
+    with pytest.raises(ValueError, match=r"\(8, 10\] holds no prime"):
+        ScanSpec(T=5000.0, samples=200, window=PrimeWindow.from_bounds(8, 10))
     spec = ScanSpec(T=1e4, samples=500)
     assert spec.window.lo == pytest.approx(math.log(1e4))
 
