@@ -21,8 +21,13 @@ cos(2 pi w) is even in w and analytic there, so trapezoid = spectral
 accuracy); runtime evaluation is then plain Horner, with no removable
 singularities to dodge.
 
-Phases theta(t) - t log n are reduced mod 2 pi in extended precision so
-the main sum stays accurate at t = 1e8 where the raw phase is ~1e9.
+The main sum is read off one table X[n, j] = n^{-1/2 - i t_j} per block
+of points.  n^{-1/2-it} is completely multiplicative, so only the prime
+rows take a phase: -t log p is reduced mod 2 pi in extended precision
+(the raw phase is ~1e9 at t = 1e8), and theta(t) is reduced on its own.
+Each composite row is one product X[spf(n)] X[n / spf(n)], filled level
+by level in the number of prime factors.  Every jet order sums the same
+table, weighted by powers of log n.
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ TWO_PI = 2.0 * math.pi
 _LD = np.longdouble
 PI_LD = _LD("3.14159265358979323846264338327950288420")
 TWO_PI_LD = _LD(2) * PI_LD
+# prime phases near 1e9 keep ~1e-10 absolute only with a 64-bit mantissa (x87 80-bit)
+_LONGDOUBLE_OK = np.finfo(_LD).nmant >= 63
 
 EM_AUTO_MAX_T = 1000.0  # EM below, RS above; EM itself stays accurate well beyond
 RS_MIN_T = 40.0
@@ -249,15 +256,109 @@ def _theta_jet(t, log1p):
     return out
 
 
+def _factor_levels(n_max):
+    """Primes up to n_max, and the composites up to n_max grouped by Omega(n).
+
+    Omega(n) counts prime factors with multiplicity.  levels[i] holds
+    (n - 1, spf(n) - 1, n / spf(n) - 1) as row indices for the composites
+    with Omega(n) = i + 2, n ascending; spf is the smallest prime factor,
+    so each cofactor lies on an earlier level or is prime.
+    """
+    n = np.arange(n_max + 1)
+    spf = n.copy()
+    for p in range(2, math.isqrt(n_max) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p :: p]
+            multiples[multiples == n[p * p :: p]] = p
+    cofactor = n // np.maximum(spf, 1)
+    omega = np.zeros(n_max + 1, dtype=np.int64)
+    for _ in range(n_max.bit_length()):
+        omega[2:] = omega[cofactor[2:]] + 1
+    primes = n[omega == 1]
+    levels = []
+    for level in range(2, int(omega.max(initial=0)) + 1):
+        rows = n[omega == level]
+        levels.append((rows - 1, spf[rows] - 1, cofactor[rows] - 1))
+    return primes, levels
+
+
+_RS_MAX_N = int(math.sqrt(RS_MAX_T / TWO_PI))  # main-sum length at the ceiling
+_PRIMES, _LEVELS = _factor_levels(_RS_MAX_N)
+_LOG_P_LD = np.log(_PRIMES.astype(_LD))
+_INV_SQRT_P = 1.0 / np.sqrt(_PRIMES.astype(float))
+_LOG_N = np.log(np.arange(1, _RS_MAX_N + 1, dtype=float))
+_TABLE_ENTRIES = 1 << 17  # complex entries per block table: 2 MiB
+
+
+def _power_table(t, big_n, buffer):
+    """X[n - 1, j] = n^{-1/2 - i t_j} for n <= N_j, and 0 for N_j < n <= max N.
+
+    t is sorted ascending, so N = big_n is too; the table is a view of
+    `buffer`.  Prime rows take their phase -t log p mod 2 pi in extended
+    precision; composite rows are one product each, filled level by level
+    in Omega(n).
+    """
+    rows = int(big_n[-1])
+    table = buffer[: rows * t.size].reshape(rows, t.size)
+    table[0] = 1.0
+    n_primes = int(np.searchsorted(_PRIMES, rows, side="right"))
+    phase = np.remainder(-_LOG_P_LD[:n_primes, None] * t.astype(_LD), TWO_PI_LD).astype(float)
+    prime_rows = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=prime_rows.real)
+    np.sin(phase, out=prime_rows.imag)
+    prime_rows *= _INV_SQRT_P[:n_primes, None]
+    table[_PRIMES[:n_primes] - 1] = prime_rows
+    for n_row, spf_row, cof_row in _LEVELS:
+        cut = int(np.searchsorted(n_row, rows))
+        if not cut:
+            break
+        product = table[spf_row[:cut]]
+        product *= table[cof_row[:cut]]
+        table[n_row[:cut]] = product
+    # columns left of a step in N stop at the N before the step
+    for col in np.flatnonzero(np.diff(big_n)) + 1:
+        table[big_n[col - 1] :, :col] = 0.0
+    return table
+
+
+def _rs_main_sums(t, big_n, order):
+    """S_r[j] = sum_{n <= N_j} n^{-1/2 - i t_j} (log n)^r for r <= order, t ascending.
+
+    Each block of points fills one table of at most _TABLE_ENTRIES entries
+    in a buffer shared by the blocks.  The sums are plain row reductions:
+    a BLAS matrix-vector product this small spins its worker threads.
+    """
+    sums = np.empty((order + 1, t.size), dtype=np.complex128)
+    buffer = np.empty(_TABLE_ENTRIES, dtype=np.complex128)
+    start = 0
+    while start < t.size:
+        # N[guess - 1] bounds N on any block that ends by `guess`; size the block by it
+        guess = min(t.size, start + _TABLE_ENTRIES // int(big_n[start]))
+        stop = min(t.size, start + _TABLE_ENTRIES // int(big_n[guess - 1]))
+        table = _power_table(t[start:stop], big_n[start:stop], buffer)
+        sums[0, start:stop] = table.sum(axis=0)
+        for r in range(1, order + 1):
+            table *= _LOG_N[: table.shape[0], None]
+            sums[r, start:stop] = table.sum(axis=0)
+        start = stop
+    return sums
+
+
 def _rs_jet(t_arr, order, n_corr=4):
     """Jet in eps of zeta(1/2 + i(t + eps)) = e^{-i theta} Z by Riemann-Siegel.
 
-    Z(t) = 2 sum_{n<=N} n^{-1/2} cos(theta - t log n)
+    Z(t) = 2 Re(e^{i theta} sum_{n<=N} n^{-1/2 - it})
            + (-1)^{N-1} a^{-1/2} sum_k C_k(p) a^{-k},
     with a = sqrt(t/2pi), N = floor(a) held at its value at t, p = a - N.
-    The main sum is batched over the points that share N; at order 0 it
-    is a plain cosine sum.
+    At t + eps the main sum is 2 Re(e^{i theta} E sum_n n^{-1/2-it} e^{-i eps log n}),
+    with E the jet of e^{i(theta(t + eps) - theta(t))}, so order r takes
+    the sums S_j = sum_n n^{-1/2-it} (log n)^j for j <= r.
     """
+    if not _LONGDOUBLE_OK:
+        raise ValueError(
+            "Riemann-Siegel path needs an 80-bit long double "
+            "(np.finfo(np.longdouble).nmant >= 63) for its phase reduction"
+        )
     t_arr = np.asarray(t_arr, dtype=float)
     if np.any(t_arr < RS_MIN_T):
         raise ValueError(f"Riemann-Siegel path requires t >= {RS_MIN_T}")
@@ -268,27 +369,18 @@ def _rs_jet(t_arr, order, n_corr=4):
     a = np.sqrt(t_arr / TWO_PI)
     big_n = a.astype(np.int64)
     p = a - big_n
-    theta_ld = siegel_theta(t_arr)
+    theta0 = np.remainder(siegel_theta(t_arr), TWO_PI_LD).astype(float)
     log1p = _log1p_jet(t_arr, order)
     theta = _theta_jet(t_arr, log1p)
-    max_n = int(big_n.max())
-    log_n_ld = np.log(np.arange(1, max_n + 1, dtype=_LD))
-    log_n = log_n_ld.astype(float)
-    inv_sqrt = 1.0 / np.sqrt(np.arange(1, max_n + 1, dtype=float))
-    t_ld = t_arr.astype(_LD)
-    z = [np.empty(t_arr.shape) for _ in range(order + 1)]
-    for nv in np.unique(big_n):
-        sel = big_n == nv
-        phase = theta_ld[sel, None] - t_ld[sel, None] * log_n_ld[None, :nv]
-        phase = np.remainder(phase, TWO_PI_LD).astype(float)
-        z[0][sel] = 2.0 * (np.cos(phase) * inv_sqrt[None, :nv]).sum(axis=1)
-        if order:
-            # e^{i phase(t + eps)} = e^{i phase} times the jet exp of its eps-terms
-            dphase = [0.0, theta[1][sel, None] - log_n[:nv]] + [th[sel, None] for th in theta[2:]]
-            shifted = jet.exp([1j * x for x in dphase])
-            rot = np.exp(1j * phase) * inv_sqrt[:nv]
-            for r in range(1, order + 1):
-                z[r][sel] = 2.0 * (rot * shifted[r]).real.sum(axis=1)
+    flat_t, flat_n = t_arr.ravel(), big_n.ravel()
+    by_t = np.argsort(flat_t, kind="stable")
+    sums = np.empty((order + 1, flat_t.size), dtype=np.complex128)
+    sums[:, by_t] = _rs_main_sums(flat_t[by_t], flat_n[by_t], order)
+    sums = sums.reshape((order + 1,) + t_arr.shape)
+    rot = np.exp(1j * theta0)
+    shifted = jet.exp([1j * x for x in theta])
+    weighted = [(-1j) ** j / math.factorial(j) * sums[j] for j in range(order + 1)]
+    z = [2.0 * (rot * x).real for x in jet.mul(shifted, weighted)]
     # remainder: a, p and each C_k(p) (its Phi-derivative series composed with p) are jets
     p_jet = [p] + [a * x for x in jet.exp([0.5 * x for x in log1p])[1:]]
     inv_a = [x / a for x in jet.exp([-0.5 * x for x in log1p])]
@@ -304,8 +396,7 @@ def _rs_jet(t_arr, order, n_corr=4):
     omega = [x * a**-0.5 for x in jet.exp([-0.25 * x for x in log1p])]
     sign = np.where(big_n % 2 == 1, 1.0, -1.0)
     z = [zr + sign * rr for zr, rr in zip(z, jet.mul(omega, acc))]
-    e_theta = np.exp(-1j * np.remainder(theta_ld, TWO_PI_LD).astype(float))
-    return [e_theta * w for w in jet.mul(jet.exp([-1j * x for x in theta]), z)]
+    return [rot.conj() * w for w in jet.mul(jet.exp([-1j * x for x in theta]), z)]
 
 
 def zeta_rs_many(t_arr, n_corr=4):

@@ -274,7 +274,10 @@ def weighted_scan(spec: ScanSpec, n_max=4, bootstrap=400):
     being dropped.
     """
     stream = scan_stream(spec)
-    log_w = scan_log_weights(stream.t, spec.k, spec.m, spec.alpha)
+    if spec.k and spec.m == 0 and spec.alpha == 0:
+        log_w = 2.0 * spec.k * stream.values  # |zeta|^{2k} at the stream's own heights
+    else:
+        log_w = scan_log_weights(stream.t, spec.k, spec.m, spec.alpha)
     finite = np.isfinite(stream.values)
     report = reduce_weighted(stream.values[finite], log_w[finite], n_max, bootstrap=bootstrap)
     corr = float(np.corrcoef(stream.proxy[finite], stream.values[finite])[0, 1])

@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from tiltlab import zeta_eval
 from tiltlab.zeta_eval import (
     EM_AUTO_MAX_T,
     EM_DERIVATIVE_MAX_T,
     RS_MAX_T,
+    _factor_levels,
     _phi_derivative,
+    _rs_jet,
+    _rs_main_sums,
     siegel_theta,
     zeta_derivative,
     zeta_derivative_many,
@@ -23,7 +27,7 @@ from tiltlab.zeta_eval import (
     zeta_rs_many,
 )
 
-from oracles import eta_zeta, eta_zeta_derivative
+from oracles import eta_zeta, eta_zeta_derivative, trial_division_primes
 
 ZETA_HALF = -1.4603545088095868
 FIRST_ZERO = 14.134725141734693
@@ -135,6 +139,90 @@ def test_rs_large_heights_against_mpmath():
     for t, got in zip(ts, zeta_rs_many(np.array(ts))):
         ref = complex(mp.zeta(mp.mpc(0.5, t)))
         assert abs(got - ref) < 1e-6
+
+
+def test_rs_main_sum_against_mpmath_direct_sum():
+    # 2 Re(e^{i theta} sum n^{-1/2-it}) is the main sum 2 sum n^{-1/2} cos(theta - t log n)
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    ts = np.array([1e4 + 0.3, 5e7 + 1.5, 1e8 - 0.2])
+    big_n = np.sqrt(ts / (2.0 * math.pi)).astype(np.int64)
+    sums = _rs_main_sums(ts, big_n, 0)[0]
+    theta = np.remainder(siegel_theta(ts), zeta_eval.TWO_PI_LD).astype(float)
+    got = 2.0 * (np.exp(1j * theta) * sums).real
+    for t, n_max, gi in zip(ts, big_n, got):
+        t_mp = mp.mpf(float(t))
+        th = mp.siegeltheta(t_mp)
+        ref = 2 * mp.fsum(mp.cos(th - t_mp * mp.log(n)) / mp.sqrt(n) for n in range(1, int(n_max) + 1))
+        assert abs(gi - float(ref)) < 1e-9
+
+
+def test_rs_values_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(41)
+    probes = np.array([5e7 + 1.5, 7.3e7 + 0.25, 1e8 - 0.2])
+    alone = np.array([zeta_rs_many(np.array([t]))[0] for t in probes])
+    batch = np.concatenate([probes, rng.uniform(5e7, 1e8, size=1997)])
+    order = rng.permutation(batch.size)
+    shuffled = np.empty(batch.size, dtype=np.complex128)
+    shuffled[order] = zeta_rs_many(batch[order])
+    mixed = zeta_rs_many(np.concatenate([[41.0, 1e4 + 0.3, 2e5], probes, [55.5]]))[3:6]
+    scale = np.maximum(1.0, np.abs(alone))
+    assert np.all(np.abs(shuffled[:3] - alone) <= 1e-12 * scale)
+    assert np.all(np.abs(mixed - alone) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_rs_jet_order_zero_is_the_evaluation(order):
+    t = np.array([2000.5, 5000.0, 33333.3, 1e5, 1e6 + 0.37, 5e7 + 1.5, 1e8 - 0.2])
+    ref = zeta_rs_many(t)
+    got = _rs_jet(t, order)[0]
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_rs_main_sum_memory_is_bounded_by_its_block_table():
+    import tracemalloc
+
+    t = np.random.default_rng(8).uniform(5e7, 1e8, size=10_000)
+    zeta_rs_many(t[:4])
+    tracemalloc.start()
+    try:
+        zeta_rs_many(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 2 MiB table and its level products; all 10,000 main sums at once would take ~600 MiB
+    assert peak < 6 * 2**20
+
+
+def test_factor_levels_rebuild_every_n():
+    n_max = 5000
+    primes, levels = _factor_levels(n_max)
+    assert primes.tolist() == trial_division_primes(n_max)
+    built = np.zeros(n_max + 1, dtype=np.int64)
+    built[1] = 1
+    built[primes] = primes
+    for n_row, spf_row, cof_row in levels:
+        assert np.all(np.diff(n_row) > 0)
+        assert np.all(built[spf_row + 1] > 0) and np.all(built[cof_row + 1] > 0)
+        assert np.all(built[n_row + 1] == 0)
+        # the smallest prime factor: no smaller prime divides n
+        for n, spf in zip(n_row + 1, spf_row + 1):
+            assert spf in primes and not any(n % q == 0 for q in primes[primes < spf])
+        built[n_row + 1] = built[spf_row + 1] * built[cof_row + 1]
+    assert built.tolist() == list(range(n_max + 1))
+
+
+def test_rs_path_requires_an_extended_long_double(monkeypatch):
+    monkeypatch.setattr(zeta_eval, "_LONGDOUBLE_OK", False)
+    for call in (
+        lambda: zeta_rs_many(np.array([5000.0])),
+        lambda: zeta_half_line_many(np.array([3.0, 5000.0])),
+        lambda: zeta_derivative_rs_many(np.array([5000.0]), 1),
+    ):
+        with pytest.raises(ValueError, match="long double"):
+            call()
+    assert zeta_half_line(300.0) == zeta_em(0.5 + 300j)
 
 
 def test_conjugation_symmetry_exact():

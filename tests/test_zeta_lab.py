@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltlab import zeta_lab
+from tiltlab import zeta_eval, zeta_lab
 from tiltlab.cue import SeedSpec
+from tiltlab.estimator import reduce_weighted
 from tiltlab.zeta_lab import (
     PrimeWindow,
     ScanSpec,
@@ -302,6 +303,31 @@ def test_scan_log_weights_zero_tilt_and_shift_reuse():
 
     for ti, li in zip(t, lw):
         assert li == pytest.approx(2.0 * math.log(abs(zeta_half_line(ti))), abs=1e-10)
+
+
+def test_unshifted_scan_evaluates_zeta_once(monkeypatch):
+    # at m = 0, alpha = 0 the weight |zeta|^{2k} comes from the stream's own values
+    spec = ScanSpec(T=5000.0, samples=500, k=1, seed=SeedSpec(23))
+    stream = scan_stream(spec)
+    log_w = scan_log_weights(stream.t, spec.k, spec.m, spec.alpha)
+    calls = []
+    evaluate = zeta_eval.zeta_half_line_many
+
+    def counted(t_arr):
+        calls.append(np.size(t_arr))
+        return evaluate(t_arr)
+
+    monkeypatch.setattr(zeta_lab, "zeta_half_line_many", counted)
+    monkeypatch.setattr(zeta_eval, "zeta_half_line_many", counted)
+    hist, report = weighted_scan(spec)
+    assert calls == [spec.samples]
+    finite = np.isfinite(stream.values)
+    ref = reduce_weighted(stream.values[finite], log_w[finite], 4, bootstrap=400)
+    assert np.array_equal(report.log_weights, ref.log_weights)
+    for name in ("ess", "weighted_mean", "central_moments", "standard_errors"):
+        assert getattr(report, name) == getattr(ref, name)
+    weights = np.exp(log_w - log_w.max())
+    assert np.array_equal(hist.weighted_counts, np.histogram(stream.values, hist.bin_edges, weights=weights)[0])
 
 
 def test_weighted_scan_with_derivative_weight_smoke():
