@@ -4,7 +4,8 @@ Outputs are written atomically (temp file + rename) and contain a full
 config echo, so a result file always identifies the run that produced
 it.  Identical config + seed gives byte-identical files.  Exit codes:
 0 success (numerical warnings still exit 0), 2 precondition violation
-(including a NaN or infinite float argument), 3 numerical failure
+(including a NaN or infinite float argument, and a size whose arrays do
+not fit in memory), 3 numerical failure
 (including a non-finite value in a result, which is never written).
 """
 
@@ -413,6 +414,9 @@ def main(argv=None) -> int:
         return run(config)
     except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as exc:
+        print(f"precondition violated: out of memory: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,11 +1,12 @@
-"""Closed-form tilted moments of log|Z| over U(N).
+"""Closed-form tilted moments of log|Z| over U(N), each O(1) in N.
 
 The tilt normalizer is M_N(s) = prod_{j<=N} Gamma(j)Gamma(j+s)/Gamma(j+s/2)^2
 and every weighted moment comes from derivatives of x -> M_N(2k+x) at 0.
-All the j-sums that appear (digamma/polygamma sums) telescope against the
-derivative of log of the Barnes G recurrence, so each quantity here costs
-O(1) special-function calls; only log_moment_mn itself sums over j, in a
-cancellation-free arrangement.
+Everything runs on the log-Gamma jet a_r(x) of `special.log_gamma_jet` and
+two identities: the polygamma j-sums telescope (`_telescoped`), and log M_N
+and the weighted mean are j-sums of midpoint differences of log Gamma whose
+expansions in a_{2r} telescope the same way, with a cancellation-free
+recurrence for the few small j (`_midpoint_sum`).
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jet
-from .special import (
-    digamma,
-    digamma_diff,
-    log_barnes_g,
-    log_gamma,
-    polygamma,
-    polygamma_series_vec,
-)
+from .special import log_gamma_jet
 
 __all__ = [
     "TiltSpec",
@@ -81,47 +75,37 @@ def _validate_nk(N, s_or_k, label):
 
 
 def log_moment_mn(N, s):
-    """log M_N(s) = sum_j [logGamma(j) + logGamma(j+s) - 2 logGamma(j+s/2)].
+    """log M_N(s) = sum_j [logGamma(j) + logGamma(j+s) - 2 logGamma(j+s/2)], s <= 64.
 
-    For even integer s the Gamma ratios telescope into log1p sums; for
-    general s >= 0 each j-term is evaluated by the symmetric expansion
-    log Gamma(c+h) + log Gamma(c-h) - 2 log Gamma(c) =
-        sum_r 2 h^{2r} psi^{(2r-1)}(c) / (2r)!   with c = j + s/2,
-    which keeps every term small instead of cancelling 10^3-sized logs.
+    Each j-term is T(j + s/2) with h = s/2, summed by `_midpoint_sum`.
     """
     _validate_nk(N, s, "s")
-    if s == 0:
-        return 0.0
     if s > 64:
         raise ValueError(f"tilt s={s} out of supported range (s <= 64)")
-    h = 0.5 * s
-    if float(s).is_integer() and int(s) % 2 == 0:
-        k = int(s) // 2
-        j = np.arange(1, N + 1, dtype=float)
-        tot = 0.0
-        for i in range(k):
-            tot += math.fsum(np.log1p(k / (j + i)))
-        return tot
-    cmin = max(40.0, 8.0 * h)
-    j_all = np.arange(1, N + 1, dtype=float)
-    c_all = j_all + h
-    big = c_all >= cmin
-    total = 0.0
-    if np.any(big):
-        total += math.fsum(_midpoint_terms(c_all[big], h))
-    for c in c_all[~big]:
-        total += log_gamma(c + h) + log_gamma(c - h) - 2.0 * log_gamma(c)
-    return total
+    return _midpoint_sum(N, 1.0 + 0.5 * s, 0.5 * s, slope=False)
 
 
-def _midpoint_terms(c, h):
-    terms = np.zeros_like(c)
-    h2 = h * h
-    coef = 1.0
-    for r in range(1, 11):
-        coef *= h2 / ((2 * r) * (2 * r - 1))
-        terms = terms + (2.0 * coef) * polygamma_series_vec(2 * r - 1, c)
-    return terms
+def _midpoint_sum(N, c1, h, slope):
+    """sum_{j<N} T(c1 + j), or with slope its h-derivative D(c1 + j), for c1 > h >= 0.
+
+    T(c) = logGamma(c+h) + logGamma(c-h) - 2 logGamma(c) = sum_r 2 h^{2r} a_{2r}(c)
+    and D(c) = psi(c+h) - psi(c-h) = sum_r 4r h^{2r-1} a_{2r}(c).  From the
+    anchor, the first c >= max(40, 8h), on the sums of a_{2r} telescope
+    (`_telescoped`).  Below it the recurrences T(c) = T(c+1) - log1p(-h^2/c^2)
+    and D(c) = D(c+1) + 2h/(c^2 - h^2) run down from the anchor's value,
+    adding positive steps.
+    """
+    r = np.arange(1, 11)  # at c >= 8h the 11th term is below 1e-18 relative
+    coef = 4.0 * r * h ** (2 * r - 1) if slope else 2.0 * h ** (2 * r)
+    m = max(0, math.ceil(max(40.0, 8.0 * h) - c1))  # c1 + m is the anchor
+    ends = np.array([c1 + m, c1 + max(N, m)])
+    a = log_gamma_jet(ends, 2 * len(r))
+    f = _telescoped(a, ends)[::2]  # rows m = 2r - 1
+    anchor, tail = coef @ a[2::2, 0], coef @ (f[:, 1] - f[:, 0])  # T or D there; summed from there
+    c = c1 + np.arange(m)
+    step = 2.0 * h / (c * c - h * h) if slope else -np.log1p(-(h * h) / (c * c))
+    reach = np.minimum(np.arange(1, m + 1), N)  # how many of the N terms take step i
+    return float(min(N, m) * anchor + reach @ step + tail)
 
 
 def asymptotic_mn(N, k):
@@ -130,56 +114,60 @@ def asymptotic_mn(N, k):
     if not float(k).is_integer():
         raise ValueError(f"asymptotic_mn unsupported for non-integer k={k}; use log_moment_mn")
     k = int(k)
-    return k * k * math.log(N) + 2.0 * log_barnes_g(1 + k) - log_barnes_g(1 + 2 * k)
+    log_gamma = [math.lgamma(m) for m in range(1, 2 * k + 1)]  # G(1+n) = prod_{m<=n} Gamma(m)
+    return k * k * math.log(N) + 2.0 * math.fsum(log_gamma[:k]) - math.fsum(log_gamma)
 
 
-def _psi_sum(m, b, N):
-    """sum_{j=1}^{N} psi^(m)(j + b), via the telescoped closed form."""
-    if m == 0:
-        return (b + N) * digamma(b + N + 1) - (b * digamma(b + 1) if b else 0.0) - N
-    pg_hi = polygamma(m, b + N + 1)
-    pg1_hi = digamma(b + N + 1) if m == 1 else polygamma(m - 1, b + N + 1)
-    pg_lo = polygamma(m, b + 1)
-    pg1_lo = digamma(b + 1) if m == 1 else polygamma(m - 1, b + 1)
-    return (b + N) * pg_hi + m * pg1_hi - b * pg_lo - m * pg1_lo
+def _telescoped(a, x):
+    """F_m(x) / (m+1)! for m = 1..order-1 (rows) from the jet a at the points x (columns).
+
+    F_m(x) = (x-1) psi^(m)(x) + m psi^(m-1)(x) = m! [(m+1)(x-1) a_{m+1}(x) + m a_m(x)]
+    satisfies F_m(x+1) - F_m(x) = psi^(m)(x), so the sum of a_{m+1}(c) over
+    c = b, b+1, ..., e-1 is the difference of the rows at e and at b.
+    """
+    m = np.arange(1, len(a) - 1)[:, None]
+    return (x - 1.0) * a[2:] + m / (m + 1) * a[1:-1]
+
+
+def _fj_sums(N, k, n_max):
+    """[sum_j f_j^{(i)}(0) for i = 1..n_max].
+
+    i = 1 is the weighted mean; for i >= 2 the sum is
+    i! sum_j [a_i(j+2k) - 2^{1-i} a_i(j+k)], telescoped.
+    """
+    mean = weighted_mean(N, k)  # validates N and k
+    x = np.array([2 * k + 1.0, 2 * k + N + 1.0, k + 1.0, k + N + 1.0])
+    f = _telescoped(log_gamma_jet(x, n_max), x)
+    i = np.arange(2, n_max + 1)
+    higher = np.cumprod(i, dtype=float) * (f[:, 1] - f[:, 0] - 2.0 ** (1 - i) * (f[:, 3] - f[:, 2]))
+    return [mean] + higher.tolist()
 
 
 def cumulants(N, j_max):
     """Cumulants Q_m of log|Z| under plain Haar, m = 1..j_max.
 
-    Q_m = (1 - 2^{1-m}) sum_{i<=N} psi^{(m-1)}(i); Q_1 vanishes identically.
+    Q_m = (1 - 2^{1-m}) sum_{i<=N} psi^{(m-1)}(i), the zero-tilt f_j sums;
+    Q_1 vanishes identically.
     """
     if not 1 <= j_max <= MAX_MOMENT_ORDER:
         raise ValueError(f"j_max must be in [1, {MAX_MOMENT_ORDER}], got {j_max}")
-    _validate_nk(N, 0, "k")
-    out = [0.0]
-    for m in range(2, j_max + 1):
-        out.append((1.0 - 2.0 ** (1 - m)) * _psi_sum(m - 1, 0, N))
-    return out
+    return _fj_sums(N, 0, j_max)
 
 
 def weighted_mean(N, k):
     """Exact mean of log|Z| under |Z|^{2k} d_Haar: sum_j [psi(j+2k) - psi(j+k)].
 
-    Rearranged as (k+N) [psi(2k+N+1) - psi(k+N+1)] + k [psi(2k+N+1)
-    - 2 psi(2k+1) + psi(k+1)] so nothing of size N log N is cancelled.
+    Each j-term is D(j + 3k/2) with h = k/2, summed by `_midpoint_sum`.
     """
     _validate_nk(N, k, "k")
-    if k == 0:
-        return 0.0
-    head = (k + N) * digamma_diff(k + N + 1, k)
-    tail = k * (digamma(2 * k + N + 1) - 2.0 * digamma(2 * k + 1) + digamma(k + 1))
-    return head + tail
+    return _midpoint_sum(N, 1.0 + 1.5 * k, 0.5 * k, slope=True)
 
 
 def fj_derivative_sum(N, k, i):
     """sum_j f_j^{(i)}(0) = sum_j [psi^{(i-1)}(j+2k) - 2^{1-i} psi^{(i-1)}(j+k)]."""
-    _validate_nk(N, k, "k")
     if not isinstance(i, (int, np.integer)) or i < 1:
         raise ValueError(f"derivative order i must be an integer >= 1, got {i}")
-    if i == 1:
-        return weighted_mean(N, k)
-    return _psi_sum(i - 1, 2.0 * k, N) - 2.0 ** (1 - i) * _psi_sum(i - 1, 1.0 * k, N)
+    return _fj_sums(N, k, i)[-1]
 
 
 def weighted_central_moments(spec: TiltSpec) -> ExactMomentReport:
@@ -189,14 +177,13 @@ def weighted_central_moments(spec: TiltSpec) -> ExactMomentReport:
     x = 0: g_1 = 0 by centering and g_i = (sum_j f_j^{(i)}(0))/i! for i >= 2.
     """
     N, k, n_max = spec.N, spec.k, spec.n_max
-    mu = weighted_mean(N, k)
-    fj = [fj_derivative_sum(N, k, i) for i in range(1, n_max + 1)]
-    g = [0.0] + [0.0 if i == 1 else fj[i - 1] / math.factorial(i) for i in range(1, n_max + 1)]
+    fj = _fj_sums(N, k, max(n_max, 1))
+    g = ([0.0, 0.0] + [fj[i - 1] / math.factorial(i) for i in range(2, n_max + 1)])[: n_max + 1]
     central = [float(math.factorial(n) * c) for n, c in enumerate(jet.exp(g))]
     return ExactMomentReport(
         spec=spec,
         log_mn=log_moment_mn(N, 2.0 * k),
-        mu_weighted=mu,
+        mu_weighted=fj[0],
         central_moments=central,
-        cumulant_sums=fj,
+        cumulant_sums=fj[:n_max],
     )

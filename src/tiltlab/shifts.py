@@ -25,7 +25,6 @@ from itertools import combinations
 import numpy as np
 
 from . import jet
-from .special import digamma
 from .zeta_eval import RS_MAX_T, zeta_em, zeta_em_progression
 
 __all__ = [
@@ -162,7 +161,7 @@ def second_moment_recipe_k1(t_lo, t_hi, alpha, beta):
     beta = complex(beta)
     c = alpha + beta
     if abs(c) <= CONFLUENT_EPS:
-        gamma = -digamma(1.0)
+        gamma = np.euler_gamma
         res = _confluent_antiderivative(t_hi, gamma) - _confluent_antiderivative(t_lo, gamma)
         return float(res)
     zc = zeta_em(1 + c)

@@ -1,9 +1,8 @@
-"""Scalar special-function kernels: log-Gamma, digamma, polygamma, Barnes G.
+"""One array kernel for log-Gamma and its derivatives, plus the Gaussian moments.
 
-All evaluators use the same strategy: shift the argument upward with the
-recurrence until it clears a cutoff, then sum a Stirling-type asymptotic
-series with exact Bernoulli numbers.  Everything here is pure and
-re-entrant.
+`log_gamma_jet` shifts its arguments up with the recurrence until they clear
+a cutoff, then sums the Stirling series from the one exact Bernoulli table
+below (which `zeta_eval` shares).  Everything here is pure and re-entrant.
 """
 
 from __future__ import annotations
@@ -13,165 +12,87 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = [
-    "log_gamma",
-    "digamma",
-    "polygamma",
-    "log_barnes_g",
-    "gaussian_central_moment",
-    "digamma_diff",
-]
+__all__ = ["log_gamma_jet", "gaussian_central_moment", "BERNOULLI_EVEN"]
 
 
 def _bernoulli_even(count):
-    """Exact B_2, B_4, ..., B_{2*count} via the defining recurrence."""
+    """Exact B_2, B_4, ..., B_{2*count}.
+
+    The defining recurrence sum_{j<=m} C(m+1, j) B_j = 0 at even m = 2n, with
+    B_1 = -1/2 and the odd B_j (j > 1) zero, gives B_2n from B_0..B_{2n-2}.
+    """
     b = [Fraction(1)]
-    for m in range(1, 2 * count + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * b[j]
-        b.append(-acc / (m + 1))
-    return [float(b[2 * n]) for n in range(1, count + 1)]
+    for n in range(1, count + 1):
+        acc = Fraction(-(2 * n + 1), 2) + sum(math.comb(2 * n + 1, 2 * k) * b[k] for k in range(n))
+        b.append(-acc / (2 * n + 1))
+    return [float(x) for x in b[1:]]
 
 
-_N_BERN = 14
-_B2N = _bernoulli_even(_N_BERN)
-# Stirling-series coefficients B_{2n}/(2n(2n-1)) and B_{2n}/(2n)
-_STIRLING = [_B2N[n - 1] / ((2 * n) * (2 * n - 1)) for n in range(1, _N_BERN + 1)]
-_DIGAMMA_C = [_B2N[n - 1] / (2 * n) for n in range(1, _N_BERN + 1)]
+BERNOULLI_EVEN = _bernoulli_even(16)
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-# argument above which the asymptotic series is summed directly
+MAX_ORDER = 32
+# the Stirling series is summed directly from SERIES_CUTOFF + order / 2 on,
+# where its 16 terms leave every coefficient below 1e-17 relative
 SERIES_CUTOFF = 12.0
 
 
-def log_gamma(x):
-    """log Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    shift = 0.0
-    while x < SERIES_CUTOFF:
-        shift += math.log(x)
-        x += 1.0
-    return _log_gamma_series(x) - shift
+def _stirling_matrix():
+    """Row r: coefficients of y^{-p}, p = 0..32, in a_r(y) / y^{1-r} beyond the log terms.
 
-
-def _log_gamma_series(x):
-    tot = (x - 0.5) * math.log(x) - x + _HALF_LOG_2PI
-    xi = 1.0 / (x * x)
-    p = 1.0 / x
-    for c in _STIRLING:
-        tot += c * p
-        p *= xi
-    return tot
-
-
-def digamma(x):
-    """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    shift = 0.0
-    while x < SERIES_CUTOFF:
-        shift += 1.0 / x
-        x += 1.0
-    return _digamma_series(x) - shift
-
-
-def _digamma_series(x):
-    tot = math.log(x) - 0.5 / x
-    xi = 1.0 / (x * x)
-    p = xi
-    for c in _DIGAMMA_C:
-        tot -= c * p
-        p *= xi
-    return tot
-
-
-def polygamma(m, x):
-    """psi^(m)(x), the m-th derivative of digamma, for m >= 1 and x > 0.
-
-    Orders up to ~30 are supported; the series cutoff grows with the
-    order so the Bernoulli tail still converges.
+    log Gamma(y) = (y - 1/2) log y - y + log(2 pi)/2 + sum_n c_n y^{1-2n} with
+    c_n = B_2n / (2n (2n-1)); the r-th Taylor coefficient of c_n y^{1-2n} is
+    c_n binom(1-2n, r) y^{1-2n-r}, and (y - 1/2) log y - y gives
+    (-1)^r [1/(r(r-1)) + 1/(2 r y)] y^{1-r} for r >= 2 and -1/(2y) at r = 1.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"polygamma order must be an integer >= 1, got {m}")
-    if m > 30:
-        raise ValueError(f"polygamma order {m} too large (max 30)")
-    if not x > 0:
-        raise ValueError(f"polygamma requires x > 0, got {x}")
-    cutoff = SERIES_CUTOFF + m
-    shift = 0.0
-    fact_m = math.factorial(m)
-    while x < cutoff:
-        # psi^(m)(x) = psi^(m)(x+1) + (-1)^{m+1} m!/x^{m+1}
-        shift += fact_m / x ** (m + 1)
-        x += 1.0
-    sign = -1.0 if m % 2 == 0 else 1.0
-    return float(polygamma_series_vec(m, x)) + sign * shift
+    r = np.arange(MAX_ORDER + 1)
+    n = np.arange(1, len(BERNOULLI_EVEN) + 1)
+    # binom(1-2n, r) = prod_{i<r} (1-2n-i)/(i+1), one column per n
+    steps = (1 - 2 * n - r[:-1, None]) / (r[:-1, None] + 1)
+    binom = np.cumprod(np.vstack([np.ones(len(n)), steps]), axis=0)
+    mat = np.zeros((MAX_ORDER + 1, 2 * len(n) + 1))
+    mat[2:, 0] = (-1.0) ** r[2:] / (r[2:] * (r[2:] - 1))
+    mat[1:, 1] = (-1.0) ** r[1:] / (2 * r[1:])
+    mat[:, 2::2] = np.array(BERNOULLI_EVEN) / (2 * n * (2 * n - 1)) * binom
+    return mat
 
 
-def polygamma_series_vec(m, x):
-    """Vectorized psi^(m) for arrays already above the series cutoff.
+_STIRLING = _stirling_matrix()
+_POWERS = np.arange(_STIRLING.shape[1])[:, None]
+_R = np.arange(MAX_ORDER + 1)[:, None]
+_LOG_JET = -((-1.0) ** _R[1:]) / _R[1:]  # (-1)^{r+1} / r, r >= 1: log(x + eps) in (eps/x)^r
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-    Caller must guarantee x >= SERIES_CUTOFF + m elementwise; no shifting
-    is performed.
+
+def log_gamma_jet(x, order):
+    """Taylor coefficients a_r(x) = (d/dx)^r log Gamma(x) / r!, r = 0..order.
+
+    x is a real array (or scalar) with every entry finite and > 0; the result
+    has shape (order + 1,) + shape(x), so a_1 is psi and (m+1)! a_{m+1} is
+    psi^(m).
     """
-    # psi^(m)(x) = (-1)^{m-1} [ (m-1)!/x^m + m!/(2 x^{m+1})
-    #                           + sum_n B_{2n} (2n+m-1)!/(2n)! x^{-2n-m} ]
     x = np.asarray(x, dtype=float)
-    inv = 1.0 / x
-    invm = inv**m
-    tot = math.factorial(m - 1) * invm + 0.5 * math.factorial(m) * invm * inv
-    ratio = float(math.factorial(m + 1)) / 2.0  # (2n+m-1)!/(2n)! at n=1
-    p = invm * inv * inv
-    xi = inv * inv
-    for n in range(1, _N_BERN + 1):
-        tot = tot + _B2N[n - 1] * ratio * p
-        ratio *= (2 * n + m) * (2 * n + m + 1) / ((2 * n + 1) * (2 * n + 2))
-        p = p * xi
-    return tot if m % 2 == 1 else -tot
-
-
-def digamma_diff(x, d):
-    """psi(x + d) - psi(x) without cancellation, for x > 0, x + d > 0.
-
-    Small nonnegative integer d uses the exact recurrence sum; otherwise
-    the difference of the asymptotic series is rearranged so every term
-    is a small quantity.
-    """
-    if not (x > 0 and x + d > 0):
-        raise ValueError("digamma_diff requires x > 0 and x + d > 0")
-    if d == 0:
-        return 0.0
-    if float(d).is_integer() and 0 < d <= 64:
-        return math.fsum(1.0 / (x + i) for i in range(int(d)))
-    if d < 0:
-        return -digamma_diff(x + d, -d)
-    cutoff = SERIES_CUTOFF + 4.0
-    extra = 0.0
-    while x < cutoff:
-        extra += d / (x * (x + d))
-        x += 1.0
-    # series difference: log(1+d/x) + d/(2x(x+d)) - sum_n c_n [ (x+d)^{-2n} - x^{-2n} ]
-    l1p = math.log1p(d / x)
-    tot = l1p + d / (2.0 * x * (x + d))
-    xi = 1.0 / (x * x)
-    p = xi
-    for n, c in enumerate(_DIGAMMA_C, start=1):
-        tot -= c * p * math.expm1(-2.0 * n * l1p)
-        p *= xi
-    return tot + extra
-
-
-def log_barnes_g(n):
-    """log G(n) at integer n >= 1 via G(m+1) = Gamma(m) G(m), G(1) = 1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"log_barnes_g requires an integer n >= 1, got {n}")
-    if n <= 3:
-        return 0.0
-    return math.fsum(log_gamma(float(m)) for m in range(2, n - 1 + 1))
+    if not ((x > 0) & (x < np.inf)).all():
+        raise ValueError(f"log_gamma_jet requires finite x > 0, got {x}")
+    if not isinstance(order, (int, np.integer)) or not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be an integer in [0, {MAX_ORDER}], got {order}")
+    flat = x.ravel()
+    shift = np.maximum(np.ceil(SERIES_CUTOFF + 0.5 * order - flat), 0.0)
+    y = flat + shift
+    r = _R[: order + 1]
+    out = y ** (1 - r) * (_STIRLING[: order + 1] @ (1.0 / y) ** _POWERS)
+    log_y = np.log(y)
+    out[0] += (y - 0.5) * log_y - y + _HALF_LOG_2PI
+    out[1:2] += log_y  # psi, when order >= 1
+    if shift.any():
+        # log Gamma(x) = log Gamma(y) - sum_{i < shift} log(x + i), subtracted as
+        # jets: log(x+i) and (-1)^{r+1} / (r (x+i)^r) for r >= 1
+        i = np.arange(shift.max())[:, None]
+        live = i < shift
+        steps = np.where(live, flat + i, 1.0)
+        out[0] -= np.log(steps.prod(axis=0))
+        inv = np.where(live, 1.0 / steps, 0.0)
+        out[1:] -= _LOG_JET[:order] * (inv ** r[1:, :, None]).sum(axis=1)
+    return out.reshape((order + 1,) + x.shape)
 
 
 def gaussian_central_moment(n, variance):

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from . import jet
-from .special import _bernoulli_even
+from .special import BERNOULLI_EVEN as _B2N
 
 __all__ = [
     "zeta_em",
@@ -67,7 +67,6 @@ RS_MAX_T = 1.0e8
 EM_DERIVATIVE_MAX_T = 2000.0  # derivatives: EM jets up to here, RS jets above
 MAX_DERIVATIVE = 4
 
-_B2N = _bernoulli_even(16)
 _EM_J = 14
 
 

@@ -139,6 +139,25 @@ def log_mn_mp(n_size, s):
     return tot
 
 
+def log_mn_barnes(n_size, s, order=0, dps=50):
+    """log M_N(s), or its order-th s-derivative, from the Barnes G closed form.
+
+    M_N(s) = G(1+s/2)^2 G(N+1) G(N+1+s) / (G(1+s) G(N+1+s/2)^2) (Keating and
+    Snaith).  The logs of G grow like N^2 log N, so dps must cover their
+    cancellation.  The first derivative at s = 2k is the weighted mean.
+    """
+    with mp.workdps(dps):
+
+        def lg(z):
+            return mp.log(mp.barnesg(z))
+
+        def log_mn(t):
+            start = 2 * lg(1 + t / 2) - lg(1 + t)
+            return start + lg(n_size + 1) + lg(n_size + 1 + t) - 2 * lg(n_size + 1 + t / 2)
+
+        return float(mp.diff(log_mn, mp.mpf(s), order))
+
+
 def central_moment_fd(n_size, k, order, delta="3e-5", dps=40):
     """Central moment by a high-precision central finite difference of the
     moment generating route exp(-x mu + log M_N(2k+x) - log M_N(2k))."""

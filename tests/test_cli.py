@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -29,6 +30,15 @@ def test_exact_moments_json(tmp_path):
     assert payload["results"]["mu_weighted"] == pytest.approx(harmonic(101) - 1.0, abs=1e-10)
     assert payload["results"]["central_moments"][0] == 1.0
     assert payload["warnings"] == []
+
+
+def test_exact_moments_cost_does_not_grow_with_n(tmp_path):
+    out = tmp_path / "exact.json"
+    args = ["exact-moments", "--n", "1000000000", "--k", "0.5", "--orders", "12", "--out", str(out)]
+    start = time.perf_counter()
+    assert run_cli(args) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(out.read_text())["results"]["central_moments"][0] == 1.0
 
 
 def test_mc_tilt_determinism_byte_identical(tmp_path):
@@ -275,4 +285,27 @@ def test_mu_alpha_rejects_a_window_above_the_sieve_limit(tmp_path, capsys, hi):
     out = tmp_path / "mu.json"
     assert run_cli(["mu-alpha", "--lo", "1", "--hi", hi, "--alpha", "0", "--out", str(out)]) == EXIT_PRECONDITION
     assert "sieve limit" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+
+@pytest.mark.parametrize(
+    "target, args",
+    [
+        ("tilted_moments_mc", ["mc-tilt", "--n", "20", "--k", "1", "--samples", "1000000000000"]),
+        ("weighted_scan", ["zeta-scan", "--t", "1e5", "--samples", "1000000000000", "--k", "1"]),
+    ],
+)
+def test_out_of_memory_exits_precondition_without_writing(
+    tmp_path, monkeypatch, capsys, target, args
+):
+    monkeypatch.setattr(cli, target, _out_of_memory)
+    out = tmp_path / "result.json"
+    assert run_cli(args + ["--out", str(out)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: out of memory: Unable to allocate")
+    assert err.count("\n") == 1
     assert os.listdir(tmp_path) == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oracles import (
     cumulants_to_central_moments,
     euler_gamma_series,
     harmonic,
+    log_mn_barnes,
     psi1_sum_oracle,
 )
 
@@ -34,17 +36,37 @@ def test_log_moment_hand_value():
 
 def test_log_moment_telescoping_oracle():
     # prod (j+1)/j telescopes to N+1
-    for n in (1, 2, 17, 160, 1000):
+    for n in (1, 2, 17, 160, 1000, 10**9):
         assert math.exp(log_moment_mn(n, 2)) == pytest.approx(n + 1, rel=1e-12)
 
 
 def test_log_moment_general_path_matches_integer_path():
-    # a tilt epsilon off an even integer exercises the midpoint-expansion
-    # path, which must land next to the telescoped product
+    # log M_N is continuous in s: a tilt epsilon off an even integer must
+    # land next to the telescoped product
     for n in (5, 80, 400):
         a = log_moment_mn(n, 2.0 + 1e-9)
         b = log_moment_mn(n, 2)
         assert a == pytest.approx(b, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 80, 10**4, 10**9])
+def test_log_moment_and_mean_against_barnes_g_closed_form(n):
+    # the small-j recurrences and the telescoped tail, against an independent closed form
+    for s in ("0.37", "1", "2", "3.3", "12.7", "64"):
+        log_mn = log_mn_barnes(n, s)
+        assert log_moment_mn(n, float(s)) == pytest.approx(log_mn, rel=1e-12, abs=0)
+        mean = log_mn_barnes(n, s, order=1)
+        assert weighted_mean(n, float(s) / 2) == pytest.approx(mean, rel=1e-12, abs=0)
+
+
+def test_exact_moments_allocate_nothing_sized_by_n():
+    tracemalloc.start()
+    try:
+        weighted_central_moments(TiltSpec(10**7, 0.5, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_asymptotic_ratio_check():

@@ -1,21 +1,57 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tiltlab.special import (
-    digamma,
-    digamma_diff,
-    gaussian_central_moment,
-    log_barnes_g,
-    log_gamma,
-    polygamma,
-    polygamma_series_vec,
-)
+from tiltlab.rmt_exact import _midpoint_sum, asymptotic_mn
+from tiltlab.special import MAX_ORDER, gaussian_central_moment, log_gamma_jet
 
 from oracles import euler_gamma_series, zeta3_series
 
 ABS_TOL = 1e-12
+
+
+def psi(m, x):
+    """psi^(m)(x) = (m+1)! a_{m+1}(x), from the kernel."""
+    return math.factorial(m + 1) * float(log_gamma_jet(x, m + 1)[m + 1])
+
+
+def log_gamma(x):
+    return float(log_gamma_jet(x, 0)[0])
+
+
+@pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.5, 7.3, 13.0, 40.0, 123.4, 1e4])
+def test_jet_matches_mpmath(x):
+    jet = log_gamma_jet(np.array([x]), 20)[:, 0]
+    with mp.workdps(30):
+        exact = [mp.loggamma(x)] + [mp.polygamma(r - 1, x) / mp.factorial(r) for r in range(1, 21)]
+    for r in range(21):
+        # log Gamma(1) is exactly 0: only there does the absolute floor act
+        assert jet[r] == pytest.approx(float(exact[r]), rel=1e-13, abs=1e-15), r
+
+
+def test_jet_shape_and_scalar_argument():
+    assert log_gamma_jet(3.0, 4).shape == (5,)
+    grid = np.linspace(0.5, 60.0, 12).reshape(3, 4)
+    jets = log_gamma_jet(grid, 6)
+    assert jets.shape == (7, 3, 4)
+    assert np.allclose(jets[:, 1, 2], log_gamma_jet(grid[1, 2], 6), rtol=1e-14, atol=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=st.floats(0.05, 1e4))
+def test_jet_recurrence_property(x):
+    # log Gamma(x+1) - log Gamma(x) = log x, as jets: the jet of log(x + eps)
+    order = 20
+    step = log_gamma_jet(np.array([x, x + 1.0]), order)
+    r = np.arange(1, order + 1)
+    expected = np.concatenate([[math.log(x)], (-1.0) ** (r + 1) / (r * x**r)])
+    scale = np.abs(step).sum(axis=1) + np.abs(expected)
+    scale[:2] += 1.0  # log Gamma and psi cancel O(1) terms near their zeros
+    assert np.all(np.abs(step[:, 1] - step[:, 0] - expected) <= 1e-13 * scale)
 
 
 def test_log_gamma_identities():
@@ -26,33 +62,33 @@ def test_log_gamma_identities():
 
 def test_digamma_at_one_matches_series_gamma():
     gamma = euler_gamma_series()
-    assert digamma(1.0) == pytest.approx(-gamma, abs=1e-10)
-    assert digamma(2.0) == pytest.approx(1.0 - gamma, abs=1e-10)
+    assert psi(0, 1.0) == pytest.approx(-gamma, abs=1e-10)
+    assert psi(0, 2.0) == pytest.approx(1.0 - gamma, abs=1e-10)
 
 
 def test_digamma_recurrence_pair():
     j = 7
-    assert digamma(j + 2.0) - digamma(j + 1.0) == pytest.approx(0.125, abs=ABS_TOL)
+    assert psi(0, j + 2.0) - psi(0, j + 1.0) == pytest.approx(0.125, abs=ABS_TOL)
 
 
 def test_polygamma_reference_values():
-    assert polygamma(1, 1.0) == pytest.approx(math.pi**2 / 6, abs=ABS_TOL)
-    assert polygamma(1, 2.0) == pytest.approx(math.pi**2 / 6 - 1.0, abs=ABS_TOL)
-    assert polygamma(2, 1.0) == pytest.approx(-2.0 * zeta3_series(), abs=1e-10)
+    assert psi(1, 1.0) == pytest.approx(math.pi**2 / 6, abs=ABS_TOL)
+    assert psi(1, 2.0) == pytest.approx(math.pi**2 / 6 - 1.0, abs=ABS_TOL)
+    assert psi(2, 1.0) == pytest.approx(-2.0 * zeta3_series(), abs=1e-10)
 
 
 def test_recurrence_residuals_random_arguments():
     rng = np.random.default_rng(123)
     x = 10.0 ** rng.uniform(-1, 3, size=1000)
-    for xi in x:
-        assert abs(digamma(xi + 1.0) - digamma(xi) - 1.0 / xi) < ABS_TOL * max(1.0, 1.0 / xi)
-        assert abs(log_gamma(xi + 1.0) - log_gamma(xi) - math.log(xi)) < 1e-11 * max(
-            1.0, abs(math.log(xi))
-        )
+    here, there = log_gamma_jet(x, 7), log_gamma_jet(x + 1.0, 7)
+    for xi, a, b in zip(x, here.T, there.T):
+        assert abs(b[1] - a[1] - 1.0 / xi) < ABS_TOL * max(1.0, 1.0 / xi)
+        assert abs(b[0] - a[0] - math.log(xi)) < 1e-11 * max(1.0, abs(math.log(xi)))
     for m in range(1, 7):
-        for xi in x[:100]:
+        scale = math.factorial(m + 1)
+        for xi, a, b in zip(x[:100], here.T, there.T):
             step = (-1.0) ** m * math.factorial(m) / xi ** (m + 1)
-            resid = polygamma(m, xi + 1.0) - polygamma(m, xi) - step
+            resid = scale * b[m + 1] - scale * a[m + 1] - step
             assert abs(resid) < 1e-10 * max(1.0, abs(step))
 
 
@@ -63,37 +99,34 @@ def test_digamma_matches_log_gamma_finite_difference():
     for xi in 10.0 ** rng.uniform(-0.5, 3, size=200):
         fd = (log_gamma(xi + h) - log_gamma(xi - h)) / (2 * h)
         # truncation h^2 psi'''/6 plus rounding floor of the lgamma pair
-        truncation_scale = abs(polygamma(3, xi)) / 4.0
+        truncation_scale = abs(psi(3, xi)) / 4.0
         rounding = 10.0 * eps * (abs(log_gamma(xi)) + 4.0) / h
-        assert abs(digamma(xi) - fd) < max(ABS_TOL, h * h * truncation_scale, rounding)
+        assert abs(psi(0, xi) - fd) < max(ABS_TOL, h * h * truncation_scale, rounding)
 
 
 def test_digamma_diff_consistency():
+    # the midpoint sums at N = 1 are D(c) = psi(c+h) - psi(c-h) and
+    # T(c) = logGamma(c+h) + logGamma(c-h) - 2 logGamma(c), with c = x + d/2, h = d/2
     for x, d in ((0.3, 4.2), (2.0, 0.5), (50.0, 3.0), (1e4, 1.0), (3.0, 7)):
-        direct = digamma(x + d) - digamma(x)
-        assert digamma_diff(x, d) == pytest.approx(direct, abs=1e-11)
-
-
-def test_polygamma_vectorized_matches_scalar():
-    x = np.linspace(45.0, 800.0, 13)
-    for m in (1, 3, 5, 9):
-        vec = polygamma_series_vec(m, x)
-        for xi, vi in zip(x, vec):
-            assert vi == pytest.approx(polygamma(m, float(xi)), rel=1e-13)
+        direct = psi(0, x + d) - psi(0, x)
+        assert _midpoint_sum(1, x + d / 2, d / 2, slope=True) == pytest.approx(direct, abs=1e-11)
+        with mp.workdps(30):
+            exact = mp.loggamma(x + d) + mp.loggamma(x) - 2 * mp.loggamma(mp.mpf(x) + mp.mpf(d) / 2)
+        got = _midpoint_sum(1, x + d / 2, d / 2, slope=False)
+        assert got == pytest.approx(float(exact), abs=1e-11)
 
 
 def test_barnes_g_recurrence_values():
-    assert log_barnes_g(1) == 0.0
-    assert log_barnes_g(2) == 0.0
-    assert log_barnes_g(3) == 0.0
-    assert log_barnes_g(4) == pytest.approx(math.log(2.0), abs=ABS_TOL)
-    # recurrence oracle: G(5) = Gamma(4) G(4) = 6 * 2
-    assert log_barnes_g(5) == pytest.approx(math.log(12.0), abs=ABS_TOL)
-    # one step further, G(n+1) = Gamma(n) G(n)
-    for n in range(2, 12):
-        assert log_barnes_g(n + 1) == pytest.approx(
-            log_gamma(float(n)) + log_barnes_g(n), abs=1e-11
-        )
+    # at N = 1 asymptotic_mn(1, k) = 2 log G(1+k) - log G(1+2k), and
+    # G(1) = G(2) = G(3) = 1, G(4) = 2, G(5) = 12, G(7) = 34560
+    assert asymptotic_mn(1, 0) == 0.0
+    assert asymptotic_mn(1, 1) == 0.0
+    assert asymptotic_mn(1, 2) == pytest.approx(-math.log(12.0), abs=ABS_TOL)
+    assert asymptotic_mn(1, 3) == pytest.approx(2 * math.log(2.0) - math.log(34560.0), abs=ABS_TOL)
+    # one step further, G(n+1) = Gamma(n) G(n), against the kernel's log Gamma
+    for k in range(1, 11):
+        step = 2 * log_gamma(1.0 + k) - log_gamma(2.0 + 2 * k) - log_gamma(1.0 + 2 * k)
+        assert asymptotic_mn(1, k + 1) - asymptotic_mn(1, k) == pytest.approx(step, abs=1e-11)
 
 
 def test_gaussian_central_moment_values():
@@ -113,19 +146,21 @@ def test_gaussian_central_moment_values():
         assert ratio_q == (n - 1) * vq
 
 
+@pytest.mark.parametrize("x", [0.0, -1.5, -2.0, math.nan, math.inf, [3.0, -1.0]])
+def test_jet_rejects_arguments_outside_its_domain(x):
+    with pytest.raises(ValueError):
+        log_gamma_jet(x, 1)
+
+
+@pytest.mark.parametrize("order", [-1, MAX_ORDER + 1, 1.5])
+def test_jet_rejects_orders_outside_its_range(order):
+    with pytest.raises(ValueError):
+        log_gamma_jet(1.0, order)
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-1.5)
-    with pytest.raises(ValueError):
-        digamma(-2.0)
-    with pytest.raises(ValueError):
-        polygamma(0, 1.0)
-    with pytest.raises(ValueError):
-        polygamma(1, -1.0)
-    with pytest.raises(ValueError):
-        log_barnes_g(0)
+        asymptotic_mn(1, 0.5)
     with pytest.raises(ValueError):
         gaussian_central_moment(-1, 1.0)
     with pytest.raises(ValueError):
