@@ -275,7 +275,7 @@ def _handle_zeta_scan(config):
 def _handle_mu_alpha(config):
     p = config.parameters
     window = PrimeWindow.from_bounds(p["lo"], p["hi"])
-    values = [(a, mu_alpha(window, a)) for a in p["alphas"]]
+    values = list(zip(p["alphas"], mu_alpha(window, p["alphas"]).tolist()))
     results = {
         "window": _window_fields(window),
         "values": [{"alpha": a, "mu_alpha": v} for a, v in values],

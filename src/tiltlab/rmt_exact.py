@@ -31,6 +31,12 @@ __all__ = [
 ]
 
 MAX_MOMENT_ORDER = 12
+# N enters the log-Gamma jet as a float; above 2^53 consecutive sizes are one float
+MAX_SIZE = 2**53
+# `_midpoint_sum` runs its small-c recurrence over about 7k steps for log M_N(2k)
+# (2.5k for the mean), a few float array entries each, so time and memory grow
+# linearly in k; k <= 1e4 keeps a call near 2 MiB and 10 ms
+MAX_TILT = 10**4
 
 
 @dataclass(frozen=True)
@@ -46,10 +52,10 @@ class TiltSpec:
             value = getattr(self, name)
             if isinstance(value, (float, np.floating)) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.N < 1:
-            raise ValueError(f"matrix size N must be >= 1, got {self.N}")
-        if self.k < 0:
-            raise ValueError(f"tilt exponent k must be >= 0, got {self.k}")
+        if not 1 <= self.N <= MAX_SIZE:
+            raise ValueError(f"matrix size N must be in [1, 2**53], got {self.N}")
+        if not 0 <= self.k <= MAX_TILT:
+            raise ValueError(f"tilt exponent k must be in [0, {MAX_TILT}], got {self.k}")
         if not 0 <= self.n_max <= MAX_MOMENT_ORDER:
             raise ValueError(
                 f"n_max must be in [0, {MAX_MOMENT_ORDER}] (factorial growth guard), got {self.n_max}"
@@ -67,21 +73,19 @@ class ExactMomentReport:
     cumulant_sums: list[float] = field(default_factory=list)
 
 
-def _validate_nk(N, s_or_k, label):
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError(f"N must be an integer >= 1, got {N}")
-    if s_or_k < 0:
-        raise ValueError(f"{label} must be nonnegative, got {s_or_k}")
+def _validate_nk(N, s_or_k, label, top=MAX_TILT):
+    if not isinstance(N, (int, np.integer)) or not 1 <= N <= MAX_SIZE:
+        raise ValueError(f"N must be an integer in [1, 2**53], got {N}")
+    if not 0 <= s_or_k <= top:
+        raise ValueError(f"{label} must be in [0, {top}], got {s_or_k}")
 
 
 def log_moment_mn(N, s):
-    """log M_N(s) = sum_j [logGamma(j) + logGamma(j+s) - 2 logGamma(j+s/2)], s <= 64.
+    """log M_N(s) = sum_j [logGamma(j) + logGamma(j+s) - 2 logGamma(j+s/2)], s = 2k <= 2 MAX_TILT.
 
     Each j-term is T(j + s/2) with h = s/2, summed by `_midpoint_sum`.
     """
-    _validate_nk(N, s, "s")
-    if s > 64:
-        raise ValueError(f"tilt s={s} out of supported range (s <= 64)")
+    _validate_nk(N, s, "s = 2k", 2 * MAX_TILT)
     return _midpoint_sum(N, 1.0 + 0.5 * s, 0.5 * s, slope=False)
 
 

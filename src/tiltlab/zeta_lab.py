@@ -5,7 +5,8 @@ asymptotic choice x = T^eps is meaningless at reachable heights); the
 default window keeps the (log T, x] shape of the theory at x = T^0.3.
 A window's primes come from a segmented sieve over (lo, hi] alone, which
 stops at PRIME_COUNT_CAP primes and marks the window truncated; its
-memory does not grow with hi - lo.
+memory does not grow with hi - lo, and the primes are held once, in the
+sieve's output.  Sums over a window run in cache-sized chunks.
 Weighted scans sample t uniformly in [T, 2T], weigh by
 |zeta^(m)(1/2 + it + i alpha)|^{2k}, and reuse the self-normalized
 reduction of the Monte Carlo estimator.
@@ -29,6 +30,7 @@ __all__ = [
     "ScanSpec",
     "ScanStream",
     "sieve_primes",
+    "prime_count_bound",
     "default_window",
     "dirichlet_poly_many",
     "mertens_l",
@@ -41,8 +43,31 @@ __all__ = [
 PRIME_COUNT_CAP = 10**7
 SIEVE_SEGMENT = 1 << 20  # odd numbers per sieve segment: a 1 MiB bool mask
 SIEVE_LIMIT = 10**12  # keeps the base primes (78,498 up to 1e6) and each segment's loop small
+MU_CHUNK = 1 << 16  # primes per mu_alpha chunk: three 512 KiB float buffers
+DIRICHLET_ENTRIES = 1 << 17  # complex entries per Dirichlet (heights x primes) block: 2 MiB
 HISTOGRAM_BINS = 80
 HISTOGRAM_HALF_WIDTHS = 6.0  # in units of sqrt(L/2)
+
+
+def prime_count_bound(lo, hi):
+    """A proven upper bound on the number of primes p with lo < p <= hi, for integers lo >= 0.
+
+    The least of three: the odd numbers in (lo, hi] plus one for 2; Dusart's
+    (1999) pi(x) <= x/ln x (1 + 1.2762/ln x) for x > 1 at hi, less Rosser and
+    Schoenfeld's pi(x) >= x/ln x for x >= 17 at lo; and Montgomery and
+    Vaughan's (1973) pi(x + y) - pi(x) <= 2y/ln y for y = hi - lo > 1.  The
+    real bounds are floored after adding 1, which covers their rounding.
+    """
+    if hi <= lo:
+        return 0
+    bounds = [(hi + 1) // 2 - (lo + 1) // 2 + (lo < 2 <= hi)]
+    if hi >= 2:
+        log_hi = math.log(hi)
+        below_lo = lo / math.log(lo) if lo >= 17 else 0.0
+        bounds.append(math.floor(hi / log_hi * (1.0 + 1.2762 / log_hi) - below_lo + 1.0))
+    if hi - lo >= 2:
+        bounds.append(math.floor(2.0 * (hi - lo) / math.log(hi - lo) + 1.0))
+    return min(bounds)
 
 
 def sieve_primes(limit, lo=0, cap=None):
@@ -50,9 +75,11 @@ def sieve_primes(limit, lo=0, cap=None):
 
     Odd-only segmented Eratosthenes: the odd numbers of (lo, limit] are
     sieved SIEVE_SEGMENT at a time, and sieving stops once `cap` primes
-    are found.  Memory is one segment, the base primes up to sqrt(limit)
-    and the output; it does not grow with limit - lo.  A limit above
-    SIEVE_LIMIT raises ValueError.
+    are found.  Each segment's primes are written straight into one int64
+    output sized by `prime_count_bound` (and `cap`); the result is a view of
+    its filled head, and the unfilled tail is never touched.  Memory is one
+    segment, the base primes up to sqrt(limit) and the output; it does not
+    grow with limit - lo.  A limit above SIEVE_LIMIT raises ValueError.
     """
     limit, lo = int(limit), max(math.floor(lo), 0)
     if limit > SIEVE_LIMIT:
@@ -62,12 +89,16 @@ def sieve_primes(limit, lo=0, cap=None):
         )
     root = math.isqrt(max(limit, 0))
     base = sieve_primes(root)[1:] if root >= 3 else np.empty(0, dtype=np.int64)  # odd base primes
-    pieces = [np.array([2] if lo < 2 <= limit else [], dtype=np.int64)]
-    found = pieces[0].size
+    size = prime_count_bound(lo, limit)
+    capped = cap is not None and cap <= size
+    out = np.empty(cap if capped else size, dtype=np.int64)
+    found = 0
+    if lo < 2 <= limit and out.size:
+        out[0], found = 2, 1
     # odd number n = 2j + 1 has index j; sieve j in [start, stop)
     start, stop = (lo + 1) // 2, (limit + 1) // 2
     mask = np.empty(min(SIEVE_SEGMENT, max(stop - start, 0)), dtype=bool)
-    while start < stop and (cap is None or found < cap):
+    while start < stop and not (capped and found == out.size):
         seg = mask[: min(SIEVE_SEGMENT, stop - start)]
         seg.fill(True)
         if start == 0:
@@ -78,10 +109,17 @@ def sieve_primes(limit, lo=0, cap=None):
         first = np.maximum(q * q // 2, start + (q // 2 - start) % q) - start
         for step, offset in zip(q.tolist(), first.tolist()):
             seg[offset::step] = False
-        pieces.append(2 * (start + np.flatnonzero(seg)) + 1)
-        found += pieces[-1].size
+        count = np.count_nonzero(seg)
+        if count > out.size - found and not capped:
+            raise RuntimeError(
+                f"more primes in ({lo}, {limit}] than the bound {out.size}: prime_count_bound is wrong"
+            )
+        dest = out[found : found + count]
+        np.multiply(np.flatnonzero(seg)[: dest.size], 2, out=dest)  # the index array dies here
+        dest += 2 * start + 1
+        found += dest.size
         start += seg.size
-    return np.concatenate(pieces)[:cap]
+    return out[:found]
 
 
 @dataclass(frozen=True)
@@ -137,22 +175,40 @@ def default_window(T):
 
 
 def mertens_l(window: PrimeWindow) -> float:
-    """L = sum_{p in X} 1/p."""
-    if window.primes.size == 0:
-        return 0.0
-    return float(np.sum(1.0 / window.primes.astype(float)))
+    """L = sum_{p in X} 1/p, the alpha = 0 case of `mu_alpha`."""
+    return mu_alpha(window, 0.0)
 
 
-def mu_alpha(window: PrimeWindow, alpha: float) -> float:
-    """Shifted mean density mu_alpha = sum_{p in X} cos(alpha log p)/p."""
-    p = window.primes.astype(float)
-    if p.size == 0:
-        return 0.0
-    terms = np.log(p)
-    np.multiply(alpha, terms, out=terms)
-    np.cos(terms, out=terms)
-    np.divide(terms, p, out=terms)
-    return float(np.sum(terms))
+def mu_alpha(window: PrimeWindow, alpha):
+    """Shifted mean density mu_alpha = sum_{p in X} cos(alpha log p)/p, for |alpha| < 1.
+
+    alpha is a scalar (a float comes back) or a 1-d array (an array of one
+    value per alpha comes back).  One pass over chunks of MU_CHUNK primes
+    takes log p and 1/p once per chunk for every alpha; each chunk's terms
+    are summed pairwise and the chunk sums combined with math.fsum, so a
+    value depends neither on the other alphas nor on the thread count.
+    """
+    alphas = np.asarray(alpha, dtype=float)
+    if alphas.ndim > 1:
+        raise ValueError(f"alpha must be a scalar or a 1-d array, got shape {alphas.shape}")
+    if not np.all(np.abs(alphas) < 1):
+        raise ValueError(f"|alpha| must be < 1, got {alpha}")
+    primes = window.primes
+    inv_p, log_p, terms = np.empty((3, min(MU_CHUNK, primes.size)))
+    chunk_sums = [[] for _ in alphas.flat]
+    for lo in range(0, primes.size, MU_CHUNK):
+        size = min(MU_CHUNK, primes.size - lo)
+        inv_c, log_c, terms_c = inv_p[:size], log_p[:size], terms[:size]
+        inv_c[:] = primes[lo : lo + size]
+        np.log(inv_c, out=log_c)
+        np.reciprocal(inv_c, out=inv_c)
+        for a, sums in zip(alphas.flat, chunk_sums):
+            np.multiply(a, log_c, out=terms_c)
+            np.cos(terms_c, out=terms_c)
+            terms_c *= inv_c
+            sums.append(float(terms_c.sum()))
+    values = np.array([math.fsum(sums) for sums in chunk_sums])
+    return float(values[0]) if alphas.ndim == 0 else values
 
 
 def dirichlet_poly_many(t_arr, window: PrimeWindow):
@@ -164,7 +220,7 @@ def dirichlet_poly_many(t_arr, window: PrimeWindow):
     log_p = np.log(p)
     amp = 1.0 / np.sqrt(p)
     out = np.empty(t_arr.shape, dtype=np.complex128)
-    chunk = max(1, 4_000_000 // max(1, p.size))
+    chunk = max(1, DIRICHLET_ENTRIES // p.size)
     flat = t_arr.ravel()
     res = out.ravel()
     for lo in range(0, flat.size, chunk):

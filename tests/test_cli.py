@@ -3,9 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tiltlab
 from tiltlab import cli
@@ -38,6 +41,13 @@ def test_exact_moments_cost_does_not_grow_with_n(tmp_path):
     start = time.perf_counter()
     assert run_cli(args) == EXIT_OK
     assert time.perf_counter() - start < 1.0
+    assert json.loads(out.read_text())["results"]["central_moments"][0] == 1.0
+
+
+def test_exact_moments_runs_above_the_old_tilt_cap(tmp_path):
+    # k = 40 is s = 80 in log M_N(s), which an old ceiling of s <= 64 rejected
+    out = tmp_path / "exact.json"
+    assert run_cli(["exact-moments", "--n", "10", "--k", "40", "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["results"]["central_moments"][0] == 1.0
 
 
@@ -309,3 +319,45 @@ def test_out_of_memory_exits_precondition_without_writing(
     assert err.startswith("precondition violated: out of memory: Unable to allocate")
     assert err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+def _exit_code_contract(args):
+    """Exit 0 with a strict JSON file, or exit 2 with no file; anything else raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "result.json")
+        code = run_cli(args + ["--out", out])
+        assert code in (EXIT_OK, EXIT_PRECONDITION)
+        if code == EXIT_OK:
+            with open(out) as handle:
+                json.loads(handle.read(), parse_constant=_reject_constant)
+        else:
+            assert os.listdir(tmp) == []
+
+
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 1e300, sys.float_info.max])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lo=st.floats(-10.0, 2e6) | _SPECIAL_FLOATS,
+    hi=st.floats(-10.0, 1e6) | _SPECIAL_FLOATS.filter(lambda x: not 1e6 < x < math.inf),
+    alphas=st.lists(st.floats(-1.5, 1.5) | _SPECIAL_FLOATS, min_size=1, max_size=3),
+)
+@example(lo=1.0, hi=100.0, alphas=[sys.float_info.max])  # alpha log p overflows: cos(inf) is NaN
+def test_mu_alpha_exit_codes(lo, hi, alphas):
+    args = ["mu-alpha", f"--lo={lo!r}", f"--hi={hi!r}", *(f"--alpha={a!r}" for a in alphas)]
+    _exit_code_contract(args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(-5, 10**4) | st.sampled_from([2**53, 2**53 + 1, 2**63, 10**30]),
+    k=st.floats(-5.0, 50.0) | st.floats(1e3, 1e5) | _SPECIAL_FLOATS,
+    orders=st.integers(-1, 13),
+)
+def test_exact_moments_exit_codes(n, k, orders):
+    _exit_code_contract(["exact-moments", f"--n={n}", f"--k={k!r}", f"--orders={orders}"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tiltlab.rmt_exact import (
+    MAX_TILT,
     TiltSpec,
     asymptotic_mn,
     cumulants,
@@ -52,7 +53,7 @@ def test_log_moment_general_path_matches_integer_path():
 @pytest.mark.parametrize("n", [1, 80, 10**4, 10**9])
 def test_log_moment_and_mean_against_barnes_g_closed_form(n):
     # the small-j recurrences and the telescoped tail, against an independent closed form
-    for s in ("0.37", "1", "2", "3.3", "12.7", "64"):
+    for s in ("0.37", "1", "2", "3.3", "12.7", "64", "80", "200"):
         log_mn = log_mn_barnes(n, s)
         assert log_moment_mn(n, float(s)) == pytest.approx(log_mn, rel=1e-12, abs=0)
         mean = log_mn_barnes(n, s, order=1)
@@ -222,6 +223,14 @@ def test_tilt_spec_guards():
         TiltSpec(10, -1.0, 4)
     with pytest.raises(ValueError):
         TiltSpec(10, 1.0, 13)
+    # N beyond 2^53 is no longer exact as a float; the small-c recurrence grows with k
+    with pytest.raises(ValueError, match="N must be in"):
+        TiltSpec(2**53 + 1, 1.0, 4)
+    with pytest.raises(ValueError, match="tilt exponent k must be in"):
+        TiltSpec(10, MAX_TILT * 1.5, 4)
+    with pytest.raises(ValueError, match="s = 2k must be in"):
+        log_moment_mn(10, 3.0 * MAX_TILT)
+    assert math.isfinite(weighted_central_moments(TiltSpec(2**53, MAX_TILT, 12)).log_mn)
     with pytest.raises(ValueError):
         cumulants(10, 13)
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from tiltlab.zeta_lab import (
     dirichlet_poly_many,
     mertens_l,
     mu_alpha,
+    prime_count_bound,
     scan_log_weights,
     scan_stream,
     sieve_primes,
@@ -60,6 +61,93 @@ def test_sieve_window_matches_trial_division(limit, lo, cap, segment):
     assert got.tolist() == want
 
 
+# pi(10^j), j = 1..12
+PRIME_COUNTS = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511, 4118054813, 37607912018)
+
+
+def test_prime_count_bound_covers_known_counts():
+    for j, count in enumerate(PRIME_COUNTS, start=1):
+        bound = prime_count_bound(0, 10**j)
+        assert count <= bound < 1.3 * count + 3
+    # every odd number of (2, 7] is prime: the bound is met exactly
+    assert prime_count_bound(2, 7) == 3 == len(sieve_primes(7, lo=2))
+    assert prime_count_bound(1, 7) == 4 == len(sieve_primes(7, lo=1))
+    assert prime_count_bound(10, 10) == prime_count_bound(10, 3) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.integers(0, 10**6), width=st.integers(0, 5000), segment=st.integers(1, 40))
+def test_sieve_fills_windows_within_the_bound(lo, width, segment):
+    # short windows high up, where the Montgomery-Vaughan and Dusart terms bind,
+    # and windows whose count sits at the bound, cut into many segments
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeta_lab, "SIEVE_SEGMENT", segment)
+        got = sieve_primes(lo + width, lo=lo)
+    assert got.size <= prime_count_bound(lo, lo + width)
+    numbers = np.arange(max(lo + 1, 2), lo + width + 1)
+    divisors = np.array(trial_division_primes(1000))
+    composite = ((numbers[:, None] % divisors == 0) & (numbers[:, None] != divisors)).any(axis=1)
+    assert got.tolist() == numbers[~composite].tolist()
+
+
+def test_sieve_raises_when_the_bound_is_too_small(monkeypatch):
+    monkeypatch.setattr(zeta_lab, "prime_count_bound", lambda lo, hi: 24)
+    with pytest.raises(RuntimeError, match="than the bound 24"):
+        sieve_primes(100)
+    # a cap at or below the buffer stops the sieve instead: nothing is lost
+    assert sieve_primes(100, cap=24).tolist() == trial_division_primes(100)[:24]
+
+
+def test_window_sieve_holds_one_copy_of_its_output():
+    sieve_primes(10**4)  # warm the base primes' path outside the traced region
+    tracemalloc.start()
+    try:
+        window = PrimeWindow.from_bounds(1, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output is written in place: no list of per-segment pieces to concatenate
+    assert window.primes.size == 664579
+    assert peak < window.primes.nbytes + 3 * 2**20
+
+
+def test_mu_alpha_allocates_chunks_not_windows():
+    window = PrimeWindow.from_bounds(1, 10**7)
+    tracemalloc.start()
+    try:
+        values = mu_alpha(window, [0.01, 0.3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (2,)
+    assert peak < 2 * 2**20
+
+
+def test_dirichlet_poly_allocates_cache_sized_blocks():
+    window = PrimeWindow.from_bounds(1, 10**6)
+    t = np.linspace(1e5, 2e5, 200)
+    tracemalloc.start()
+    try:
+        dirichlet_poly_many(t, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_dirichlet_poly_values_do_not_depend_on_the_block_size(monkeypatch):
+    window = PrimeWindow.from_bounds(1, 3000)
+    t = np.random.default_rng(3).uniform(10, 1e3, size=(7, 9))
+    p = window.primes.astype(float)
+    want = np.vectorize(lambda ti: np.sum(p ** (-0.5 - 1j * ti)))(t)
+    got = [dirichlet_poly_many(t, window)]
+    for entries in (1, 430, 10**6):
+        monkeypatch.setattr(zeta_lab, "DIRICHLET_ENTRIES", entries)
+        got.append(dirichlet_poly_many(t, window))
+        assert np.array_equal(got[-1], got[0])
+    assert np.abs(got[0] - want).max() < 1e-11
+
+
 def test_high_window_sieves_in_bounded_memory():
     lo, hi = 10**10 - 10**6, 10**10
     sieve_primes(10**5)  # the base primes' sieve, outside the traced region
@@ -69,8 +157,8 @@ def test_high_window_sieves_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one 1 MiB segment mask, the ~43k primes found and the base primes;
-    # a mask over (0, hi] would be 10 GB
+    # one 1 MiB segment mask, an output sized for 2y/ln y ~ 145k primes (43k
+    # found) and the base primes; a mask over (0, hi] would be 10 GB
     assert peak < 4 * 2**20
     assert not window.truncated
     # both ends of the window against trial division by the primes up to sqrt(hi)
@@ -127,8 +215,34 @@ def test_mertens_additivity():
 
 
 def test_mu_alpha_zero_is_mertens():
-    w = PrimeWindow.from_bounds(1, 5000)
-    assert mu_alpha(w, 0.0) == mertens_l(w)
+    for hi in (5000, 2 * 10**6):  # one chunk and three
+        w = PrimeWindow.from_bounds(1, hi)
+        assert mu_alpha(w, 0.0) == mertens_l(w)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7, 1000])
+def test_mu_alpha_of_many_alphas_is_each_alone(monkeypatch, chunk):
+    # 2e6 holds 148,933 primes: three chunks of 2^16 at the default size
+    w = PrimeWindow.from_bounds(1, 2 * 10**6 if chunk is None else 3000)
+    if chunk is not None:
+        monkeypatch.setattr(zeta_lab, "MU_CHUNK", chunk)
+    alphas = [0.01, -0.3, 0.0, 0.99]
+    values = mu_alpha(w, alphas)
+    assert values.dtype == np.float64 and values.shape == (4,)
+    for a, v in zip(alphas, values):
+        alone = mu_alpha(w, a)
+        assert isinstance(alone, float) and v == alone
+    assert mu_alpha(w, np.array(alphas[1:3])).tolist() == values[1:3].tolist()
+    assert mu_alpha(w, []).shape == (0,)
+
+
+def test_mu_alpha_rejects_shifts_outside_the_unit_interval():
+    w = PrimeWindow.from_bounds(1, 100)
+    for alpha in (1.0, -1.5, 1e300, [0.1, 2.0], math.nan):
+        with pytest.raises(ValueError, match=r"\|alpha\| must be < 1"):
+            mu_alpha(w, alpha)
+    with pytest.raises(ValueError, match="1-d"):
+        mu_alpha(w, [[0.1]])
 
 
 def test_mu_alpha_empty_window_is_zero():
