@@ -29,7 +29,7 @@ from .shifts import (
     second_moment_recipe_k1,
     swap_shifts,
 )
-from .zeta_eval import zeta_derivative, zeta_half_line
+from .zeta_eval import zeta_line
 from .zeta_lab import PrimeWindow, ScanSpec, mertens_l, mu_alpha, sieve_primes, weighted_scan
 
 __all__ = [
@@ -52,8 +52,7 @@ __all__ = [
     "g_p_factor",
     "second_moment_recipe_k1",
     "swap_shifts",
-    "zeta_derivative",
-    "zeta_half_line",
+    "zeta_line",
     "PrimeWindow",
     "ScanSpec",
     "mertens_l",

@@ -34,7 +34,7 @@ from .cue import SeedSpec, rotation_invariance_check
 from .estimator import tilted_moments_mc
 from .rmt_exact import TiltSpec, weighted_central_moments
 from .shifts import enumerate_selections, second_moment_quadrature_k1, second_moment_recipe_k1
-from .zeta_lab import PrimeWindow, ScanSpec, default_window, mu_alpha, weighted_scan
+from .zeta_lab import PrimeWindow, ScanSpec, checked_alphas, mu_alpha, weighted_scan
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -233,17 +233,14 @@ def _window_fields(window):
 
 def _handle_zeta_scan(config):
     p = config.parameters
-    if p["window_lo"] is not None and p["window_hi"] is not None:
-        window = PrimeWindow.from_bounds(p["window_lo"], p["window_hi"])
-    else:
-        window = default_window(p["t"])
-    spec = ScanSpec(
+    bounds = (p["window_lo"], p["window_hi"])
+    spec = ScanSpec(  # checks every field before it sieves a window
         T=p["t"],
         samples=p["samples"],
         k=p["k"],
         m=p["m"],
         alpha=p["alpha"],
-        window=window,
+        window=None if None in bounds else bounds,
         seed=SeedSpec(config.seed),
     )
     hist, report = weighted_scan(spec)
@@ -260,7 +257,7 @@ def _handle_zeta_scan(config):
         "overflow_weight": hist.overflow_weight,
         "bin_edges": list(hist.bin_edges),
         "weighted_counts": list(hist.weighted_counts),
-        "window": _window_fields(window),
+        "window": _window_fields(spec.window),
     }
     rows = (
         ("bin_lo", "bin_hi", "weighted_count"),
@@ -274,6 +271,7 @@ def _handle_zeta_scan(config):
 
 def _handle_mu_alpha(config):
     p = config.parameters
+    checked_alphas(p["alphas"])  # before the sieve
     window = PrimeWindow.from_bounds(p["lo"], p["hi"])
     values = list(zip(p["alphas"], mu_alpha(window, p["alphas"]).tolist()))
     results = {

@@ -37,6 +37,7 @@ __all__ = [
 ESS_FLOOR = 30.0
 DEFAULT_BOOTSTRAP = 400
 DEFAULT_BOOTSTRAP_SEED = 1618033988
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def reduce_weighted(
     first_std = 2 + max(n_max - 1, 0)  # columns: mean, log mean-weight, m_2.., standardized 3..
     standard_errors = [0.0, ses[0]] + ses[2:first_std]
     standardized_errors = [0.0, 0.0, 0.0] + ses[first_std:]
-    mean_weight = math.exp(log_mw)
+    mean_weight = math.exp(log_mw) if log_mw <= _LOG_FLOAT_MAX else math.inf  # no other estimate uses it
     mean_weight_se = float(mean_weight * ses[1])  # delta method on log scale
 
     low = ess < ESS_FLOOR

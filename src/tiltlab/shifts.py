@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from . import jet
-from .zeta_eval import RS_MAX_T, zeta_em, zeta_em_progression
+from .zeta_eval import RS_MAX_T, zeta_em_many, zeta_em_progression
 
 __all__ = [
     "ShiftTuple",
@@ -164,8 +164,7 @@ def second_moment_recipe_k1(t_lo, t_hi, alpha, beta):
         gamma = np.euler_gamma
         res = _confluent_antiderivative(t_hi, gamma) - _confluent_antiderivative(t_lo, gamma)
         return float(res)
-    zc = zeta_em(1 + c)
-    zmc = zeta_em(1 - c)
+    zc, zmc = zeta_em_many(np.array([1 + c, 1 - c]))[0]
     power_integral = (2 * math.pi) ** c * (t_hi ** (1 - c) - t_lo ** (1 - c)) / (1 - c)
     res = (t_hi - t_lo) * zc + zmc * power_integral
     if abs(res.imag) > 1e-6 * max(1.0, abs(res.real)):

@@ -1,11 +1,14 @@
-"""Critical-line zeta evaluators and their derivatives: Euler-Maclaurin and Riemann-Siegel.
+"""Critical-line zeta and its derivatives: one evaluator over Euler-Maclaurin and Riemann-Siegel.
 
-Euler-Maclaurin handles any complex s at O(|t|) cost; Riemann-Siegel
-covers the line up to t = 1e8 at O(sqrt t) cost with correction terms
-C_0..C_4.  On an arithmetic progression of s (a uniform quadrature
-grid) the Euler-Maclaurin main sums of all nodes are one complex matrix
-product (`zeta_em_progression`); both Euler-Maclaurin evaluators share
-one tail.
+`zeta_line(t, m)` returns zeta^(r)(1/2 + it) for r = 0..m from one
+dispatch with one crossover at every order: Euler-Maclaurin (O(|t|)
+cost) for |t| <= EM_AUTO_MAX_T = 1000, Riemann-Siegel (O(sqrt t) cost,
+correction terms C_0..C_4) above it up to t = 1e8.  Its two paths,
+`zeta_em_many` (valid for any complex s != 1, and used off the line
+too) and `zeta_rs_many`, each return every jet row at once.  On an
+arithmetic progression of s (a uniform quadrature grid) the
+Euler-Maclaurin main sums of all nodes are one complex matrix product
+(`zeta_em_progression`); both Euler-Maclaurin evaluators share one tail.
 
 Derivatives are Taylor jets in eps (`tiltlab.jet`).  Euler-Maclaurin
 expands zeta(s + eps) term by term: the main sum gives
@@ -40,14 +43,10 @@ from . import jet
 from .special import BERNOULLI_EVEN as _B2N
 
 __all__ = [
-    "zeta_em",
+    "zeta_line",
     "zeta_em_many",
     "zeta_em_progression",
     "zeta_rs_many",
-    "zeta_half_line",
-    "zeta_half_line_many",
-    "zeta_derivative",
-    "zeta_derivative_many",
     "siegel_theta",
     "EM_AUTO_MAX_T",
     "RS_MIN_T",
@@ -61,11 +60,11 @@ TWO_PI_LD = _LD(2) * PI_LD
 # prime phases near 1e9 keep ~1e-10 absolute only with a 64-bit mantissa (x87 80-bit)
 _LONGDOUBLE_OK = np.finfo(_LD).nmant >= 63
 
-EM_AUTO_MAX_T = 1000.0  # EM below, RS above; EM itself stays accurate well beyond
+EM_AUTO_MAX_T = 1000.0  # the one crossover: EM at and below, RS above, at every order
 RS_MIN_T = 40.0
 RS_MAX_T = 1.0e8
-EM_DERIVATIVE_MAX_T = 2000.0  # derivatives: EM jets up to here, RS jets above
 MAX_DERIVATIVE = 4
+_TABLE_ENTRIES = 1 << 17  # complex entries per EM or RS block table: 2 MiB
 
 _EM_J = 14
 
@@ -84,35 +83,34 @@ def _em_terms(abs_t):
     return max(16, int(0.6 * abs_t) + 8)
 
 
-def zeta_em(s, terms=None):
-    """zeta(s) by Euler-Maclaurin; valid for any complex s != 1."""
-    s = complex(s)
-    if s == 1.0:
-        raise ValueError("zeta has a pole at s = 1")
-    return complex(zeta_em_many(np.array([s]), terms)[0])
+def zeta_em_many(s_values, terms=None, order=0):
+    """zeta^{(r)}(s) for r = 0..order by Euler-Maclaurin, as rows over an array of complex s.
 
-
-def zeta_em_many(s_values, terms=None, m=0, chunk=1024):
-    """zeta^{(m)}(s) by Euler-Maclaurin over an array of complex s (shared term count M).
-
-    The main sum is sum_{n<M} n^{-s} (-log n)^m; `_em_tail` completes it.
+    Row r's main sum is sum_{n<M} n^{-s} (-log n)^r: one table of n^{-s}
+    per block of points, weighted by one more power of -log n per row,
+    with one term count M for the whole array.  `_em_tail` completes
+    every row.
     """
-    s = np.asarray(s_values, dtype=np.complex128).ravel()
+    s = np.asarray(s_values, dtype=np.complex128)
+    flat = s.ravel()
+    if np.any(flat == 1.0):
+        raise ValueError("zeta has a pole at s = 1")
     if terms is None:
-        terms = _em_terms(float(np.max(np.abs(s.imag))) if s.size else 0.0)
-    log_n = np.log(np.arange(1, terms, dtype=float))
-    weight = (-log_n) ** m
-    out = np.empty(s.shape, dtype=np.complex128)
-    buf = np.empty((min(chunk, s.size), log_n.size), dtype=np.complex128)
-    for lo in range(0, s.size, chunk):
-        blk = s[lo : lo + chunk]
-        powers = buf[: blk.size]
-        np.exp(np.multiply(-blk[:, None], log_n, out=powers), out=powers)
-        if m:
-            powers *= weight
-        out[lo : lo + chunk] = powers.sum(axis=1)
-    out += _em_tail(s, terms, m)
-    return out.reshape(np.shape(s_values))
+        terms = _em_terms(float(np.max(np.abs(flat.imag))) if flat.size else 0.0)
+    neg_log_n = -np.log(np.arange(1, terms, dtype=float))
+    out = np.empty((order + 1, flat.size), dtype=np.complex128)
+    block = max(1, _TABLE_ENTRIES // neg_log_n.size)
+    buffer = np.empty(min(block, flat.size) * neg_log_n.size, dtype=np.complex128)
+    for lo in range(0, flat.size, block):
+        points = flat[lo : lo + block]
+        table = buffer[: points.size * neg_log_n.size].reshape(points.size, neg_log_n.size)
+        np.exp(np.multiply(points[:, None], neg_log_n, out=table), out=table)
+        out[0, lo : lo + block] = table.sum(axis=1)
+        for r in range(1, order + 1):
+            table *= neg_log_n
+            out[r, lo : lo + block] = table.sum(axis=1)
+    out += _em_tail(flat, terms, order)
+    return out.reshape((order + 1,) + s.shape)
 
 
 def zeta_em_progression(s0, ds, count):
@@ -134,30 +132,30 @@ def zeta_em_progression(s0, ds, count):
     anchors = np.exp(-(s0 + np.arange(0, count, block) * ds)[:, None] * log_n)
     steps = np.exp(-(np.arange(block) * ds)[:, None] * log_n)
     out = (anchors @ steps.T).ravel()[:count]
-    return out + _em_tail(s, terms, 0)
+    return out + _em_tail(s, terms, 0)[0]
 
 
-def _em_tail(s, terms, m):
-    """Order-m derivative of the Euler-Maclaurin tail at the array s, with M = terms.
+def _em_tail(s, terms, order):
+    """Derivatives r = 0..order of the Euler-Maclaurin tail at the array s, with M = terms.
 
     The tail M^{-s} [M/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} M^{1-2j}],
     with (s)_r the rising factorial, is a jet in eps at s + eps; its
-    order-m coefficient times m! is returned.
+    coefficients times r! are returned as rows.
     """
     pole = terms ** (1.0 - s) / (s - 1.0)
-    bracket = [pole * (-1.0 / (s - 1.0)) ** r for r in range(m + 1)]
+    bracket = [pole * (-1.0 / (s - 1.0)) ** r for r in range(order + 1)]
     bracket[0] = bracket[0] + 0.5 * terms ** (-s)
-    rising = _linear(s, m)
+    rising = _linear(s, order)
     power = terms ** (-s - 1.0)
     m2 = float(terms) ** -2.0
     for j in range(1, _EM_J + 1):
         c = _B2N[j - 1] / math.factorial(2 * j) * power
         bracket = [b + c * x for b, x in zip(bracket, rising)]
-        rising = jet.mul(jet.mul(rising, _linear(s + 2 * j - 1, m)), _linear(s + 2 * j, m))
+        rising = jet.mul(jet.mul(rising, _linear(s + 2 * j - 1, order)), _linear(s + 2 * j, order))
         power = power * m2
     log_m = math.log(terms)
-    m_power = [(-log_m) ** r / math.factorial(r) for r in range(m + 1)]  # M^{-eps}
-    return math.factorial(m) * jet.mul(m_power, bracket)[m]
+    m_power = [(-log_m) ** r / math.factorial(r) for r in range(order + 1)]  # M^{-eps}
+    return np.array([math.factorial(r) * x for r, x in enumerate(jet.mul(m_power, bracket))])
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +195,6 @@ _C_RELATIONS = (
         (12, 1.0 / (2038431744.0 * _PI2**4)),
     ),
 )
-RS_MAX_CORRECTIONS = len(_C_RELATIONS) - 1
 
 
 def _phi_derivative(p, order):
@@ -286,7 +283,6 @@ _PRIMES, _LEVELS = _factor_levels(_RS_MAX_N)
 _LOG_P_LD = np.log(_PRIMES.astype(_LD))
 _INV_SQRT_P = 1.0 / np.sqrt(_PRIMES.astype(float))
 _LOG_N = np.log(np.arange(1, _RS_MAX_N + 1, dtype=float))
-_TABLE_ENTRIES = 1 << 17  # complex entries per block table: 2 MiB
 
 
 def _power_table(t, big_n, buffer):
@@ -351,7 +347,8 @@ def _rs_jet(t_arr, order, n_corr=4):
     with a = sqrt(t/2pi), N = floor(a) held at its value at t, p = a - N.
     At t + eps the main sum is 2 Re(e^{i theta} E sum_n n^{-1/2-it} e^{-i eps log n}),
     with E the jet of e^{i(theta(t + eps) - theta(t))}, so order r takes
-    the sums S_j = sum_n n^{-1/2-it} (log n)^j for j <= r.
+    the sums S_j = sum_n n^{-1/2-it} (log n)^j for j <= r.  The remainder
+    keeps the correction terms C_0..C_{n_corr}, n_corr <= 4.
     """
     if not _LONGDOUBLE_OK:
         raise ValueError(
@@ -359,12 +356,8 @@ def _rs_jet(t_arr, order, n_corr=4):
             "(np.finfo(np.longdouble).nmant >= 63) for its phase reduction"
         )
     t_arr = np.asarray(t_arr, dtype=float)
-    if np.any(t_arr < RS_MIN_T):
-        raise ValueError(f"Riemann-Siegel path requires t >= {RS_MIN_T}")
-    if np.any(t_arr > RS_MAX_T):
-        raise ValueError(f"t above Riemann-Siegel ceiling {RS_MAX_T:.0e}")
-    if not 0 <= n_corr <= RS_MAX_CORRECTIONS:
-        raise ValueError(f"n_corr must be in [0, {RS_MAX_CORRECTIONS}]")
+    if not np.all((t_arr >= RS_MIN_T) & (t_arr <= RS_MAX_T)):
+        raise ValueError(f"Riemann-Siegel path needs {RS_MIN_T:g} <= t <= {RS_MAX_T:.0e}")
     a = np.sqrt(t_arr / TWO_PI)
     big_n = a.astype(np.int64)
     p = a - big_n
@@ -398,87 +391,31 @@ def _rs_jet(t_arr, order, n_corr=4):
     return [rot.conj() * w for w in jet.mul(jet.exp([-1j * x for x in theta]), z)]
 
 
-def zeta_rs_many(t_arr, n_corr=4):
-    """zeta(1/2 + it) on the Riemann-Siegel path: order 0 of its jet."""
-    return _rs_jet(t_arr, 0, n_corr)[0]
+def zeta_rs_many(t_arr, order=0):
+    """Rows r = 0..order of the Riemann-Siegel jet: the eps^r coefficients of zeta(1/2 + i(t + eps))."""
+    return np.array(_rs_jet(t_arr, order))
 
 
-def zeta_half_line(t):
-    """zeta(1/2 + it): one point of zeta_half_line_many; negative t by conjugation."""
-    t = float(t)
-    if t < 0:
-        return np.conj(zeta_half_line(-t))
-    return complex(zeta_half_line_many(np.array([t]))[0])
+_RS_SCALE = np.array([(1j) ** -r * math.factorial(r) for r in range(MAX_DERIVATIVE + 1)])
 
 
-def zeta_half_line_many(t_arr):
-    """Vectorized zeta(1/2 + it) for nonnegative t arrays.
+def zeta_line(t, m=0):
+    """zeta^{(r)}(1/2 + it) for r = 0..m (m <= 4), as rows of an array shaped (m + 1,) + shape(t).
 
-    The Euler-Maclaurin path carries t <= EM_AUTO_MAX_T (1e-8 contract
-    with large margin), Riemann-Siegel the rest up to the 1e8 ceiling.
+    One crossover at every order: Euler-Maclaurin for |t| <= EM_AUTO_MAX_T,
+    the Riemann-Siegel jet above it up to RS_MAX_T.  On the line
+    d/dt = i d/ds, so RS row r is scaled by i^{-r} r!.  Negative t is
+    evaluated at |t| and conjugated, zeta(conj s) = conj zeta(s).
     """
-    t_arr = np.asarray(t_arr, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("zeta_half_line_many requires t >= 0")
-    em_mask = t_arr <= EM_AUTO_MAX_T
-    out = np.empty(t_arr.shape, dtype=np.complex128)
-    if np.any(em_mask):
-        out[em_mask] = zeta_em_many(0.5 + 1j * t_arr[em_mask])
-    if np.any(~em_mask):
-        out[~em_mask] = zeta_rs_many(t_arr[~em_mask])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Derivatives
-# ---------------------------------------------------------------------------
-
-
-def zeta_derivative(t, m):
-    """m-th derivative of zeta at 1/2 + it, for 0 <= m <= 4; negative t by conjugation.
-
-    One point of zeta_derivative_many: Euler-Maclaurin jets up to
-    t = 2e3, the Riemann-Siegel jet above.
-    """
-    t = float(t)
-    if t < 0:
-        return np.conj(zeta_derivative(-t, m))
-    return complex(zeta_derivative_many(np.array([t]), m)[0])
-
-
-def zeta_derivative_many(t_arr, m):
-    """Vectorized zeta^{(m)}(1/2 + it) for nonnegative t arrays, 0 <= m <= 4.
-
-    m = 0 is zeta_half_line_many.  Above it, Euler-Maclaurin jets carry
-    t <= EM_DERIVATIVE_MAX_T and Riemann-Siegel jets the rest up to 1e8.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValueError(f"derivative order must be a nonnegative integer, got {m}")
-    if m > MAX_DERIVATIVE:
-        raise ValueError(f"derivative order {m} unsupported (max {MAX_DERIVATIVE})")
-    if m == 0:
-        return zeta_half_line_many(t_arr)
-    t_arr = np.asarray(t_arr, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("zeta_derivative_many requires t >= 0")
-    em_mask = t_arr <= EM_DERIVATIVE_MAX_T
-    out = np.empty(t_arr.shape, dtype=np.complex128)
-    if np.any(em_mask):
-        out[em_mask] = zeta_em_many(0.5 + 1j * t_arr[em_mask], m=m)
-    if np.any(~em_mask):
-        out[~em_mask] = zeta_derivative_rs_many(t_arr[~em_mask], m)
-    return out
-
-
-def zeta_derivative_rs_many(t_arr, m, n_corr=4):
-    """zeta^{(m)}(1/2+it) for arrays of t above EM_DERIVATIVE_MAX_T, from the RS jet.
-
-    On the line d/dt = i d/ds, so zeta^{(m)} = i^{-m} m! times the
-    eps^m coefficient of zeta(1/2 + i(t + eps)).
-    """
-    t_arr = np.asarray(t_arr, dtype=float)
-    if np.any(t_arr <= EM_DERIVATIVE_MAX_T):
-        raise ValueError("RS derivative path requires t above the EM derivative ceiling")
-    if not 1 <= m <= MAX_DERIVATIVE:
-        raise ValueError(f"m must be in [1, {MAX_DERIVATIVE}]")
-    return (1j) ** (-m) * math.factorial(m) * _rs_jet(t_arr, m, n_corr)[m]
+    if not (isinstance(m, (int, np.integer)) and 0 <= m <= MAX_DERIVATIVE):
+        raise ValueError(f"derivative order must be an integer in [0, {MAX_DERIVATIVE}], got {m!r}")
+    t = np.asarray(t, dtype=float)
+    height = np.abs(t.ravel())
+    em = height <= EM_AUTO_MAX_T
+    out = np.empty((m + 1, height.size), dtype=np.complex128)
+    if np.any(em):
+        out[:, em] = zeta_em_many(0.5 + 1j * height[em], order=m)
+    if not np.all(em):
+        out[:, ~em] = _RS_SCALE[: m + 1, None] * zeta_rs_many(height[~em], m)
+    np.conjugate(out, out=out, where=t.ravel() < 0)
+    return out.reshape((m + 1,) + t.shape)

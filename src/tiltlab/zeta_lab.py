@@ -9,7 +9,8 @@ memory does not grow with hi - lo, and the primes are held once, in the
 sieve's output.  Sums over a window run in cache-sized chunks.
 Weighted scans sample t uniformly in [T, 2T], weigh by
 |zeta^(m)(1/2 + it + i alpha)|^{2k}, and reuse the self-normalized
-reduction of the Monte Carlo estimator.
+reduction of the Monte Carlo estimator.  One `zeta_line` call gives a
+scan's values and, unshifted, its weights; a shift takes one more.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .cue import SeedSpec
 from .estimator import reduce_weighted
-from .zeta_eval import zeta_derivative_many, zeta_half_line_many
+from .zeta_eval import RS_MAX_T, zeta_line
 
 __all__ = [
     "PrimeWindow",
@@ -35,15 +36,15 @@ __all__ = [
     "dirichlet_poly_many",
     "mertens_l",
     "mu_alpha",
+    "checked_alphas",
     "scan_stream",
-    "scan_log_weights",
     "weighted_scan",
 ]
 
 PRIME_COUNT_CAP = 10**7
 SIEVE_SEGMENT = 1 << 20  # odd numbers per sieve segment: a 1 MiB bool mask
 SIEVE_LIMIT = 10**12  # keeps the base primes (78,498 up to 1e6) and each segment's loop small
-MU_CHUNK = 1 << 16  # primes per mu_alpha chunk: three 512 KiB float buffers
+MU_CHUNK = 1 << 16  # primes per mu_alpha chunk (three 512 KiB float buffers) and per ascending check
 DIRICHLET_ENTRIES = 1 << 17  # complex entries per Dirichlet (heights x primes) block: 2 MiB
 HISTOGRAM_BINS = 80
 HISTOGRAM_HALF_WIDTHS = 6.0  # in units of sqrt(L/2)
@@ -136,23 +137,32 @@ class PrimeWindow:
     truncated: bool = False
 
     def __post_init__(self):
-        if not (self.lo >= 0 and self.hi > self.lo):
-            raise ValueError(f"need 0 <= lo < hi, got ({self.lo}, {self.hi}]")
+        _check_bounds(self.lo, self.hi)
         primes = np.asarray(self.primes, dtype=np.int64)
-        if not np.all(primes[1:] > primes[:-1]):
-            raise ValueError("prime list must be strictly ascending")
+        for lo in range(0, primes.size - 1, MU_CHUNK):  # a bool temporary per chunk, not per prime
+            chunk = primes[lo : lo + MU_CHUNK + 1]
+            if not np.all(chunk[1:] > chunk[:-1]):
+                raise ValueError("prime list must be strictly ascending")
         if primes.size and (primes[0] <= self.lo or primes[-1] > self.hi):
             raise ValueError("prime list escapes the window bounds")
         object.__setattr__(self, "primes", primes)
 
     @classmethod
     def from_bounds(cls, lo, hi):
+        _check_bounds(lo, hi)
         primes = sieve_primes(math.floor(hi), lo=lo, cap=PRIME_COUNT_CAP + 1)
         truncated = len(primes) > PRIME_COUNT_CAP
         if truncated:
             primes = primes[:PRIME_COUNT_CAP]
             hi = float(primes[-1])
         return cls(lo=float(lo), hi=float(hi), primes=primes, truncated=truncated)
+
+
+def _check_bounds(lo, hi):
+    if not 0 <= lo < hi:
+        raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
+    if hi > SIEVE_LIMIT:
+        raise ValueError(f"window hi = {hi:g} is above the sieve limit {SIEVE_LIMIT:.0e}")
 
 
 def default_window(T):
@@ -188,11 +198,7 @@ def mu_alpha(window: PrimeWindow, alpha):
     are summed pairwise and the chunk sums combined with math.fsum, so a
     value depends neither on the other alphas nor on the thread count.
     """
-    alphas = np.asarray(alpha, dtype=float)
-    if alphas.ndim > 1:
-        raise ValueError(f"alpha must be a scalar or a 1-d array, got shape {alphas.shape}")
-    if not np.all(np.abs(alphas) < 1):
-        raise ValueError(f"|alpha| must be < 1, got {alpha}")
+    alphas = checked_alphas(alpha)
     primes = window.primes
     inv_p, log_p, terms = np.empty((3, min(MU_CHUNK, primes.size)))
     chunk_sums = [[] for _ in alphas.flat]
@@ -209,6 +215,16 @@ def mu_alpha(window: PrimeWindow, alpha):
             sums.append(float(terms_c.sum()))
     values = np.array([math.fsum(sums) for sums in chunk_sums])
     return float(values[0]) if alphas.ndim == 0 else values
+
+
+def checked_alphas(alpha):
+    """alpha (a scalar or a 1-d array) as a float array, once every |alpha| < 1 is checked."""
+    alphas = np.asarray(alpha, dtype=float)
+    if alphas.ndim > 1:
+        raise ValueError(f"alpha must be a scalar or a 1-d array, got shape {alphas.shape}")
+    if not np.all(np.abs(alphas) < 1):
+        raise ValueError(f"|alpha| must be < 1, got {alpha}")
+    return alphas
 
 
 def dirichlet_poly_many(t_arr, window: PrimeWindow):
@@ -258,14 +274,17 @@ class WeightedHistogram:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """One weighted scan: t ~ U[T, 2T], weight |zeta^(m)(1/2+it+i alpha)|^{2k}."""
+    """One weighted scan: t ~ U[T, 2T], weight |zeta^(m)(1/2+it+i alpha)|^{2k}.
+
+    `window` is a PrimeWindow, (lo, hi) bounds sieved once every other field passes, or None.
+    """
 
     T: float
     samples: int
     k: int = 0
     m: int = 0
     alpha: float = 0.0
-    window: PrimeWindow | None = None
+    window: PrimeWindow | tuple | None = None
     seed: SeedSpec = SeedSpec(42)
 
     def __post_init__(self):
@@ -283,8 +302,16 @@ class ScanSpec:
             raise ValueError(f"derivative order m must be in [0, 4], got {self.m}")
         if not abs(self.alpha) < 1:
             raise ValueError(f"|alpha| must be < 1, got {self.alpha}")
+        top = 2.0 * self.T + (max(self.alpha, 0.0) if self.k else 0.0)
+        if top > RS_MAX_T:
+            raise ValueError(
+                f"T = {self.T:g}: the scan reaches t = {top:g} (t in [T, 2T], shifted by alpha for "
+                f"the weight), above the evaluator's ceiling {RS_MAX_T:.0e}"
+            )
         if self.window is None:
             object.__setattr__(self, "window", default_window(self.T))
+        elif not isinstance(self.window, PrimeWindow):
+            object.__setattr__(self, "window", PrimeWindow.from_bounds(*self.window))
         if self.window.primes.size == 0:
             raise ValueError(
                 f"the prime window ({self.window.lo:g}, {self.window.hi:g}] holds no prime; "
@@ -294,32 +321,32 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class ScanStream:
-    """Raw scan draws: sample heights, log|zeta| values, Re P(t) proxy."""
+    """Raw scan draws: sample heights, log|zeta| values, log-weights, Re P(t) proxy."""
 
     t: np.ndarray
     values: np.ndarray
+    log_weights: np.ndarray
     proxy: np.ndarray
 
 
 def scan_stream(spec: ScanSpec) -> ScanStream:
-    """Draw t ~ U[T, 2T] and evaluate log|zeta(1/2+it)| and the prime proxy."""
+    """Draw t ~ U[T, 2T]; evaluate log|zeta(1/2+it)|, the log-weights and the prime proxy.
+
+    The values are log|row 0| of one `zeta_line` call, of order m when
+    the weight is unshifted, so its row m gives the log-weights
+    2k log|zeta^(m)| at the same heights; a shift alpha takes one more
+    call at t + alpha.  At k = 0 the call is of order 0 and the weights are 0.
+    """
     rng = spec.seed.rng()
     t = spec.T * (1.0 + rng.random(spec.samples))
-    zeta_vals = zeta_half_line_many(t)
+    rows = zeta_line(t, spec.m if spec.k and not spec.alpha else 0)
     with np.errstate(divide="ignore"):
-        values = np.log(np.abs(zeta_vals))
+        values = np.log(np.abs(rows[0]))
+        if spec.k and spec.alpha:
+            rows = zeta_line(t + spec.alpha, spec.m)
+        log_w = 2.0 * spec.k * np.log(np.abs(rows[-1])) if spec.k else np.zeros(t.shape)
     proxy = dirichlet_poly_many(t, spec.window).real
-    return ScanStream(t=t, values=values, proxy=proxy)
-
-
-def scan_log_weights(t, k, m, alpha):
-    """log of |zeta^(m)(1/2 + i(t + alpha))|^{2k} for a sample-height array."""
-    t = np.asarray(t, dtype=float)
-    if k == 0:
-        return np.zeros(t.shape)
-    w_abs = np.abs(zeta_derivative_many(t + alpha, m))
-    with np.errstate(divide="ignore"):
-        return 2.0 * k * np.log(w_abs)
+    return ScanStream(t=t, values=values, log_weights=log_w, proxy=proxy)
 
 
 def weighted_scan(spec: ScanSpec, n_max=4, bootstrap=400):
@@ -330,10 +357,7 @@ def weighted_scan(spec: ScanSpec, n_max=4, bootstrap=400):
     being dropped.
     """
     stream = scan_stream(spec)
-    if spec.k and spec.m == 0 and spec.alpha == 0:
-        log_w = 2.0 * spec.k * stream.values  # |zeta|^{2k} at the stream's own heights
-    else:
-        log_w = scan_log_weights(stream.t, spec.k, spec.m, spec.alpha)
+    log_w = stream.log_weights
     finite = np.isfinite(stream.values)
     report = reduce_weighted(stream.values[finite], log_w[finite], n_max, bootstrap=bootstrap)
     corr = float(np.corrcoef(stream.proxy[finite], stream.values[finite])[0, 1])

@@ -27,6 +27,7 @@ importance sampling from Haar at N=200, k=1 keeps an effective sample
 size near 10^2 of 2e5, too little to resolve the KS bound 0.02.
 """
 
+import dataclasses
 import math
 import time
 import warnings
@@ -52,13 +53,12 @@ from tiltlab.shifts import (
     second_moment_recipe_k1,
     swap_shifts,
 )
-from tiltlab.zeta_eval import siegel_theta, zeta_em, zeta_em_many, zeta_rs_many
+from tiltlab.zeta_eval import siegel_theta, zeta_em_many, zeta_rs_many
 from tiltlab.zeta_lab import (
     PrimeWindow,
     ScanSpec,
     mertens_l,
     mu_alpha,
-    scan_log_weights,
     scan_stream,
 )
 
@@ -199,7 +199,7 @@ def test_criterion_4_normalizer_cross_check():
 
 def test_criterion_5_zeta_evaluator():
     checks = Checks("5")
-    zeta_half = zeta_em(0.5)
+    zeta_half = zeta_em_many(0.5)[0]
     oracle = eta_zeta(0.5)
     checks.record(
         "zeta_half",
@@ -209,7 +209,7 @@ def test_criterion_5_zeta_evaluator():
 
     def hardy_z(t):
         theta = float(np.remainder(siegel_theta(t), 2.0 * np.pi))
-        return (np.exp(1j * theta) * zeta_em(complex(0.5, t))).real
+        return (np.exp(1j * theta) * zeta_em_many(complex(0.5, t))[0]).real
 
     root = brentq(hardy_z, 14.0, 14.3, xtol=1e-10)
     checks.record(
@@ -220,7 +220,7 @@ def test_criterion_5_zeta_evaluator():
 
     rng = np.random.default_rng(MASTER_SEED)
     t = rng.uniform(50.0, 500.0, size=1000)
-    gap = np.abs(zeta_rs_many(t) - zeta_em_many(0.5 + 1j * t)).max()
+    gap = np.abs(zeta_rs_many(t)[0] - zeta_em_many(0.5 + 1j * t)[0]).max()
     checks.record("dual_route", gap < 1e-6, f"max |RS - EM| = {gap:.2e} on [50, 500]")
     checks.finish()
 
@@ -277,10 +277,10 @@ def test_criterion_8_zeta_trend_suite():
     stream = scan_stream(spec)
     finite = np.isfinite(stream.values)
     v = stream.values[finite]
-    t = stream.t[finite]
     zeros = np.zeros_like(v)
 
-    lw_k1 = scan_log_weights(t, 1, 0, 0.0)
+    # every weight below is read at the same heights: one seed, one draw of t
+    lw_k1 = stream.log_weights[finite]
     diff, se = paired_bootstrap_diff(v, lw_k1, v, zeros, MASTER_SEED + 1)
     checks.record(
         "a_weighted_exceeds_unweighted",
@@ -289,7 +289,7 @@ def test_criterion_8_zeta_trend_suite():
     )
 
     # the CUE analogue at the matrix size matching t ~ U[T, 2T]
-    lw_m1 = scan_log_weights(t, 1, 1, 0.0)
+    lw_m1 = scan_stream(dataclasses.replace(spec, m=1)).log_weights[finite]
     diff_m, se_m = paired_bootstrap_diff(v, lw_m1, v, lw_k1, MASTER_SEED + 1)
     n_cue = round(math.log(spec.T / (2 * math.pi)) + 2 * math.log(2) - 1)
     cue_m, cue_se = cue_derivative_weight_shift(n_cue, 10**5, MASTER_SEED + 2)
@@ -300,7 +300,7 @@ def test_criterion_8_zeta_trend_suite():
         f"m=1 minus m=0 = {diff_m:.4f} +- {se_m:.4f} vs CUE(N={n_cue}) {cue_m:.4f} +- {cue_se:.4f}",
     )
 
-    lw_shift = scan_log_weights(t, 1, 0, 0.05)
+    lw_shift = scan_stream(dataclasses.replace(spec, alpha=0.05)).log_weights[finite]
     diff_s, se_s = paired_bootstrap_diff(v, lw_shift, v, lw_k1, MASTER_SEED + 1)
     checks.record(
         "c_shift_lowers_mean",

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tiltlab
-from tiltlab import cli
+from tiltlab import cli, zeta_lab
 from tiltlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
 
 from oracles import harmonic
@@ -298,6 +298,27 @@ def test_mu_alpha_rejects_a_window_above_the_sieve_limit(tmp_path, capsys, hi):
     assert os.listdir(tmp_path) == []
 
 
+def _never_sieve(*args, **kwargs):
+    raise AssertionError("the sieve ran before the arguments were checked")
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["mu-alpha", "--lo=-5", "--hi", "1e10", "--alpha", "0"], "(-5.0, 10000000000.0]"),
+        (["mu-alpha", "--lo", "1", "--hi", "1e10", "--alpha", "2"], "got [2.0]"),
+        (["zeta-scan", "--t", "1e300", "--samples", "100"], "T = 1e+300"),
+        (["zeta-scan", "--t", "6e7", "--samples", "100", "--window-lo", "1", "--window-hi", "1e10"], "T = 6e+07"),
+    ],
+)
+def test_arguments_are_checked_before_the_sieve(tmp_path, monkeypatch, capsys, args, text):
+    monkeypatch.setattr(zeta_lab, "sieve_primes", _never_sieve)
+    out = tmp_path / "result.json"
+    assert run_cli(args + ["--out", str(out)]) == EXIT_PRECONDITION
+    assert text in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
 
@@ -361,3 +382,25 @@ def test_mu_alpha_exit_codes(lo, hi, alphas):
 )
 def test_exact_moments_exit_codes(n, k, orders):
     _exit_code_contract(["exact-moments", f"--n={n}", f"--k={k!r}", f"--orders={orders}"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t=st.floats(656.2, 5e7)
+    | st.floats(5e7 - 1.0, 5e7 + 1.0)
+    | st.sampled_from([10.0, 999.0, 1000.0, 1500.0])
+    | _SPECIAL_FLOATS,
+    samples=st.integers(100, 300),
+    k=st.integers(0, 3) | st.sampled_from([-1, 50]),
+    m=st.integers(0, 4) | st.sampled_from([-1, 5]),
+    alpha=st.floats(-0.999, 0.999) | st.sampled_from([-1.0, 1.0]) | _SPECIAL_FLOATS,
+    window=st.none()
+    | st.tuples(st.floats(0.0, 30.0), st.floats(30.0, 500.0))
+    | st.tuples(st.floats(-2.0, 60.0), st.floats(-2.0, 60.0)),
+)
+@example(t=1e5, samples=300, k=50, m=4, alpha=0.5, window=None)  # the mean weight passes the float range
+def test_zeta_scan_exit_codes(t, samples, k, m, alpha, window):
+    args = ["zeta-scan", f"--t={t!r}", f"--samples={samples}", f"--k={k}", f"--m={m}", f"--alpha={alpha!r}"]
+    if window is not None:
+        args += [f"--window-lo={window[0]!r}", f"--window-hi={window[1]!r}"]
+    _exit_code_contract(args)

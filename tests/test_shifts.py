@@ -169,7 +169,7 @@ def test_quadrature_matches_pointwise_em_simpson(alpha, beta):
     t_lo, t_hi, step = 500.0, 520.0, 0.05
     n_panels = int(math.ceil((t_hi - t_lo) / step / 2)) * 2
     t = np.linspace(t_lo, t_hi, n_panels + 1)
-    integrand = (zeta_em_many(0.5 + alpha + 1j * t) * zeta_em_many(0.5 + beta - 1j * t)).real
+    integrand = (zeta_em_many(0.5 + alpha + 1j * t)[0] * zeta_em_many(0.5 + beta - 1j * t)[0]).real
     weights = np.ones(n_panels + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

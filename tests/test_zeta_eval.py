@@ -9,21 +9,15 @@ from scipy.optimize import brentq
 from tiltlab import zeta_eval
 from tiltlab.zeta_eval import (
     EM_AUTO_MAX_T,
-    EM_DERIVATIVE_MAX_T,
     RS_MAX_T,
     _factor_levels,
     _phi_derivative,
     _rs_jet,
     _rs_main_sums,
     siegel_theta,
-    zeta_derivative,
-    zeta_derivative_many,
-    zeta_derivative_rs_many,
-    zeta_em,
     zeta_em_many,
     zeta_em_progression,
-    zeta_half_line,
-    zeta_half_line_many,
+    zeta_line,
     zeta_rs_many,
 )
 
@@ -36,32 +30,32 @@ FIRST_ZERO = 14.134725141734693
 def test_zeta_half_matches_eta_oracle():
     oracle = eta_zeta(0.5)
     assert abs(oracle.real - ZETA_HALF) < 1e-12
-    got = zeta_half_line(0.0)
+    got = zeta_line(0.0)[0]
     assert abs(got - oracle) < 1e-10
 
 
 def test_em_against_eta_series_small_heights():
     for t in (0.0, 0.5, 3.0, 9.7):
         oracle = eta_zeta(complex(0.5, t))
-        assert abs(zeta_em(complex(0.5, t)) - oracle) < 1e-10
+        assert abs(zeta_em_many(complex(0.5, t))[0] - oracle) < 1e-10
 
 
 def test_em_off_the_line():
     # the recipe evaluations sit near s = 1
     for s in (1.0724, 0.8552, 1.5 + 2.0j, 0.51 + 0.7j):
         oracle = eta_zeta(s)
-        assert abs(zeta_em(s) - oracle) < 1e-9
+        assert abs(zeta_em_many(s)[0] - oracle) < 1e-9
 
 
 def test_first_zero_by_root_find():
     # Z(t) = exp(i theta) zeta(1/2 + it) is real; bracket the first sign change
     def hardy_z(t):
         theta = float(np.remainder(siegel_theta(t), 2.0 * np.pi))
-        return (np.exp(1j * theta) * zeta_em(complex(0.5, t))).real
+        return (np.exp(1j * theta) * zeta_em_many(complex(0.5, t))[0]).real
 
     root = brentq(hardy_z, 14.0, 14.3, xtol=1e-9)
     assert abs(root - FIRST_ZERO) < 1e-5
-    assert abs(zeta_half_line(FIRST_ZERO)) < 1e-4
+    assert abs(zeta_line(FIRST_ZERO)[0]) < 1e-4
 
 
 @pytest.mark.parametrize("sigma", [0.5, 0.5 + 0.0724])
@@ -75,7 +69,7 @@ def test_em_progression_matches_em_many(count, sign, sigma):
     got = zeta_em_progression(s0, ds, count)
     assert got.shape == (count,)
     idx = np.unique(np.r_[np.arange(0, count, max(1, count // 200)), count - 1])
-    direct = zeta_em_many(s0 + idx * ds)
+    direct = zeta_em_many(s0 + idx * ds)[0]
     assert np.abs(got[idx] - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
@@ -99,7 +93,7 @@ def test_em_progression_against_mpmath():
 )
 def test_em_progression_matches_em_many_property(sigma, height, step_re, step_im, count):
     s0, ds = complex(sigma, height), complex(step_re, step_im)
-    direct = zeta_em_many(s0 + np.arange(count) * ds)
+    direct = zeta_em_many(s0 + np.arange(count) * ds)[0]
     got = zeta_em_progression(s0, ds, count)
     # near a zero max|zeta| over a few nodes can be tiny, while the main
     # sum's rounding is set by its O(1) terms: floor the scale at 1
@@ -115,18 +109,18 @@ def test_em_progression_rejects_empty_counts():
 def test_rs_vs_em_dual_route():
     rng = np.random.default_rng(314)
     t = rng.uniform(50.0, 500.0, size=200)
-    rs = zeta_rs_many(t)
-    em = zeta_em_many(0.5 + 1j * t)
+    rs = zeta_rs_many(t)[0]
+    em = zeta_em_many(0.5 + 1j * t)[0]
     assert np.abs(rs - em).max() < 1e-6
 
 
 def test_rs_correction_terms_tighten():
     rng = np.random.default_rng(2)
     t = rng.uniform(60.0, 300.0, size=50)
-    em = zeta_em_many(0.5 + 1j * t)
-    err0 = np.abs(zeta_rs_many(t, n_corr=0) - em).max()
-    err2 = np.abs(zeta_rs_many(t, n_corr=2) - em).max()
-    err4 = np.abs(zeta_rs_many(t, n_corr=4) - em).max()
+    em = zeta_em_many(0.5 + 1j * t)[0]
+    err0 = np.abs(_rs_jet(t, 0, n_corr=0)[0] - em).max()
+    err2 = np.abs(_rs_jet(t, 0, n_corr=2)[0] - em).max()
+    err4 = np.abs(_rs_jet(t, 0, n_corr=4)[0] - em).max()
     assert err2 < err0
     assert err4 < err2 < 1e-4
 
@@ -136,7 +130,7 @@ def test_rs_large_heights_against_mpmath():
 
     mp.mp.dps = 30
     ts = (1e4 + 0.3, 1e6 + 0.37, 1e8 - 0.2)
-    for t, got in zip(ts, zeta_rs_many(np.array(ts))):
+    for t, got in zip(ts, zeta_rs_many(np.array(ts))[0]):
         ref = complex(mp.zeta(mp.mpc(0.5, t)))
         assert abs(got - ref) < 1e-6
 
@@ -161,12 +155,12 @@ def test_rs_main_sum_against_mpmath_direct_sum():
 def test_rs_values_do_not_depend_on_the_batch():
     rng = np.random.default_rng(41)
     probes = np.array([5e7 + 1.5, 7.3e7 + 0.25, 1e8 - 0.2])
-    alone = np.array([zeta_rs_many(np.array([t]))[0] for t in probes])
+    alone = np.array([zeta_rs_many(np.array([t]))[0, 0] for t in probes])
     batch = np.concatenate([probes, rng.uniform(5e7, 1e8, size=1997)])
     order = rng.permutation(batch.size)
     shuffled = np.empty(batch.size, dtype=np.complex128)
-    shuffled[order] = zeta_rs_many(batch[order])
-    mixed = zeta_rs_many(np.concatenate([[41.0, 1e4 + 0.3, 2e5], probes, [55.5]]))[3:6]
+    shuffled[order] = zeta_rs_many(batch[order])[0]
+    mixed = zeta_rs_many(np.concatenate([[41.0, 1e4 + 0.3, 2e5], probes, [55.5]]))[0, 3:6]
     scale = np.maximum(1.0, np.abs(alone))
     assert np.all(np.abs(shuffled[:3] - alone) <= 1e-12 * scale)
     assert np.all(np.abs(mixed - alone) <= 1e-12 * scale)
@@ -175,8 +169,8 @@ def test_rs_values_do_not_depend_on_the_batch():
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_rs_jet_order_zero_is_the_evaluation(order):
     t = np.array([2000.5, 5000.0, 33333.3, 1e5, 1e6 + 0.37, 5e7 + 1.5, 1e8 - 0.2])
-    ref = zeta_rs_many(t)
-    got = _rs_jet(t, order)[0]
+    ref = zeta_rs_many(t)[0]
+    got = zeta_rs_many(t, order)[0]
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
@@ -217,41 +211,52 @@ def test_rs_path_requires_an_extended_long_double(monkeypatch):
     monkeypatch.setattr(zeta_eval, "_LONGDOUBLE_OK", False)
     for call in (
         lambda: zeta_rs_many(np.array([5000.0])),
-        lambda: zeta_half_line_many(np.array([3.0, 5000.0])),
-        lambda: zeta_derivative_rs_many(np.array([5000.0]), 1),
+        lambda: zeta_line(np.array([3.0, 5000.0])),
+        lambda: zeta_line(5000.0, 1),
     ):
         with pytest.raises(ValueError, match="long double"):
             call()
-    assert zeta_half_line(300.0) == zeta_em(0.5 + 300j)
+    assert np.array_equal(zeta_line(300.0, 4), zeta_em_many(0.5 + 300j, order=4))
 
 
 def test_conjugation_symmetry_exact():
-    for t in (0.7, 55.0, 3000.0):
-        assert zeta_half_line(-t) == np.conj(zeta_half_line(t))
+    t = np.array([0.7, 55.0, EM_AUTO_MAX_T, 1000.5, 3000.0, 1e8])
+    for m in range(5):
+        assert np.array_equal(zeta_line(-t, m), np.conj(zeta_line(t, m)))
+        for ti in t:
+            assert np.array_equal(zeta_line(-ti, m), np.conj(zeta_line(ti, m)))
 
 
 def test_auto_path_consistency_at_boundary():
+    # one crossover at every order: EM at EM_AUTO_MAX_T, RS from the next float up
     t = EM_AUTO_MAX_T
-    a = zeta_half_line(t - 1.0)
-    b = zeta_half_line(t + 1.0)
-    assert np.isfinite(a.real) and np.isfinite(b.real)
-    assert abs(zeta_em_many(np.array([0.5 + 1j * (t + 1.0)]))[0] - b) < 1e-9
+    above = np.nextafter(t, np.inf)
+    assert np.all(np.isfinite(zeta_line(t - 1.0, 4)))
+    assert np.array_equal(zeta_line(t, 4), zeta_em_many(0.5 + 1j * t, order=4))
+    rs = zeta_line(above, 4)
+    assert np.array_equal(rs[0], zeta_rs_many(above)[0])
+    em = zeta_em_many(0.5 + 1j * above, order=4)
+    for m in range(5):
+        assert abs(rs[m] - em[m]) < 1e-9 * max(1.0, abs(em[m]))
+    b = zeta_line(t + 1.0)[0]
+    assert abs(zeta_em_many(np.array([0.5 + 1j * (t + 1.0)]))[0, 0] - b) < 1e-9
 
 
 def test_many_matches_scalar():
-    t = np.array([0.0, 12.0, 444.4, 1234.5, 31000.0])
-    many = zeta_half_line_many(t)
+    t = np.array([0.0, 12.0, 444.4, EM_AUTO_MAX_T, 1234.5, 31000.0])
+    many = zeta_line(t)[0]
     for ti, vi in zip(t, many):
-        assert vi == pytest.approx(zeta_half_line(float(ti)), abs=1e-12)
+        assert vi == pytest.approx(zeta_line(float(ti))[0], abs=1e-12)
 
 
 def test_derivative_order_zero_degenerates_to_evaluation():
-    for t in (0.0, 77.0, 5000.0):
-        assert zeta_derivative(t, 0) == zeta_half_line(t)
+    for t in (0.0, 77.0, 1500.0, 5000.0):
+        for m in range(1, 5):
+            assert zeta_line(t, m)[0] == zeta_line(t)[0]
 
 
 def test_derivative_matches_eta_oracle_at_zero():
-    got = zeta_derivative(0.0, 1)
+    got = zeta_line(0.0, 1)[1]
     oracle = eta_zeta_derivative(0.5)
     assert abs(got - oracle) < 1e-6
 
@@ -260,8 +265,8 @@ def test_derivative_conjugation():
     rng = np.random.default_rng(6)
     for m in (1, 2):
         for t in rng.uniform(5, 500, size=3):
-            left = zeta_derivative(-float(t), m)
-            right = np.conj(zeta_derivative(float(t), m))
+            left = zeta_line(-float(t), m)[m]
+            right = np.conj(zeta_line(float(t), m)[m])
             assert left == right
 
 
@@ -271,7 +276,7 @@ def test_low_height_derivatives_against_mpmath():
     mp.mp.dps = 25
     for t, m in ((13.0, 1), (100.0, 2), (450.0, 3), (800.0, 4)):
         ref = complex(mp.zeta(mp.mpc(0.5, t), derivative=m))
-        got = zeta_derivative(t, m)
+        got = zeta_line(t, m)[m]
         assert abs(got - ref) < 1e-6 * max(1.0, abs(ref))
 
 
@@ -280,8 +285,9 @@ def test_em_jet_derivatives_against_mpmath(m):
     import mpmath as mp
 
     mp.mp.dps = 25
-    t = np.array([13.0, 100.0, 450.0, 800.0, 1999.0])
-    got = zeta_derivative_many(t, m)
+    # the EM path itself stays accurate above the crossover
+    t = np.array([13.0, 100.0, 450.0, 800.0, 999.0, 1999.0])
+    got = zeta_em_many(0.5 + 1j * t, order=m)[m]
     for ti, gi in zip(t, got):
         ref = complex(mp.zeta(mp.mpc(0.5, ti), derivative=m))
         assert abs(gi - ref) < 1e-10 * abs(ref)
@@ -289,11 +295,24 @@ def test_em_jet_derivatives_against_mpmath(m):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_derivative_many_matches_scalar(m):
-    # one batch across the EM/RS ceiling; the batch shares one EM term count
-    t = np.array([0.0, 14.5, 333.3, 1500.0, EM_DERIVATIVE_MAX_T, 2000.5, 7777.7, 1e6 + 0.1])
-    many = zeta_derivative_many(t, m)
+    # one batch across the crossover and both signs; the batch shares one EM term count
+    t = np.array([0.0, 14.5, -333.3, EM_AUTO_MAX_T, 1000.5, -1500.0, 7777.7, 1e6 + 0.1])
+    many = zeta_line(t, m)[m]
     for ti, vi in zip(t, many):
-        assert vi == pytest.approx(zeta_derivative(float(ti), m), rel=1e-10, abs=1e-12)
+        assert vi == pytest.approx(zeta_line(float(ti), m)[m], rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_line_against_mpmath_across_the_crossover(m):
+    # RS now carries every order above 1000, where EM jets used to run up to 2000
+    import mpmath as mp
+
+    mp.mp.dps = 25
+    t = np.array([999.0, 1000.5, 1500.0, 1999.0])
+    got = zeta_line(t, m)[m]
+    for ti, gi in zip(t, got):
+        ref = complex(mp.zeta(mp.mpc(0.5, ti), derivative=m))
+        assert abs(gi - ref) < 1e-10 * abs(ref)
 
 
 def test_rs_derivatives_against_mpmath():
@@ -302,7 +321,7 @@ def test_rs_derivatives_against_mpmath():
     mp.mp.dps = 25
     for t, m in ((5000.0, 1), (5000.0, 2), (1e5, 1), (1e5, 3), (1e5, 4)):
         ref = complex(mp.zeta(mp.mpc(0.5, t), derivative=m))
-        got = complex(zeta_derivative_rs_many(np.array([t]), m)[0])
+        got = complex(zeta_line(np.array([t]), m)[m, 0])
         assert abs(got - ref) < 1e-5 * abs(ref)
 
 
@@ -313,8 +332,8 @@ def test_rs_jet_derivatives_to_full_order_against_mpmath(m):
     import mpmath as mp
 
     mp.mp.dps = 25
-    t = np.array([2000.5, 5000.0, 33333.3, 1e5, 1e6 + 0.37, 1e8 - 0.2])
-    got = zeta_derivative_rs_many(t, m)
+    t = np.array([1000.5, 1500.0, 1999.0, 2000.5, 5000.0, 33333.3, 1e5, 1e6 + 0.37, 1e8 - 0.2])
+    got = zeta_line(t, m)[m]
     for ti, gi in zip(t, got):
         ref = complex(mp.zeta(mp.mpc(0.5, ti), derivative=m))
         assert abs(gi - ref) < 1e-8 * abs(ref)
@@ -349,15 +368,13 @@ def test_theta_against_mpmath():
 
 
 def test_ceilings_and_guards():
-    with pytest.raises(ValueError):
-        zeta_half_line(RS_MAX_T * 2)
+    for t in (RS_MAX_T * 2, -RS_MAX_T * 2, math.nan, math.inf, np.array([5.0, math.nan])):
+        with pytest.raises(ValueError, match="Riemann-Siegel"):
+            zeta_line(t)
     with pytest.raises(ValueError):
         zeta_rs_many(np.array([10.0]))
+    for m in (5, -1, 1.0):
+        with pytest.raises(ValueError, match="derivative order"):
+            zeta_line(10.0, m)
     with pytest.raises(ValueError):
-        zeta_derivative(10.0, 5)
-    with pytest.raises(ValueError):
-        zeta_derivative(10.0, -1)
-    with pytest.raises(ValueError):
-        zeta_derivative_many(np.array([-1.0]), 1)
-    with pytest.raises(ValueError):
-        zeta_em(1.0)
+        zeta_em_many(1.0)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +20,6 @@ from tiltlab.zeta_lab import (
     mertens_l,
     mu_alpha,
     prime_count_bound,
-    scan_log_weights,
     scan_stream,
     sieve_primes,
     weighted_scan,
@@ -109,6 +110,46 @@ def test_window_sieve_holds_one_copy_of_its_output():
     # the output is written in place: no list of per-segment pieces to concatenate
     assert window.primes.size == 664579
     assert peak < window.primes.nbytes + 3 * 2**20
+
+
+def test_window_order_check_runs_in_chunks():
+    sieve_primes(10**4)  # warm the base primes' path outside the traced region
+    peaks = []
+    for build in (
+        lambda: sieve_primes(10**8, lo=1, cap=zeta_lab.PRIME_COUNT_CAP + 1),
+        lambda: PrimeWindow.from_bounds(1, 10**8),
+    ):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one bool per prime would add 5.5 MiB for the 5,761,455 primes up to 1e8
+    assert peaks[1] <= peaks[0] + 2**19
+
+
+def test_bounds_and_heights_are_checked_before_sieving(monkeypatch):
+    def never_sieve(*args, **kwargs):
+        raise AssertionError("sieved before the bounds were checked")
+
+    monkeypatch.setattr(zeta_lab, "sieve_primes", never_sieve)
+    for lo, hi, text in (
+        (-5.0, 1e10, "(-5.0, 10000000000.0]"),
+        (7.0, 7.0, "(7.0, 7.0]"),
+        (math.nan, 10.0, "(nan, 10.0]"),
+        (1.0, 1e13, "hi = 1e+13 is above the sieve limit"),
+    ):
+        with pytest.raises(ValueError) as info:
+            PrimeWindow.from_bounds(lo, hi)
+        assert text in str(info.value)
+    # [T, 2T], and t + alpha for a weight, must stay under the evaluator's 1e8 ceiling
+    for T, kwargs in ((6e7, {}), (1e300, {}), (5e7, dict(k=1, alpha=0.5)), (5e7 + 0.25, {})):
+        with pytest.raises(ValueError, match=re.escape(f"T = {T:g}")):
+            ScanSpec(T=T, samples=100, window=(1.0, 1e10), **kwargs)
+    window = PrimeWindow(lo=1, hi=10, primes=np.array([2, 3, 5, 7]))
+    for kwargs in (dict(k=0, alpha=0.5), dict(k=1, alpha=-0.5), dict(k=1)):
+        assert ScanSpec(T=5e7, samples=100, window=window, **kwargs).window is window
 
 
 def test_mu_alpha_allocates_chunks_not_windows():
@@ -342,7 +383,7 @@ def test_overflow_weight_is_the_weight_above_the_top_edge():
     spec = ScanSpec(T=300.0, samples=2000, k=1, m=0, window=window, seed=SeedSpec(5))
     hist, _ = weighted_scan(spec)
     stream = scan_stream(spec)
-    log_w = scan_log_weights(stream.t, spec.k, spec.m, spec.alpha)
+    log_w = stream.log_weights
     weights = np.exp(log_w - log_w.max())
     assert hist.overflow_weight >= 0.0
     assert hist.overflow_weight == float(weights[stream.values > hist.bin_edges[-1]].sum())
@@ -410,38 +451,51 @@ def test_proxy_positively_correlated():
 
 
 def test_scan_log_weights_zero_tilt_and_shift_reuse():
-    t = np.array([5000.0, 5100.0])
-    assert np.array_equal(scan_log_weights(t, 0, 0, 0.0), np.zeros(2))
-    lw = scan_log_weights(t, 1, 0, 0.0)
-    from tiltlab.zeta_eval import zeta_half_line
-
-    for ti, li in zip(t, lw):
-        assert li == pytest.approx(2.0 * math.log(abs(zeta_half_line(ti))), abs=1e-10)
+    window = PrimeWindow.from_bounds(1, 100)
+    spec = ScanSpec(T=5000.0, samples=100, k=0, m=2, alpha=0.3, window=window, seed=SeedSpec(3))
+    stream = scan_stream(spec)
+    assert np.array_equal(stream.log_weights, np.zeros(spec.samples))
+    for m, alpha in ((0, 0.0), (2, 0.0), (1, 0.3)):
+        shifted = scan_stream(dataclasses.replace(spec, k=1, m=m, alpha=alpha))
+        assert np.array_equal(shifted.t, stream.t)
+        ref = zeta_eval.zeta_line(stream.t + alpha, m)[m]
+        assert np.allclose(shifted.log_weights, 2.0 * np.log(np.abs(ref)), rtol=0, atol=1e-10)
 
 
 def test_unshifted_scan_evaluates_zeta_once(monkeypatch):
-    # at m = 0, alpha = 0 the weight |zeta|^{2k} comes from the stream's own values
-    spec = ScanSpec(T=5000.0, samples=500, k=1, seed=SeedSpec(23))
-    stream = scan_stream(spec)
-    log_w = scan_log_weights(stream.t, spec.k, spec.m, spec.alpha)
+    # unshifted, one zeta_line call gives the values (row 0) and the weights (row m);
+    # a shift takes exactly one more call, at t + alpha
     calls = []
-    evaluate = zeta_eval.zeta_half_line_many
 
-    def counted(t_arr):
-        calls.append(np.size(t_arr))
-        return evaluate(t_arr)
+    def counted(t, m=0):
+        calls.append((np.size(t), m))
+        return zeta_eval.zeta_line(t, m)
 
-    monkeypatch.setattr(zeta_lab, "zeta_half_line_many", counted)
-    monkeypatch.setattr(zeta_eval, "zeta_half_line_many", counted)
-    hist, report = weighted_scan(spec)
-    assert calls == [spec.samples]
-    finite = np.isfinite(stream.values)
-    ref = reduce_weighted(stream.values[finite], log_w[finite], 4, bootstrap=400)
-    assert np.array_equal(report.log_weights, ref.log_weights)
-    for name in ("ess", "weighted_mean", "central_moments", "standard_errors"):
-        assert getattr(report, name) == getattr(ref, name)
-    weights = np.exp(log_w - log_w.max())
-    assert np.array_equal(hist.weighted_counts, np.histogram(stream.values, hist.bin_edges, weights=weights)[0])
+    for alpha in (0.0, 0.05):
+        base = ScanSpec(T=5000.0, samples=500, k=1, alpha=alpha, seed=SeedSpec(23))
+        values_m0 = scan_stream(base).values
+        with monkeypatch.context() as mp:
+            mp.setattr(zeta_lab, "zeta_line", counted)
+            for m in (0, 1, 2):
+                spec = dataclasses.replace(base, m=m)
+                stream = scan_stream(spec)
+                calls.clear()
+                hist, report = weighted_scan(spec)
+                assert calls == ([(spec.samples, 0), (spec.samples, m)] if alpha else [(spec.samples, m)])
+                finite = np.isfinite(stream.values)
+                scale = np.abs(values_m0[finite])
+                assert np.all(np.abs(stream.values[finite] - values_m0[finite]) <= 1e-12 * scale)
+                log_w = stream.log_weights
+                ref = reduce_weighted(stream.values[finite], log_w[finite], 4, bootstrap=400)
+                assert np.array_equal(report.log_weights, ref.log_weights)
+                for name in ("ess", "weighted_mean", "central_moments", "standard_errors"):
+                    assert getattr(report, name) == getattr(ref, name)
+                weights = np.exp(log_w - log_w.max())
+                counts = np.histogram(stream.values, hist.bin_edges, weights=weights)[0]
+                assert np.array_equal(hist.weighted_counts, counts)
+            calls.clear()
+            scan_stream(dataclasses.replace(base, k=0, m=2))
+            assert calls == [(base.samples, 0)]
 
 
 def test_weighted_scan_with_derivative_weight_smoke():
