@@ -16,7 +16,11 @@ Two streams, one shard driver:
 Streams are sharded by fixed-size blocks of the (master_seed,
 stream_index) space, so results never depend on how many workers
 consumed them; the shards run on a thread pool of TILTLAB_THREADS
-workers (default: the CPUs this process may use).
+workers (default: the CPUs this process may use).  Each worker of the
+splitting stream keeps its own scratch.  At k = 0 (Haar) that is a shard's
+radii (8 bytes x 4096 x N) plus three row blocks of about 256 KiB; under
+a tilt (k >= 1) the draw order needs whole-shard arrays, about
+8 bytes x 4096 x N x (k + 5).
 ``rotation_invariance_check`` draws its two sets through the same QR
 helper as the dense stream.
 """
@@ -76,6 +80,9 @@ def _haar_log_abs(rng, n, take, theta=0.0, phase_correction=True):
 
 
 STREAM_SHARD = 4096
+# doubles in one Haar row block of a scratch buffer: three blocks (768 KiB) stay
+# in L2, and with two workers each numpy call is long beside its GIL handoff
+_BLOCK_DOUBLES = 2**15
 
 
 def _stream_workers(shards):
@@ -86,7 +93,10 @@ def _stream_workers(shards):
     """
     setting = os.environ.get("TILTLAB_THREADS")
     if setting:
-        workers = int(setting)
+        try:
+            workers = int(setting)
+        except ValueError:  # "abc", "1.5": reported below like "0"
+            workers = 0
         if workers < 1:
             raise ValueError(f"TILTLAB_THREADS must be a positive integer, got {setting!r}")
     elif hasattr(os, "sched_getaffinity"):
@@ -184,45 +194,53 @@ def log_char_poly_stream(n, count, seed: SeedSpec, k=0):
     thresholds = _split_mixture_thresholds(n, k)
     inv_denoms = 1.0 / (np.arange(1, n, dtype=float) + np.arange(k + 1)[:, None])
     size = min(STREAM_SHARD, count)
+    # Haar rows go through in blocks of about _BLOCK_DOUBLES; a tilt draws its
+    # mixture uniforms after every exponential layer and its envelope uniforms
+    # after every phase, so it takes the whole shard as one block
+    rows = size if k else min(size, max(1, _BLOCK_DOUBLES // n))
 
     def scratch():
         # exponentials; under a tilt, the mixture uniforms and then the
-        # rejection envelope; r; |1 + r e^{iw}|^2; the phase uniforms
-        flat = [(k + 1) * size * (n - 1), size * n if k else 0] + [size * n] * 3
+        # rejection envelope; r (whole shard); |1 + r e^{iw}|^2; the phase uniforms
+        flat = [(k + 1) * rows * (n - 1), size * n if k else 0, size * n, rows * n, rows * n]
         return [np.empty(length) for length in flat]
 
     def shard(rng, take, buffers):
         expo, spare, r, sq, u = buffers
-        r, sq, u = r[: take * n], sq[: take * n], u[: take * n]
-        radii = r.reshape(take, n)
+        radii = r[: take * n].reshape(take, n)
         radii[:, 0] = 1.0
-        if n > 1:
-            expo = expo[: (k + 1) * take * (n - 1)].reshape(k + 1, take, n - 1)
-            rng.standard_exponential(out=expo)
-            log_rest = np.multiply(expo[0], -inv_denoms[0], out=expo[0])
+        blocks = [(lo, min(rows, take - lo)) for lo in range(0, take, rows)]
+        for lo, height in blocks:
+            layers = expo[: (k + 1) * height * (n - 1)].reshape(k + 1, height, n - 1)
+            rng.standard_exponential(out=layers)
+            log_rest = np.multiply(layers[0], -inv_denoms[0], out=layers[0])
             if k:
-                mix = rng.random(out=spare[: take * (n - 1)].reshape(take, n - 1))
+                mix = rng.random(out=spare[: height * (n - 1)].reshape(height, n - 1))
             for i in range(1, k + 1):
                 # the uniform passes threshold i-1 exactly when r^2 takes a component m >= i
-                expo[i] *= inv_denoms[i]
-                np.subtract(log_rest, expo[i], out=log_rest, where=mix > thresholds[i - 1])
+                layers[i] *= inv_denoms[i]
+                np.subtract(log_rest, layers[i], out=log_rest, where=mix > thresholds[i - 1])
             np.expm1(log_rest, out=log_rest)
-            np.sqrt(np.negative(log_rest, out=log_rest), out=radii[:, 1:])
-        _factor_abs_sq(r, rng.random(out=u), sq)
-        if k:
-            # the first rejection round tests every factor, in place
-            envelope = np.add(r, 1.0, out=spare[: take * n])
-            envelope **= 2 * k
-            envelope *= rng.random(out=u)
-            np.copyto(u, sq)
-            u **= k
-            pending = np.flatnonzero(envelope > u)
-            while pending.size:
-                rp = r[pending]
-                sq[pending] = _factor_abs_sq(rp, rng.random(pending.size), np.empty(pending.size))
-                reject = rng.random(pending.size) * (1.0 + rp) ** (2 * k) > sq[pending] ** k
-                pending = pending[reject]
-        return 0.5 * np.log(sq, out=sq).reshape(take, n).sum(axis=1)
+            np.sqrt(np.negative(log_rest, out=log_rest), out=radii[lo : lo + height, 1:])
+        sums = np.empty(take)
+        for lo, height in blocks:
+            rb, sb, ub = r[lo * n : (lo + height) * n], sq[: height * n], u[: height * n]
+            _factor_abs_sq(rb, rng.random(out=ub), sb)
+            if k:
+                # the first rejection round tests every factor, in place
+                envelope = np.add(rb, 1.0, out=spare[: height * n])
+                envelope **= 2 * k
+                envelope *= rng.random(out=ub)
+                np.copyto(ub, sb)
+                ub **= k
+                pending = np.flatnonzero(envelope > ub)
+                while pending.size:
+                    rp = rb[pending]
+                    sb[pending] = _factor_abs_sq(rp, rng.random(pending.size), np.empty(pending.size))
+                    reject = rng.random(pending.size) * (1.0 + rp) ** (2 * k) > sb[pending] ** k
+                    pending = pending[reject]
+            sums[lo : lo + height] = 0.5 * np.log(sb, out=sb).reshape(height, n).sum(axis=1)
+        return sums
 
     return _sharded(count, seed, shard, scratch=scratch)
 

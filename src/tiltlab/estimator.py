@@ -132,11 +132,11 @@ def _bootstrap_stats(values, log_weights, mean, n_max, n_boot, seed):
     m = len(values)
     top = max(n_max, 1)
     shift = np.max(log_weights)
-    y = values - mean
     powers = np.empty((m, top + 1))
     powers[:, 0] = np.exp(log_weights - shift)
-    for p in range(1, top + 1):
-        np.multiply(powers[:, p - 1], y, out=powers[:, p])
+    for p in range(1, top + 1):  # w y^p, with y = values - mean formed in place
+        np.subtract(values, mean, out=powers[:, p])
+        powers[:, p] *= powers[:, p - 1]
     heavy = np.argsort(log_weights)[-_HEAVY:]
     heavy = heavy[log_weights[heavy] >= shift - _SHIFT_GAP]
 
@@ -154,7 +154,7 @@ def _bootstrap_stats(values, log_weights, mean, n_max, n_boot, seed):
             own = np.max(log_weights[drawn])
             scale[lo + b] = own
             w = block[b, drawn] * np.exp(log_weights[drawn] - own)
-            sums[lo + b] = w @ (y[drawn, None] ** np.arange(top + 1))
+            sums[lo + b] = w @ ((values[drawn, None] - mean) ** np.arange(top + 1))
 
     raw = sums / sums[:, :1]  # E_b[y^p]
     d = raw[:, 1]
@@ -192,6 +192,7 @@ def reduce_weighted(
     order = np.lexsort((log_weights, values))
     values = values[order]
     log_weights = log_weights[order]
+    del order  # not needed for the bootstrap, whose peak it would raise
     m = len(values)
 
     mean, moments, standardized, log_mw = _weighted_stats(values, log_weights, n_max)

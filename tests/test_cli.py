@@ -346,12 +346,12 @@ def _reject_constant(token):
     raise ValueError(f"non-finite JSON constant {token}")
 
 
-def _exit_code_contract(args):
-    """Exit 0 with a strict JSON file, or exit 2 with no file; anything else raises."""
+def _exit_code_contract(args, allowed=(EXIT_OK, EXIT_PRECONDITION)):
+    """Exit 0 with a strict JSON file, or another allowed code with no file; anything else raises."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "result.json")
         code = run_cli(args + ["--out", out])
-        assert code in (EXIT_OK, EXIT_PRECONDITION)
+        assert code in allowed
         if code == EXIT_OK:
             with open(out) as handle:
                 json.loads(handle.read(), parse_constant=_reject_constant)
@@ -404,3 +404,68 @@ def test_zeta_scan_exit_codes(t, samples, k, m, alpha, window):
     if window is not None:
         args += [f"--window-lo={window[0]!r}", f"--window-hi={window[1]!r}"]
     _exit_code_contract(args)
+
+
+def _sized_exit_code_contract(args):
+    """_exit_code_contract with exit 3 allowed, one stream worker, and argparse's exit 2 for a non-integer size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("TILTLAB_THREADS", "1")
+        try:
+            _exit_code_contract(args, allowed=(EXIT_OK, EXIT_PRECONDITION, EXIT_NUMERICAL))
+        except SystemExit as exc:  # argparse rejects the value before any run starts
+            assert exc.code == EXIT_PRECONDITION
+
+
+_BAD_SIZES = st.sampled_from(["0", "-3", "nan", "inf", "-inf", "2.5", "0.0", "1e3"])
+
+
+@st.composite
+def _cli_fields(draw, valid, bad):
+    """A dict of valid fields, with at most one replaced by a value from its bad strategy."""
+    fields = draw(st.fixed_dictionaries(valid))
+    spoilt = draw(st.sampled_from([None, *bad]))
+    if spoilt is not None:
+        fields[spoilt] = draw(bad[spoilt])
+    return fields
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _cli_fields(
+        valid={
+            "n": st.integers(1, 20).map(str),
+            "k": (st.floats(0.0, 20.0) | st.floats(1e3, 1e12)).map(repr),
+            "samples": st.integers(1000, 3000).map(str),
+            "orders": st.integers(0, 8).map(str),
+            "sampler": st.sampled_from(["cmv", "qr"]),
+        },
+        bad={
+            "n": _BAD_SIZES,
+            "k": (st.floats(-5.0, -1e-300) | _SPECIAL_FLOATS).map(repr),
+            "samples": _BAD_SIZES | st.integers(-5, 999).map(str),
+            "orders": st.sampled_from(["-1", "9", "2.5", "nan"]),
+        },
+    )
+)
+@example({"n": "20", "k": "1e10", "samples": "1000", "orders": "4", "sampler": "cmv"})  # one draw holds the weight
+def test_mc_tilt_exit_codes(fields):
+    _sized_exit_code_contract(["mc-tilt", *(f"--{name}={value}" for name, value in fields.items())])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _cli_fields(
+        valid={
+            "n": st.integers(1, 20).map(str),
+            "trials": st.integers(1000, 3000).map(str),
+            "phi": (st.floats(-10.0, 10.0) | _SPECIAL_FLOATS.filter(math.isfinite)).map(repr),
+        },
+        bad={
+            "n": _BAD_SIZES,
+            "trials": _BAD_SIZES | st.integers(-5, 999).map(str),
+            "phi": _SPECIAL_FLOATS.map(repr),
+        },
+    )
+)
+def test_cue_check_exit_codes(fields):
+    _sized_exit_code_contract(["cue-check", *(f"--{name}={value}" for name, value in fields.items())])

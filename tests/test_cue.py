@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -189,6 +190,44 @@ def test_stream_pool_capped_by_setting_and_shards(monkeypatch):
         log_char_poly_stream(5, 10, SeedSpec(1))
 
 
+@pytest.mark.parametrize("setting", ["abc", "1.5"])
+def test_stream_rejects_non_integer_thread_setting(monkeypatch, setting):
+    monkeypatch.setenv("TILTLAB_THREADS", setting)
+    with pytest.raises(ValueError) as info:
+        log_char_poly_stream(5, 10, SeedSpec(1))
+    assert str(info.value) == f"TILTLAB_THREADS must be a positive integer, got {setting!r}"
+
+
+# SHA-1 of log_char_poly_stream(n, 3 * STREAM_SHARD + 123, SeedSpec(5, 2), k).tobytes(),
+# recorded from the whole-shard implementation that the Haar row blocks replaced
+STREAM_DIGESTS = {
+    (1, 0): "39e77e51bded5d3c5cded723ddc17be9924437e9",
+    (1, 1): "7144b66d0ed3475b289d28ea67f3db7b1715d5ff",
+    (1, 3): "95b78f0a8fb22bf0971dec659062807b27aaa8ec",
+    (2, 0): "ae4836e376c6bee236b788ed1c138663b8e91619",
+    (2, 1): "069dc7214e2bf73f928764adaf7ba926fceb5b02",
+    (2, 3): "8f5eefd0682375863d768ffa773c690312347d0e",
+    (9, 0): "9a0fb4aa49432ff1dcaba4b553c6ea40ac305346",
+    (9, 1): "e33dca732f7a86b1fd4ea7896078105eee639f11",
+    (9, 3): "6a317240dca6433db42d561767d3b5a70eb0c51a",
+    (200, 0): "a2a1af7a9971cb22fab063dc147514542ef2adb5",
+    (200, 1): "92608386122c4e8c9ac5dd80bdb4f9363f5fbe2a",
+    (200, 3): "588abd8cea82b1d5b0f95b7f8792033f1f1bdf25",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_stream_matches_recorded_digests(monkeypatch, workers):
+    monkeypatch.setenv("TILTLAB_THREADS", workers)
+    got = {
+        (n, k): hashlib.sha1(
+            log_char_poly_stream(n, 3 * STREAM_SHARD + 123, SeedSpec(5, 2), k=k).tobytes()
+        ).hexdigest()
+        for n, k in STREAM_DIGESTS
+    }
+    assert got == STREAM_DIGESTS
+
+
 @pytest.mark.parametrize("k, limit_mib", [(0, 32), (1, 48)])
 def test_stream_shard_memory_is_bounded(monkeypatch, k, limit_mib):
     # one worker, two shards at N=200: the shard arrays come from the worker's
@@ -197,6 +236,20 @@ def test_stream_shard_memory_is_bounded(monkeypatch, k, limit_mib):
     tracemalloc.start()
     try:
         log_char_poly_stream(200, 2 * STREAM_SHARD, SeedSpec(3), k=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("workers, limit_mib", [("1", 10), ("2", 18)])
+def test_haar_shard_scratch_is_row_blocks(monkeypatch, workers, limit_mib):
+    # at k = 0 only the radii span a shard (6.25 MiB at N = 200); the exponentials,
+    # |1 + r e^{iw}|^2 and the phases live in row blocks of about 256 KiB
+    monkeypatch.setenv("TILTLAB_THREADS", workers)
+    tracemalloc.start()
+    try:
+        log_char_poly_stream(200, 2 * STREAM_SHARD, SeedSpec(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

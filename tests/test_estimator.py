@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,23 @@ def test_bootstrap_resample_missing_heavy_points_takes_own_shift():
     assert all(math.isfinite(se) for se in report.standard_errors)
     np.testing.assert_allclose(report.standard_errors, ses, rtol=1e-9, atol=0)
     assert report.mean_weight_se == pytest.approx(mw_se, rel=1e-9)
+
+
+def test_reduction_memory_is_bounded():
+    # 2e5 draws at n_max = 4: the w y^p table (7.6 MiB), one block of 8 count rows
+    # (12.2 MiB), the sorted values and log-weights, and one resample's index draw
+    # and bincount; measured at 26.0 MiB, with neither the sort permutation nor a
+    # whole-sample values - mean alive during the bootstrap
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=200000)
+    log_w = 2.0 * values
+    tracemalloc.start()
+    try:
+        reduce_weighted(values, log_w, 4, keep_samples=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_bootstrap_se_scaling():
