@@ -389,8 +389,8 @@ def _build_parser():
     sp = sub.add_parser("recipe-k1", help="k=1 shifted second-moment main term")
     sp.add_argument("--t-lo", type=float, required=True)
     sp.add_argument("--t-hi", type=float, required=True)
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--beta", type=float, default=0.0)
+    sp.add_argument("--alpha", type=float, default=0.0, help="shift, |alpha| < 1")
+    sp.add_argument("--beta", type=float, default=0.0, help="shift, |beta| < 1")
     sp.add_argument("--quadrature", action="store_true", help="also run the quadrature cross-check")
     sp.add_argument("--step", type=float, default=0.05)
     common(sp)

@@ -6,11 +6,17 @@ log-weight is then zero and k must be a nonnegative integer.  The
 importance-sampled routes draw from plain Haar ("cmv": the same stream at
 tilt 0; "qr": dense QR) and carry the tilt in self-normalized
 log-weights 2k log|Z|, for any real k >= 0; they degenerate at high tilt
-(effective sample size ~10^2 of 2e5 at N=200, k=1).  All reductions
-first sort the (value, log-weight) pairs, so every reported field is
-invariant under permutations of the input stream, and the bootstrap
-(which resamples matrices, i.e. pairs) is bit-reproducible for a fixed
-bootstrap seed.
+(effective sample size ~10^2 of 2e5 at N=200, k=1).
+
+`reduce_weighted` takes every weighted moment from one table of w y^p
+(w = exp(log_weights - max), y = values - mean) and one kernel from power
+sums to moments: the point estimate is the kernel on the table's column
+sums, each bootstrap resample the kernel on its counts @ table, and the
+effective sample size (sum w)^2 / sum w^2 is taken in linear space over
+the same w.  Every reduction first sorts the (value, log-weight) pairs,
+so every reported field is invariant under permutations of the input
+stream, and the bootstrap (which resamples matrices, i.e. pairs) is
+bit-reproducible for a fixed bootstrap seed.
 """
 
 from __future__ import annotations
@@ -69,46 +75,14 @@ class MomentReport:
             raise ValueError("standard errors must be nonnegative")
 
 
-def _logsumexp(a):
-    m = np.max(a)
-    if not np.isfinite(m):
-        return m
-    return m + math.log(np.sum(np.exp(a - m)))
-
-
 def effective_sample_size(log_weights):
-    """(sum w)^2 / sum w^2, computed in log-space."""
+    """(sum w)^2 / sum w^2 in linear space, with w = exp(log_weights - max) as in reduce_weighted."""
     lw = np.asarray(log_weights, dtype=float)
-    if lw.size == 0:
-        raise ValueError("log_weights must be nonempty")
-    lse1 = _logsumexp(lw)
-    if not np.isfinite(lse1):
-        raise ValueError("all weights vanish")
-    lse2 = _logsumexp(2.0 * lw)
-    return float(math.exp(2.0 * lse1 - lse2))
-
-
-def _weighted_stats(values, log_weights, n_max):
-    """(mean, central moments 0..n_max, standardized, mean_weight_log) for one stream."""
-    shift = np.max(log_weights)
-    w = np.exp(log_weights - shift)
-    sw = np.sum(w)
-    mean = float(np.sum(w * values) / sw)
-    centered = values - mean
-    moments = [1.0, 0.0]
-    powers = centered * centered
-    for n in range(2, n_max + 1):
-        moments.append(float(np.sum(w * powers) / sw))
-        powers = powers * centered
-    m2 = moments[2] if n_max >= 2 else float("nan")
-    standardized = []
-    for n, m in enumerate(moments):
-        if n < 3:
-            standardized.append(float(n == 0) if n != 2 else 1.0)
-        else:
-            standardized.append(m / m2 ** (0.5 * n) if m2 > 0 else float("nan"))
-    log_mean_weight = shift + math.log(sw) - math.log(len(values))
-    return mean, moments, standardized, log_mean_weight
+    shift = np.max(lw, initial=-np.inf)
+    if not np.isfinite(shift):
+        raise ValueError("log_weights must be nonempty, with a finite largest entry")
+    w = np.exp(lw - shift)
+    return float(np.sum(w) ** 2 / np.dot(w, w))
 
 
 _BOOTSTRAP_BLOCK = 8  # resamples whose counts are contracted together
@@ -116,33 +90,33 @@ _HEAVY = 64  # a resample holding none of the 64 heaviest points gets its own sh
 _SHIFT_GAP = 300.0  # a resample whose largest log-weight sits further below gets its own shift
 
 
-def _bootstrap_stats(values, log_weights, mean, n_max, n_boot, seed):
-    """One row per resample: mean, log mean-weight, m_2..m_n_max, m_n / m_2^{n/2} for n >= 3.
+def _power_sums(values, log_weights, n_max, n_boot, seed):
+    """(mean, sums, scale): power sums of n_boot resamples and, in the last row, of the sample.
 
-    Each resample is the draw rng.integers(0, m, m) of a per-resample loop,
-    kept as counts c = bincount(idx).  Its weighted sums S_p = c @ (w y^p),
-    p = 0..n_max, with w = exp(log_weights - max) under one global shift and
-    y = values - mean, come from one matrix product per block of resamples.
-    The resample's mean is mean + S_1/S_0; its central moments about that
-    mean follow from S_p/S_0 by binomial re-centring on the shift S_1/S_0.
-    A resample that misses every heavy point (among the _HEAVY largest
-    log-weights and within _SHIFT_GAP of the largest) could lose its sums
-    to underflow, so its sums are taken under its own max-shift instead.
+    Row b holds S_p = sum c_i w_i y_i^p, p = 0..max(n_max, 1), with
+    w = exp(log_weights - scale[b]) and y = values - mean, where mean is the
+    weighted mean.  Resample b is the draw rng.integers(0, m, m) of a
+    per-resample loop, kept as counts c = bincount(idx); a block of count
+    rows takes its sums in one matrix product with the table w y^p, and the
+    sample's row has c = 1.  A resample that misses every heavy point (among
+    the _HEAVY largest log-weights and within _SHIFT_GAP of the largest) could
+    lose its sums to underflow, so its sums are taken under its own max-shift.
     """
     m = len(values)
-    top = max(n_max, 1)
     shift = np.max(log_weights)
-    powers = np.empty((m, top + 1))
+    powers = np.empty((m, max(n_max, 1) + 1))
     powers[:, 0] = np.exp(log_weights - shift)
-    for p in range(1, top + 1):  # w y^p, with y = values - mean formed in place
+    mean = float(np.sum(powers[:, 0] * values) / np.sum(powers[:, 0]))
+    for p in range(1, powers.shape[1]):  # w y^p, with y = values - mean formed in place
         np.subtract(values, mean, out=powers[:, p])
         powers[:, p] *= powers[:, p - 1]
     heavy = np.argsort(log_weights)[-_HEAVY:]
     heavy = heavy[log_weights[heavy] >= shift - _SHIFT_GAP]
 
     rng = np.random.default_rng(seed)
-    sums = np.empty((n_boot, top + 1))
-    scale = np.full(n_boot, shift)
+    sums = np.empty((n_boot + 1, powers.shape[1]))
+    sums[n_boot] = [np.sum(column) for column in powers.T]
+    scale = np.full(n_boot + 1, shift)
     counts = np.empty((min(_BOOTSTRAP_BLOCK, n_boot), m))
     for lo in range(0, n_boot, len(counts)):
         block = counts[: min(len(counts), n_boot - lo)]
@@ -154,19 +128,28 @@ def _bootstrap_stats(values, log_weights, mean, n_max, n_boot, seed):
             own = np.max(log_weights[drawn])
             scale[lo + b] = own
             w = block[b, drawn] * np.exp(log_weights[drawn] - own)
-            sums[lo + b] = w @ ((values[drawn, None] - mean) ** np.arange(top + 1))
+            sums[lo + b] = w @ ((values[drawn, None] - mean) ** np.arange(powers.shape[1]))
+    return mean, sums, scale
 
+
+def _moment_columns(sums, scale, mean, n_max, m):
+    """Columns [mean, log mean-weight, m_2..m_n_max, m_n / m_2^{n/2} for n >= 3] of power-sum rows.
+
+    A row's mean is mean + S_1/S_0; its central moments about that mean
+    follow from S_p/S_0 by binomial re-centring on the shift S_1/S_0.  A
+    vanishing m_2, or an m_2^{n/2} below the float range, leaves a
+    non-finite standardized moment rather than raising.
+    """
     raw = sums / sums[:, :1]  # E_b[y^p]
     d = raw[:, 1]
-    stats = [mean + d, scale + np.log(sums[:, 0]) - math.log(m)]
-    central = {}
-    for n in range(2, n_max + 1):
-        central[n] = sum(math.comb(n, j) * raw[:, j] * (-d) ** (n - j) for j in range(n + 1))
-        stats.append(central[n])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for n in range(3, n_max + 1):
-            stats.append(np.where(central[2] > 0, central[n] / central[2] ** (0.5 * n), np.nan))
-    return np.column_stack(stats)
+    central = [
+        sum(math.comb(n, j) * raw[:, j] * (-d) ** (n - j) for j in range(n + 1)) for n in range(2, n_max + 1)
+    ]
+    with np.errstate(all="ignore"):
+        standardized = [
+            np.where(central[0] > 0, c / central[0] ** (0.5 * n), np.nan) for n, c in enumerate(central[1:], 3)
+        ]
+    return np.column_stack([mean + d, scale + np.log(sums[:, 0]) - math.log(m), *central, *standardized])
 
 
 def reduce_weighted(
@@ -179,9 +162,11 @@ def reduce_weighted(
 ):
     """Self-normalized moment estimates plus bootstrap standard errors.
 
-    The bootstrap resamples (value, weight) pairs with replacement, which
-    is the right resampling unit because the weights are paired with the
-    values they came from.
+    The point estimate and every resample are `_moment_columns` of one
+    row of `_power_sums`; the reported mean is the one the table is
+    centred on.  The bootstrap resamples (value, weight) pairs with
+    replacement, which is the right resampling unit because the weights
+    are paired with the values they came from.
     """
     values = np.asarray(values, dtype=float)
     log_weights = np.asarray(log_weights, dtype=float)
@@ -189,24 +174,22 @@ def reduce_weighted(
         raise ValueError("values and log_weights must be equal-length 1-d arrays")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    n_boot = int(bootstrap)
+    if n_boot < 200:
+        raise ValueError("bootstrap resample count must be >= 200")
     order = np.lexsort((log_weights, values))
     values = values[order]
     log_weights = log_weights[order]
     del order  # not needed for the bootstrap, whose peak it would raise
     m = len(values)
-
-    mean, moments, standardized, log_mw = _weighted_stats(values, log_weights, n_max)
     ess = effective_sample_size(log_weights)
 
-    n_boot = int(bootstrap)
-    if n_boot < 200:
-        raise ValueError("bootstrap resample count must be >= 200")
-    boot = _bootstrap_stats(values, log_weights, mean, n_max, n_boot, bootstrap_seed)
-    ses = [float(s) for s in np.std(boot, axis=0, ddof=1)]
+    mean, sums, scale = _power_sums(values, log_weights, n_max, n_boot, bootstrap_seed)
+    columns = _moment_columns(sums, scale, mean, n_max, m)
+    point = [float(x) for x in columns[n_boot]]
+    ses = [float(s) for s in np.std(columns[:n_boot], axis=0, ddof=1)]
     first_std = 2 + max(n_max - 1, 0)  # columns: mean, log mean-weight, m_2.., standardized 3..
-    standard_errors = [0.0, ses[0]] + ses[2:first_std]
-    standardized_errors = [0.0, 0.0, 0.0] + ses[first_std:]
-    mean_weight = math.exp(log_mw) if log_mw <= _LOG_FLOAT_MAX else math.inf  # no other estimate uses it
+    mean_weight = math.exp(point[1]) if point[1] <= _LOG_FLOAT_MAX else math.inf  # no other estimate uses it
     mean_weight_se = float(mean_weight * ses[1])  # delta method on log scale
 
     low = ess < ESS_FLOOR
@@ -220,10 +203,10 @@ def reduce_weighted(
         sample_count=m,
         ess=ess,
         weighted_mean=mean,
-        central_moments=moments[: n_max + 1],
-        standard_errors=standard_errors[: n_max + 1],
-        standardized=standardized[: n_max + 1],
-        standardized_errors=standardized_errors[: n_max + 1],
+        central_moments=([1.0, 0.0] + point[2:first_std])[: n_max + 1],
+        standard_errors=([0.0, ses[0]] + ses[2:first_std])[: n_max + 1],
+        standardized=([1.0, 0.0, 1.0] + point[first_std:])[: n_max + 1],
+        standardized_errors=([0.0, 0.0, 0.0] + ses[first_std:])[: n_max + 1],
         mean_weight=mean_weight,
         mean_weight_se=mean_weight_se,
         low_ess=bool(low),
@@ -239,7 +222,6 @@ def tilted_moments_mc(
     samples,
     seed: SeedSpec,
     sampler="split",
-    bootstrap=DEFAULT_BOOTSTRAP,
     bootstrap_seed=DEFAULT_BOOTSTRAP_SEED,
     keep_samples=True,
 ):
@@ -273,14 +255,7 @@ def tilted_moments_mc(
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
     log_weights = np.zeros_like(values) if sampler == "split" else 2.0 * k * values
-    return reduce_weighted(
-        values,
-        log_weights,
-        n_max,
-        bootstrap=bootstrap,
-        bootstrap_seed=bootstrap_seed,
-        keep_samples=keep_samples,
-    )
+    return reduce_weighted(values, log_weights, n_max, bootstrap_seed=bootstrap_seed, keep_samples=keep_samples)
 
 
 _ERF = np.frompyfunc(math.erf, 1, 1)

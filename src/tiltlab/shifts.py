@@ -40,7 +40,9 @@ __all__ = [
 ]
 
 MAX_SELECTION_K = 8
-CONFLUENT_EPS = 1e-8
+POLE_BAND = 1e-3  # |a + b| below it: the two poles of the k = 1 recipe combine in closed form
+# Stieltjes constants gamma_0..gamma_3: zeta(1 + c) = 1/c + sum_n (-1)^n gamma_n c^n / n!
+STIELTJES = (0.5772156649015329, -0.07281584548367673, -0.00969036319287232, 0.002053834420303346)
 
 
 @dataclass(frozen=True)
@@ -146,34 +148,44 @@ def gaussian_exponent_derivatives(L, mu, k, g_sum, n_max):
     return [math.factorial(n) * f for n, f in enumerate(jet.exp(coeffs))]
 
 
-def second_moment_recipe_k1(t_lo, t_hi, alpha, beta):
-    """Main term of int_{t_lo}^{t_hi} zeta(1/2+a+it) zeta(1/2+b-it) dt at k = 1.
+def _expm1_ratio(x):
+    """expm1(x) / x, which is 1 at x = 0."""
+    return np.expm1(x) / x if x else 1.0
 
-    The two selections give (t_hi - t_lo) zeta(1 + a + b) plus
-    zeta(1 - a - b) int (t/2pi)^{-a-b} dt; as a + b -> 0 both poles
-    cancel against each other and the confluent value
-    int [log(t/2pi) + 2 gamma] dt is used instead of near-cancelling
-    evaluations.
+
+def _zeta_regular_part(c):
+    """zeta(1 + c) - 1/c to O(c^4), from the Stieltjes constants."""
+    return sum(g * (-c) ** n / math.factorial(n) for n, g in enumerate(STIELTJES))
+
+
+def second_moment_recipe_k1(t_lo, t_hi, alpha, beta):
+    """Main term of int_{t_lo}^{t_hi} zeta(1/2+a+it) zeta(1/2+b-it) dt at k = 1, for |a|, |b| < 1.
+
+    With c = a + b the two selections give (t_hi - t_lo) zeta(1 + c) plus
+    zeta(1 - c) P(c), P(c) = int (t/2pi)^{-c} dt, and P is taken through
+    expm1((1 - c) log(t_hi/t_lo)), finite at c = 1.  For |c| < POLE_BAND,
+    zeta(1 +- c) = +-1/c + R(+-c) with R from the Stieltjes constants, and
+    the poles combine into (t_hi - t_lo - P(c))/c, which is
+    t (u expm1(-cu)/(-cu) - 1) / (1 - c), u = log(t/2pi), between the
+    window's ends: no two large terms cancel, and c = 0 is no special case.
     """
     if not (50 <= t_lo < t_hi <= RS_MAX_T):
         raise ValueError("need 50 <= t_lo < t_hi within the evaluator ceiling")
-    alpha = complex(alpha)
-    beta = complex(beta)
-    c = alpha + beta
-    if abs(c) <= CONFLUENT_EPS:
-        gamma = np.euler_gamma
-        res = _confluent_antiderivative(t_hi, gamma) - _confluent_antiderivative(t_lo, gamma)
-        return float(res)
-    zc, zmc = zeta_em_many(np.array([1 + c, 1 - c]))[0]
-    power_integral = (2 * math.pi) ** c * (t_hi ** (1 - c) - t_lo ** (1 - c)) / (1 - c)
-    res = (t_hi - t_lo) * zc + zmc * power_integral
+    if abs(alpha) >= 1 or abs(beta) >= 1:
+        raise ValueError(f"shifts must satisfy |alpha| < 1 and |beta| < 1, got {alpha!r}, {beta!r}")
+    c = complex(alpha) + complex(beta)
+    u_lo, u_hi = (math.log(t / (2 * math.pi)) for t in (t_lo, t_hi))
+    span = math.log1p((t_hi - t_lo) / t_lo)
+    power_integral = t_lo * np.exp(-c * u_lo) * span * _expm1_ratio((1 - c) * span)
+    if abs(c) < POLE_BAND:
+        ends = t_hi * (u_hi * _expm1_ratio(-c * u_hi) - 1) - t_lo * (u_lo * _expm1_ratio(-c * u_lo) - 1)
+        res = ends / (1 - c) + (t_hi - t_lo) * _zeta_regular_part(c) + _zeta_regular_part(-c) * power_integral
+    else:
+        zc, zmc = zeta_em_many(np.array([1 + c, 1 - c]))[0]
+        res = (t_hi - t_lo) * zc + zmc * power_integral
     if abs(res.imag) > 1e-6 * max(1.0, abs(res.real)):
         raise ValueError("recipe main term is not real for these shifts")
     return float(res.real)
-
-
-def _confluent_antiderivative(t, gamma):
-    return t * (math.log(t / (2 * math.pi)) - 1.0 + 2.0 * gamma)
 
 
 def second_moment_quadrature_k1(t_lo, t_hi, alpha, beta, step=0.05):

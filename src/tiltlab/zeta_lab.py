@@ -349,8 +349,8 @@ def scan_stream(spec: ScanSpec) -> ScanStream:
     return ScanStream(t=t, values=values, log_weights=log_w, proxy=proxy)
 
 
-def weighted_scan(spec: ScanSpec, n_max=4, bootstrap=400):
-    """Self-normalized weighted histogram and moment report for one scan.
+def weighted_scan(spec: ScanSpec):
+    """Self-normalized weighted histogram and moment report (orders 0..4) for one scan.
 
     Near-zero |zeta| samples drive log to -inf; they land in the
     underflow bin with their (vanishing, at k >= 1) weight rather than
@@ -359,7 +359,7 @@ def weighted_scan(spec: ScanSpec, n_max=4, bootstrap=400):
     stream = scan_stream(spec)
     log_w = stream.log_weights
     finite = np.isfinite(stream.values)
-    report = reduce_weighted(stream.values[finite], log_w[finite], n_max, bootstrap=bootstrap)
+    report = reduce_weighted(stream.values[finite], log_w[finite], 4)
     corr = float(np.corrcoef(stream.proxy[finite], stream.values[finite])[0, 1])
     report = dataclasses.replace(report, proxy_correlation=corr)
 

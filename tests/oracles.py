@@ -272,38 +272,59 @@ def selberg_variance(T):
     return 0.5 * math.log(size) + 0.5 * (1.0 + euler_gamma_series()) + 0.5 * arithmetic
 
 
+def weighted_point_stats(values, log_weights, n_max):
+    """[mean, log mean-weight, m_2..m_n_max, m_n / m_2^{n/2} for n >= 3] in one direct pass.
+
+    Its own max-shift, its own weighted mean, and central moments about
+    that mean, each summed over the whole sample.
+    """
+    shift = log_weights.max()
+    w = np.exp(log_weights - shift)
+    sw = w.sum()
+    mean = float(np.sum(w * values) / sw)
+    central = [float(np.sum(w * (values - mean) ** n) / sw) for n in range(2, n_max + 1)]
+    m2 = central[0] if central else math.nan
+    std = [c / m2 ** (0.5 * n) if m2 > 0 else math.nan for n, c in enumerate(central[1:], start=3)]
+    return [mean, shift + math.log(sw) - math.log(len(values))] + central + std
+
+
 def bootstrap_errors_loop(values, log_weights, n_max, n_boot, seed):
     """Bootstrap SEs of a weighted-moment reduction, one full pass per resample.
 
     The reference for estimator.reduce_weighted: the pairs are sorted the
-    same way, and resample b is the b-th rng.integers(0, m, m) draw.  Each
-    resample takes its own max-shift, its own weighted mean, and central
-    moments about that mean.  Returns (standard_errors, standardized_errors,
-    mean_weight_se) laid out as in MomentReport.
+    same way, resample b is the b-th rng.integers(0, m, m) draw, and each
+    resample is reduced by weighted_point_stats.  Returns (standard_errors,
+    standardized_errors, mean_weight_se) laid out as in MomentReport.
     """
     order = np.lexsort((log_weights, values))
     values = np.asarray(values, dtype=float)[order]
     log_weights = np.asarray(log_weights, dtype=float)[order]
     m = len(values)
-
-    def stats(v, lw):
-        shift = lw.max()
-        w = np.exp(lw - shift)
-        sw = w.sum()
-        mean = float(np.sum(w * v) / sw)
-        central = [float(np.sum(w * (v - mean) ** n) / sw) for n in range(2, n_max + 1)]
-        m2 = central[0] if central else math.nan
-        std = [c / m2 ** (0.5 * n) if m2 > 0 else math.nan for n, c in enumerate(central[1:], start=3)]
-        return [mean, shift + math.log(sw) - math.log(m)] + central + std
-
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(n_boot):
         idx = rng.integers(0, m, m)
-        rows.append(stats(values[idx], log_weights[idx]))
+        rows.append(weighted_point_stats(values[idx], log_weights[idx], n_max))
     ses = np.std(np.array(rows), axis=0, ddof=1)
-    mean_weight = math.exp(stats(values, log_weights)[1])
+    mean_weight = math.exp(weighted_point_stats(values, log_weights, n_max)[1])
     central_ses = list(ses[2 : 2 + max(n_max - 1, 0)])
     standard_errors = ([0.0, ses[0]] + central_ses)[: n_max + 1]
     standardized_errors = ([0.0, 0.0, 0.0] + list(ses[2 + len(central_ses) :]))[: n_max + 1]
     return standard_errors, standardized_errors, mean_weight * ses[1]
+
+
+def recipe_k1_mp(t_lo, t_hi, c, dps=40):
+    """(t_hi - t_lo) zeta(1 + c) + zeta(1 - c) int (t/2pi)^{-c} dt in mpmath, c real.
+
+    c = 0 takes the limit int [log(t/2pi) + 2 gamma] dt, and c = 1 the
+    power integral's limit 2 pi log(t_hi/t_lo).
+    """
+    with mp.workdps(dps):
+        lo, hi, c = mp.mpf(t_lo), mp.mpf(t_hi), mp.mpf(c)
+        if c == 0:
+            return float(sum(s * t * (mp.log(t / (2 * mp.pi)) - 1 + 2 * mp.euler) for s, t in ((1, hi), (-1, lo))))
+        if c == 1:
+            power = 2 * mp.pi * mp.log(hi / lo)
+        else:
+            power = (2 * mp.pi) ** c * (hi ** (1 - c) - lo ** (1 - c)) / (1 - c)
+        return float((hi - lo) * mp.zeta(1 + c) + mp.zeta(1 - c) * power)

@@ -407,7 +407,7 @@ def test_zeta_scan_exit_codes(t, samples, k, m, alpha, window):
 
 
 def _sized_exit_code_contract(args):
-    """_exit_code_contract with exit 3 allowed, one stream worker, and argparse's exit 2 for a non-integer size."""
+    """_exit_code_contract with exit 3 allowed, one worker thread, and argparse's exit 2 for an unparsable value."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("TILTLAB_THREADS", "1")
         try:
@@ -448,8 +448,17 @@ def _cli_fields(draw, valid, bad):
     )
 )
 @example({"n": "20", "k": "1e10", "samples": "1000", "orders": "4", "sampler": "cmv"})  # one draw holds the weight
+@example({"n": "1", "k": "2316651.0", "samples": "1000", "orders": "8", "sampler": "cmv"})  # m_2^4 underflows
 def test_mc_tilt_exit_codes(fields):
     _sized_exit_code_contract(["mc-tilt", *(f"--{name}={value}" for name, value in fields.items())])
+
+
+def test_mc_tilt_underflowing_variance_exits_numerical(tmp_path, monkeypatch):
+    # m_2 > 0 but m_2^4 underflows to 0.0: non-finite standardized moments, not a ZeroDivisionError
+    monkeypatch.setenv("TILTLAB_THREADS", "1")
+    args = ["mc-tilt", "--n", "1", "--k", "2316651", "--samples", "1000", "--orders", "8", "--sampler", "cmv"]
+    assert run_cli(args + ["--out", str(tmp_path / "mc.json")]) == EXIT_NUMERICAL
+    assert os.listdir(tmp_path) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,3 +478,40 @@ def test_mc_tilt_exit_codes(fields):
 )
 def test_cue_check_exit_codes(fields):
     _sized_exit_code_contract(["cue-check", *(f"--{name}={value}" for name, value in fields.items())])
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-3, 10).map(str) | st.sampled_from(["nan", "inf", "2.5", "1e3", "-0"]))
+def test_shift_table_exit_codes(k):
+    _sized_exit_code_contract(["shift-table", f"--k={k}"])
+
+
+_SHIFTS = st.floats(-0.999, 0.999)
+_BAD_SHIFTS = st.sampled_from([1.0, -1.0, 1.5, -7.0]) | _SPECIAL_FLOATS
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    fields=_cli_fields(
+        valid={
+            "t-lo": st.floats(50.0, 9980.0) | st.floats(50.0, 1e8),
+            "width": st.floats(1e-3, 20.0),  # the quadrature holds at most 4001 nodes
+            "alpha": _SHIFTS,
+            "beta": _SHIFTS,
+            "step": st.floats(0.01, 1.0),
+        },
+        bad={
+            "t-lo": st.floats(-10.0, 49.99) | _SPECIAL_FLOATS,
+            "width": st.sampled_from([0.0, -1.0, math.nan, math.inf]),
+            "alpha": _BAD_SHIFTS,
+            "beta": _BAD_SHIFTS,
+            "step": st.sampled_from([0.0, -0.0, -0.05, math.nan, math.inf]),
+        },
+    ),
+    quadrature=st.booleans(),
+)
+@example(fields={"t-lo": 1000.0, "width": 1000.0, "alpha": 0.7, "beta": 0.3, "step": 0.05}, quadrature=False)
+def test_recipe_k1_exit_codes(fields, quadrature):  # the example's alpha + beta = 1 is a removable 0/0
+    t_hi = fields.pop("width") + fields["t-lo"]
+    args = ["recipe-k1", f"--t-hi={t_hi!r}", *(f"--{name}={value!r}" for name, value in fields.items())]
+    _sized_exit_code_contract(args + ["--quadrature"] * quadrature)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -15,7 +16,7 @@ from tiltlab.estimator import (
 )
 from tiltlab.rmt_exact import TiltSpec, weighted_central_moments, weighted_mean
 
-from oracles import bootstrap_errors_loop, harmonic
+from oracles import bootstrap_errors_loop, harmonic, weighted_point_stats
 
 
 def test_ess_equal_weights():
@@ -94,6 +95,61 @@ def test_bootstrap_matches_per_resample_loop(tilt):
         np.testing.assert_allclose(report.standard_errors, ses, rtol=1e-9, atol=0)
         np.testing.assert_allclose(report.standardized_errors, std_ses, rtol=1e-9, atol=0)
         assert report.mean_weight_se == pytest.approx(mw_se, rel=1e-9)
+        # the point estimate against one direct pass over the whole sample
+        point = weighted_point_stats(values, log_w, n_max)
+        central = point[2 : 2 + max(n_max - 1, 0)]
+        assert report.weighted_mean == pytest.approx(point[0], rel=1e-12)
+        assert report.mean_weight == pytest.approx(math.exp(point[1]), rel=1e-12)
+        for n, m_n in enumerate(central, start=2):  # odd orders sit near 0: scale by m_2^{n/2}
+            assert abs(report.central_moments[n] - m_n) <= 1e-12 * central[0] ** (0.5 * n)
+        for n, s in enumerate(point[2 + len(central) :], start=3):
+            assert abs(report.standardized[n] - s) <= 1e-12 * max(1.0, abs(s))
+        p = np.exp(log_w - log_w.max())
+        p /= p.sum()
+        assert report.ess == pytest.approx(1.0 / np.sum(p * p), rel=1e-12)
+
+
+# SHA-1 of the float64 bytes of standard_errors + standardized_errors + [weighted_mean,
+# mean_weight, mean_weight_se]; the reduction cell concatenates orders 0..8
+REDUCTION_DIGESTS = {
+    0.0: "e351306888d58a828c77361853ea103efa0f4e2f",
+    1.5: "b5221a36ef71192be99f6533c883cbf563e0e87c",
+}
+MC_DIGESTS = {
+    "split": "52b6e3556b9ef609da71e6cde8a5a0c705a5fde0",
+    "cmv": "e6ef182be7fe64db8154be8ab734dd3d3ae748e5",
+    "qr": "2b9102125ab53c2e80053fcba869251533f18b64",
+}
+
+
+def _error_digest(reports):
+    fields = []
+    for r in reports:
+        fields += r.standard_errors + r.standardized_errors + [r.weighted_mean, r.mean_weight, r.mean_weight_se]
+    return hashlib.sha1(np.array(fields, dtype=float).tobytes()).hexdigest()
+
+
+def test_reduction_matches_recorded_digests():
+    # the bootstrap errors, the centring mean and the mean weight keep every bit
+    values = np.random.default_rng(12).normal(0.4, 1.2, size=1001)
+    got = {
+        tilt: _error_digest(
+            reduce_weighted(values, tilt * values, n_max, bootstrap=200, bootstrap_seed=31) for n_max in range(9)
+        )
+        for tilt in REDUCTION_DIGESTS
+    }
+    assert got == REDUCTION_DIGESTS
+    got = {s: _error_digest([tilted_moments_mc(20, 1, 4, 5000, SeedSpec(3), sampler=s)]) for s in MC_DIGESTS}
+    assert got == MC_DIGESTS
+
+
+def test_vanishing_spread_leaves_non_finite_standardized_moments():
+    # m_2 ~ 1e-160 is positive, but m_2^{n/2} underflows from n = 5 on: no ZeroDivisionError
+    values = 1e-80 * np.random.default_rng(3).normal(size=1000)
+    report = reduce_weighted(values, np.zeros_like(values), 8)
+    assert report.central_moments[2] > 0
+    assert not all(math.isfinite(s) for s in report.standardized[5:])
+    assert len(report.standardized) == len(report.standardized_errors) == 9
 
 
 def test_bootstrap_resample_missing_heavy_points_takes_own_shift():

@@ -20,6 +20,8 @@ from tiltlab.shifts import (
 from tiltlab.zeta_eval import zeta_em_many
 from tiltlab.zeta_lab import PrimeWindow, mu_alpha
 
+from oracles import recipe_k1_mp
+
 
 def random_tuple(k, rng):
     vals = rng.uniform(-0.4, 0.4, size=(2, k, 2))
@@ -154,6 +156,21 @@ def test_recipe_confluent_continuity():
     base = second_moment_recipe_k1(1000, 2000, 0.0, 0.0)
     near = second_moment_recipe_k1(1000, 2000, 5e-7, 5e-7)
     assert abs(near - base) / abs(base) < 1e-4
+
+
+@pytest.mark.parametrize("window", [(1e3, 2e3), (50.0, 1e8)])
+@pytest.mark.parametrize("c", [0.0, 1e-12, 1e-9, 1e-7, -1e-7, 1e-5, 1e-3, 0.01, 0.3, 1.0, 1.5, -0.9])
+def test_recipe_matches_mpmath(window, c):
+    # across the Stieltjes band |c| < 1e-3, its edge, and c = 1, where P(c) is a removable 0/0;
+    # rounding 1 +- c before evaluating zeta next to its pole would give 1.7e-3 at c = 1e-7
+    got = second_moment_recipe_k1(*window, c / 2, c / 2)
+    assert got == pytest.approx(recipe_k1_mp(*window, c), rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, -1.0), (1.5, -0.5), (0.2, 0.6 + 0.8j)])
+def test_recipe_rejects_shifts_outside_the_unit_disk(alpha, beta):
+    with pytest.raises(ValueError, match=r"\|alpha\| < 1"):
+        second_moment_recipe_k1(1000, 2000, alpha, beta)
 
 
 def test_recipe_matches_quadrature_small_window():
