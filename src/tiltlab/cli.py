@@ -183,7 +183,6 @@ def _handle_mc_tilt(config):
         p["samples"],
         SeedSpec(config.seed),
         sampler=p["sampler"],
-        bootstrap_seed=config.seed + 2**32,
         keep_samples=False,
     )
     results = {

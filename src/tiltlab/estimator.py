@@ -8,15 +8,14 @@ tilt 0; "qr": dense QR) and carry the tilt in self-normalized
 log-weights 2k log|Z|, for any real k >= 0; they degenerate at high tilt
 (effective sample size ~10^2 of 2e5 at N=200, k=1).
 
-`reduce_weighted` takes every weighted moment from one table of w y^p
-(w = exp(log_weights - max), y = values - mean) and one kernel from power
-sums to moments: the point estimate is the kernel on the table's column
-sums, each bootstrap resample the kernel on its counts @ table, and the
-effective sample size (sum w)^2 / sum w^2 is taken in linear space over
-the same w.  Every reduction first sorts the (value, log-weight) pairs,
-so every reported field is invariant under permutations of the input
-stream, and the bootstrap (which resamples matrices, i.e. pairs) is
-bit-reproducible for a fixed bootstrap seed.
+`weighted_moments` takes every weighted moment from one table of w y^p
+(w = exp(log_weights - max), y = values - mean): the point estimate is
+one kernel from power sums to moments on the table's power sums, and
+its standard errors are delta-method (influence-function) errors, each
+one pass over the same table.  The effective sample size
+(sum w)^2 / sum w^2 is taken in linear space over the same w.  Every
+reduction first sorts the (value, log-weight) pairs, so every reported
+field is invariant under permutations of the input stream.
 """
 
 from __future__ import annotations
@@ -35,20 +34,18 @@ __all__ = [
     "MomentReport",
     "ConformanceRecord",
     "effective_sample_size",
-    "reduce_weighted",
+    "weighted_moments",
     "tilted_moments_mc",
     "gaussian_conformance",
 ]
 
 ESS_FLOOR = 30.0
-DEFAULT_BOOTSTRAP = 400
-DEFAULT_BOOTSTRAP_SEED = 1618033988
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
 
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Weighted-moment estimates with bootstrap errors for one MC run."""
+    """Weighted-moment estimates with delta-method (influence-function) errors for one MC run."""
 
     sample_count: int
     ess: float
@@ -76,7 +73,7 @@ class MomentReport:
 
 
 def effective_sample_size(log_weights):
-    """(sum w)^2 / sum w^2 in linear space, with w = exp(log_weights - max) as in reduce_weighted."""
+    """(sum w)^2 / sum w^2 in linear space, with w = exp(log_weights - max) as in weighted_moments."""
     lw = np.asarray(log_weights, dtype=float)
     shift = np.max(lw, initial=-np.inf)
     if not np.isfinite(shift):
@@ -85,51 +82,21 @@ def effective_sample_size(log_weights):
     return float(np.sum(w) ** 2 / np.dot(w, w))
 
 
-_BOOTSTRAP_BLOCK = 8  # resamples whose counts are contracted together
-_HEAVY = 64  # a resample holding none of the 64 heaviest points gets its own shift
-_SHIFT_GAP = 300.0  # a resample whose largest log-weight sits further below gets its own shift
+def _power_sums(values, log_weights, n_max):
+    """(mean, shift, table, sums): row p of the table is w y^p, p = 0..max(n_max, 1), and sums its S_p.
 
-
-def _power_sums(values, log_weights, n_max, n_boot, seed):
-    """(mean, sums, scale): power sums of n_boot resamples and, in the last row, of the sample.
-
-    Row b holds S_p = sum c_i w_i y_i^p, p = 0..max(n_max, 1), with
-    w = exp(log_weights - scale[b]) and y = values - mean, where mean is the
-    weighted mean.  Resample b is the draw rng.integers(0, m, m) of a
-    per-resample loop, kept as counts c = bincount(idx); a block of count
-    rows takes its sums in one matrix product with the table w y^p, and the
-    sample's row has c = 1.  A resample that misses every heavy point (among
-    the _HEAVY largest log-weights and within _SHIFT_GAP of the largest) could
-    lose its sums to underflow, so its sums are taken under its own max-shift.
+    w = exp(log_weights - shift), with shift the largest log-weight, and
+    y = values - mean, where mean is the weighted mean.  sums is one row
+    of power sums, the layout `_moment_columns` reads.
     """
-    m = len(values)
     shift = np.max(log_weights)
-    powers = np.empty((m, max(n_max, 1) + 1))
-    powers[:, 0] = np.exp(log_weights - shift)
-    mean = float(np.sum(powers[:, 0] * values) / np.sum(powers[:, 0]))
-    for p in range(1, powers.shape[1]):  # w y^p, with y = values - mean formed in place
-        np.subtract(values, mean, out=powers[:, p])
-        powers[:, p] *= powers[:, p - 1]
-    heavy = np.argsort(log_weights)[-_HEAVY:]
-    heavy = heavy[log_weights[heavy] >= shift - _SHIFT_GAP]
-
-    rng = np.random.default_rng(seed)
-    sums = np.empty((n_boot + 1, powers.shape[1]))
-    sums[n_boot] = [np.sum(column) for column in powers.T]
-    scale = np.full(n_boot + 1, shift)
-    counts = np.empty((min(_BOOTSTRAP_BLOCK, n_boot), m))
-    for lo in range(0, n_boot, len(counts)):
-        block = counts[: min(len(counts), n_boot - lo)]
-        for row in block:
-            row[:] = np.bincount(rng.integers(0, m, m), minlength=m)
-        sums[lo : lo + len(block)] = block @ powers
-        for b in np.flatnonzero(~(block[:, heavy] > 0).any(axis=1)):
-            drawn = np.flatnonzero(block[b])
-            own = np.max(log_weights[drawn])
-            scale[lo + b] = own
-            w = block[b, drawn] * np.exp(log_weights[drawn] - own)
-            sums[lo + b] = w @ ((values[drawn, None] - mean) ** np.arange(powers.shape[1]))
-    return mean, sums, scale
+    table = np.empty((max(n_max, 1) + 1, len(values)))
+    table[0] = np.exp(log_weights - shift)
+    mean = float(np.sum(table[0] * values) / np.sum(table[0]))
+    for p in range(1, len(table)):  # w y^p, with y = values - mean formed in place
+        np.subtract(values, mean, out=table[p])
+        table[p] *= table[p - 1]
+    return mean, shift, table, np.array([[np.sum(row) for row in table]])
 
 
 def _moment_columns(sums, scale, mean, n_max, m):
@@ -140,7 +107,7 @@ def _moment_columns(sums, scale, mean, n_max, m):
     vanishing m_2, or an m_2^{n/2} below the float range, leaves a
     non-finite standardized moment rather than raising.
     """
-    raw = sums / sums[:, :1]  # E_b[y^p]
+    raw = sums / sums[:, :1]  # E[y^p]
     d = raw[:, 1]
     central = [
         sum(math.comb(n, j) * raw[:, j] * (-d) ** (n - j) for j in range(n + 1)) for n in range(2, n_max + 1)
@@ -152,21 +119,49 @@ def _moment_columns(sums, scale, mean, n_max, m):
     return np.column_stack([mean + d, scale + np.log(sums[:, 0]) - math.log(m), *central, *standardized])
 
 
-def reduce_weighted(
-    values,
-    log_weights,
-    n_max,
-    bootstrap=DEFAULT_BOOTSTRAP,
-    bootstrap_seed=DEFAULT_BOOTSTRAP_SEED,
-    keep_samples=True,
-):
-    """Self-normalized moment estimates plus bootstrap standard errors.
+def _influence_errors(table, s0, point, n_max):
+    """Delta-method SEs of the `_moment_columns` entries of the sample, in the same order.
 
-    The point estimate and every resample are `_moment_columns` of one
-    row of `_power_sums`; the reported mean is the one the table is
-    centred on.  The bootstrap resamples (value, weight) pairs with
-    replacement, which is the right resampling unit because the weights
-    are paired with the values they came from.
+    With a = w / mean(w), the influence function of draw i is a y (mean),
+    a - 1 (log mean-weight), IF_p = a [y^p - m_p - p m_{p-1} y] (m_p), and
+    for m_p / m_2^{p/2} the chain rule IF_p / m_2^{p/2} - (p/2) (m_p / m_2^{p/2}) IF_2 / m_2.
+    An estimate's SE is sqrt(sum IF^2) / m = sqrt(sum J^2) / S_0, where
+    J = w IF / a is a combination of the table's rows, for m_p
+    w y^p - m_p w - p m_{p-1} w y.  A vanishing m_2, or an m_2^{p/2} outside the
+    float range, leaves a non-finite standardized error rather than raising.
+    """
+    central = [1.0, 0.0, *point[2 : 1 + n_max]]  # m_0..m_n_max, numpy scalars from m_2 on
+
+    def root_sum_square(x):
+        return float(np.sqrt(np.sum(x * x)) / s0)
+
+    ses = [root_sum_square(table[1]), root_sum_square(table[0] - s0 / table.shape[1])]
+    standardized = []
+    with np.errstate(all="ignore"):
+        for p in range(2, n_max + 1):
+            influence = table[p] - central[p] * table[0] - p * central[p - 1] * table[1]
+            ses.append(root_sum_square(influence))
+            if p == 2:
+                m2, influence_2 = central[2], influence
+            elif m2 > 0:
+                std = point[n_max + p - 2]  # m_p / m_2^{p/2}
+                standardized.append(
+                    root_sum_square(influence / m2 ** (0.5 * p) - (0.5 * p * std / m2) * influence_2)
+                )
+            else:
+                standardized.append(math.nan)
+    return ses + standardized
+
+
+def weighted_moments(values, log_weights, n_max, keep_samples=True):
+    """Self-normalized moment estimates plus delta-method (influence-function) standard errors.
+
+    The point estimate is `_moment_columns` of the power sums of the
+    `_power_sums` table, and every SE comes from the influence functions
+    over the same table (`_influence_errors`); the reported mean is the
+    one the table is centred on.  The influence functions treat the
+    (value, weight) pairs as the i.i.d. unit, because the weights are
+    paired with the values they came from.
     """
     values = np.asarray(values, dtype=float)
     log_weights = np.asarray(log_weights, dtype=float)
@@ -174,20 +169,17 @@ def reduce_weighted(
         raise ValueError("values and log_weights must be equal-length 1-d arrays")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    n_boot = int(bootstrap)
-    if n_boot < 200:
-        raise ValueError("bootstrap resample count must be >= 200")
     order = np.lexsort((log_weights, values))
     values = values[order]
     log_weights = log_weights[order]
-    del order  # not needed for the bootstrap, whose peak it would raise
+    del order  # not needed for the table, whose peak it would raise
     m = len(values)
     ess = effective_sample_size(log_weights)
 
-    mean, sums, scale = _power_sums(values, log_weights, n_max, n_boot, bootstrap_seed)
-    columns = _moment_columns(sums, scale, mean, n_max, m)
-    point = [float(x) for x in columns[n_boot]]
-    ses = [float(s) for s in np.std(columns[:n_boot], axis=0, ddof=1)]
+    mean, shift, table, sums = _power_sums(values, log_weights, n_max)
+    row = _moment_columns(sums, shift, mean, n_max, m)[0]
+    ses = _influence_errors(table, sums[0, 0], row, n_max)
+    point = [float(x) for x in row]
     first_std = 2 + max(n_max - 1, 0)  # columns: mean, log mean-weight, m_2.., standardized 3..
     mean_weight = math.exp(point[1]) if point[1] <= _LOG_FLOAT_MAX else math.inf  # no other estimate uses it
     mean_weight_se = float(mean_weight * ses[1])  # delta method on log scale
@@ -222,7 +214,6 @@ def tilted_moments_mc(
     samples,
     seed: SeedSpec,
     sampler="split",
-    bootstrap_seed=DEFAULT_BOOTSTRAP_SEED,
     keep_samples=True,
 ):
     """Monte Carlo tilted moments of log|Z| at matrix size n, tilt k.
@@ -234,7 +225,8 @@ def tilted_moments_mc(
     k = 0, whose factors are deformed Verblunsky coefficients) or "qr"
     (dense QR) draws Haar instances instead, sets log-weights 2k v_i for
     any real k >= 0, and mean_weight then estimates the normalizer
-    M_N(2k).  Either way the estimates are reduced with bootstrap errors.
+    M_N(2k).  Either way the estimates are reduced with delta-method
+    (influence-function) errors.
     """
     if samples < 10**3:
         raise ValueError(f"samples must be >= 1000, got {samples}")
@@ -255,7 +247,7 @@ def tilted_moments_mc(
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
     log_weights = np.zeros_like(values) if sampler == "split" else 2.0 * k * values
-    return reduce_weighted(values, log_weights, n_max, bootstrap_seed=bootstrap_seed, keep_samples=keep_samples)
+    return weighted_moments(values, log_weights, n_max, keep_samples=keep_samples)
 
 
 _ERF = np.frompyfunc(math.erf, 1, 1)
@@ -280,7 +272,7 @@ def weighted_ks_vs_normal(values, log_weights, mean, variance):
 
 @dataclass(frozen=True)
 class ConformanceRecord:
-    """MC-vs-exact deviations, each in units of its bootstrap SE."""
+    """MC-vs-exact deviations, each in units of its delta-method (influence-function) SE."""
 
     mean_deviation: float
     variance_deviation: float

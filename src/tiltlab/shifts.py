@@ -166,8 +166,11 @@ def second_moment_recipe_k1(t_lo, t_hi, alpha, beta):
     expm1((1 - c) log(t_hi/t_lo)), finite at c = 1.  For |c| < POLE_BAND,
     zeta(1 +- c) = +-1/c + R(+-c) with R from the Stieltjes constants, and
     the poles combine into (t_hi - t_lo - P(c))/c, which is
-    t (u expm1(-cu)/(-cu) - 1) / (1 - c), u = log(t/2pi), between the
-    window's ends: no two large terms cancel, and c = 0 is no special case.
+    t (u E(-cu) - 1) / (1 - c), u = log(t/2pi), E(x) = expm1(x)/x, between
+    the window's ends.  That difference is taken as
+    (t_hi - t_lo)(u_hi E(-c u_hi) - 1) + t_lo (t_lo/2pi)^{-c} d E(-cd), with
+    d = log1p((t_hi - t_lo)/t_lo): no two large terms cancel, even in a
+    narrow window, and c = 0 is no special case.
     """
     if not (50 <= t_lo < t_hi <= RS_MAX_T):
         raise ValueError("need 50 <= t_lo < t_hi within the evaluator ceiling")
@@ -176,9 +179,10 @@ def second_moment_recipe_k1(t_lo, t_hi, alpha, beta):
     c = complex(alpha) + complex(beta)
     u_lo, u_hi = (math.log(t / (2 * math.pi)) for t in (t_lo, t_hi))
     span = math.log1p((t_hi - t_lo) / t_lo)
-    power_integral = t_lo * np.exp(-c * u_lo) * span * _expm1_ratio((1 - c) * span)
+    lo_span = t_lo * np.exp(-c * u_lo) * span
+    power_integral = lo_span * _expm1_ratio((1 - c) * span)
     if abs(c) < POLE_BAND:
-        ends = t_hi * (u_hi * _expm1_ratio(-c * u_hi) - 1) - t_lo * (u_lo * _expm1_ratio(-c * u_lo) - 1)
+        ends = (t_hi - t_lo) * (u_hi * _expm1_ratio(-c * u_hi) - 1) + lo_span * _expm1_ratio(-c * span)
         res = ends / (1 - c) + (t_hi - t_lo) * _zeta_regular_part(c) + _zeta_regular_part(-c) * power_integral
     else:
         zc, zmc = zeta_em_many(np.array([1 + c, 1 - c]))[0]

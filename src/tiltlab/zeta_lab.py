@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cue import SeedSpec
-from .estimator import reduce_weighted
+from .estimator import weighted_moments
 from .zeta_eval import RS_MAX_T, zeta_line
 
 __all__ = [
@@ -359,7 +359,7 @@ def weighted_scan(spec: ScanSpec):
     stream = scan_stream(spec)
     log_w = stream.log_weights
     finite = np.isfinite(stream.values)
-    report = reduce_weighted(stream.values[finite], log_w[finite], 4)
+    report = weighted_moments(stream.values[finite], log_w[finite], 4)
     corr = float(np.corrcoef(stream.proxy[finite], stream.values[finite])[0, 1])
     report = dataclasses.replace(report, proxy_correlation=corr)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tiltlab import zeta_eval, zeta_lab
 from tiltlab.cue import SeedSpec
-from tiltlab.estimator import reduce_weighted
+from tiltlab.estimator import weighted_moments
 from tiltlab.zeta_lab import (
     PrimeWindow,
     ScanSpec,
@@ -486,7 +486,7 @@ def test_unshifted_scan_evaluates_zeta_once(monkeypatch):
                 scale = np.abs(values_m0[finite])
                 assert np.all(np.abs(stream.values[finite] - values_m0[finite]) <= 1e-12 * scale)
                 log_w = stream.log_weights
-                ref = reduce_weighted(stream.values[finite], log_w[finite], 4, bootstrap=400)
+                ref = weighted_moments(stream.values[finite], log_w[finite], 4)
                 assert np.array_equal(report.log_weights, ref.log_weights)
                 for name in ("ess", "weighted_mean", "central_moments", "standard_errors"):
                     assert getattr(report, name) == getattr(ref, name)
