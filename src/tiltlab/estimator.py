@@ -9,18 +9,19 @@ log-weights 2k log|Z|, for any real k >= 0; they degenerate at high tilt
 (effective sample size ~10^2 of 2e5 at N=200, k=1).
 
 `weighted_moments` takes every weighted moment from one table of w y^p
-(w = exp(log_weights - max), y = values - mean): the point estimate is
-one kernel from power sums to moments on the table's power sums, and
-its standard errors are delta-method (influence-function) errors, each
-one pass over the same table.  The effective sample size
-(sum w)^2 / sum w^2 is taken in linear space over the same w.  Every
-reduction first sorts the (value, log-weight) pairs, so every reported
-field is invariant under permutations of the input stream.
+(w = exp(log_weights - max), y = values - mean) in one pass to the
+report: for each order p one loop gives the central moment m_p from the
+row sums, its delta-method (influence-function) error from the rows,
+and from p = 3 the standardized moment and its error.  The effective
+sample size (sum w)^2 / sum w^2 is taken in linear space over the same
+w.  Every reduction first sorts the (value, log-weight) pairs, so every
+reported field is invariant under permutations of the input stream.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -82,93 +83,30 @@ def effective_sample_size(log_weights):
     return float(np.sum(w) ** 2 / np.dot(w, w))
 
 
-def _power_sums(values, log_weights, n_max):
-    """(mean, shift, table, sums): row p of the table is w y^p, p = 0..max(n_max, 1), and sums its S_p.
-
-    w = exp(log_weights - shift), with shift the largest log-weight, and
-    y = values - mean, where mean is the weighted mean.  sums is one row
-    of power sums, the layout `_moment_columns` reads.
-    """
-    shift = np.max(log_weights)
-    table = np.empty((max(n_max, 1) + 1, len(values)))
-    table[0] = np.exp(log_weights - shift)
-    mean = float(np.sum(table[0] * values) / np.sum(table[0]))
-    for p in range(1, len(table)):  # w y^p, with y = values - mean formed in place
-        np.subtract(values, mean, out=table[p])
-        table[p] *= table[p - 1]
-    return mean, shift, table, np.array([[np.sum(row) for row in table]])
-
-
-def _moment_columns(sums, scale, mean, n_max, m):
-    """Columns [mean, log mean-weight, m_2..m_n_max, m_n / m_2^{n/2} for n >= 3] of power-sum rows.
-
-    A row's mean is mean + S_1/S_0; its central moments about that mean
-    follow from S_p/S_0 by binomial re-centring on the shift S_1/S_0.  A
-    vanishing m_2, or an m_2^{n/2} below the float range, leaves a
-    non-finite standardized moment rather than raising.
-    """
-    raw = sums / sums[:, :1]  # E[y^p]
-    d = raw[:, 1]
-    central = [
-        sum(math.comb(n, j) * raw[:, j] * (-d) ** (n - j) for j in range(n + 1)) for n in range(2, n_max + 1)
-    ]
-    with np.errstate(all="ignore"):
-        standardized = [
-            np.where(central[0] > 0, c / central[0] ** (0.5 * n), np.nan) for n, c in enumerate(central[1:], 3)
-        ]
-    return np.column_stack([mean + d, scale + np.log(sums[:, 0]) - math.log(m), *central, *standardized])
-
-
-def _influence_errors(table, s0, point, n_max):
-    """Delta-method SEs of the `_moment_columns` entries of the sample, in the same order.
-
-    With a = w / mean(w), the influence function of draw i is a y (mean),
-    a - 1 (log mean-weight), IF_p = a [y^p - m_p - p m_{p-1} y] (m_p), and
-    for m_p / m_2^{p/2} the chain rule IF_p / m_2^{p/2} - (p/2) (m_p / m_2^{p/2}) IF_2 / m_2.
-    An estimate's SE is sqrt(sum IF^2) / m = sqrt(sum J^2) / S_0, where
-    J = w IF / a is a combination of the table's rows, for m_p
-    w y^p - m_p w - p m_{p-1} w y.  A vanishing m_2, or an m_2^{p/2} outside the
-    float range, leaves a non-finite standardized error rather than raising.
-    """
-    central = [1.0, 0.0, *point[2 : 1 + n_max]]  # m_0..m_n_max, numpy scalars from m_2 on
-
-    def root_sum_square(x):
-        return float(np.sqrt(np.sum(x * x)) / s0)
-
-    ses = [root_sum_square(table[1]), root_sum_square(table[0] - s0 / table.shape[1])]
-    standardized = []
-    with np.errstate(all="ignore"):
-        for p in range(2, n_max + 1):
-            influence = table[p] - central[p] * table[0] - p * central[p - 1] * table[1]
-            ses.append(root_sum_square(influence))
-            if p == 2:
-                m2, influence_2 = central[2], influence
-            elif m2 > 0:
-                std = point[n_max + p - 2]  # m_p / m_2^{p/2}
-                standardized.append(
-                    root_sum_square(influence / m2 ** (0.5 * p) - (0.5 * p * std / m2) * influence_2)
-                )
-            else:
-                standardized.append(math.nan)
-    return ses + standardized
-
-
 def weighted_moments(values, log_weights, n_max, keep_samples=True):
     """Self-normalized moment estimates plus delta-method (influence-function) standard errors.
 
-    The point estimate is `_moment_columns` of the power sums of the
-    `_power_sums` table, and every SE comes from the influence functions
-    over the same table (`_influence_errors`); the reported mean is the
-    one the table is centred on.  The influence functions treat the
-    (value, weight) pairs as the i.i.d. unit, because the weights are
-    paired with the values they came from.
+    One pass from a table whose row p is w y^p, p = 0..max(n_max, 1),
+    with w = exp(log_weights - shift), shift the largest log-weight, and
+    y = values - mean, where mean is the reported weighted mean.  With
+    S_p the row sums, m_p follows from S_p/S_0 by binomial re-centring on
+    the rounding S_1/S_0 left in the mean.  With a = w / mean(w), the
+    influence function of draw i is a y (mean), a - 1 (log mean-weight),
+    IF_p = a [y^p - m_p - p m_{p-1} y] (m_p), and for m_p / m_2^{p/2} the
+    chain rule IF_p / m_2^{p/2} - (p/2) (m_p / m_2^{p/2}) IF_2 / m_2.  An
+    SE is sqrt(sum IF^2) / m = sqrt(sum J^2) / S_0, where J = w IF / a is
+    a combination of table rows, for m_p w y^p - m_p w - p m_{p-1} w y.
+    The influence functions treat the (value, weight) pairs as the
+    i.i.d. unit, because the weights are paired with the values they came
+    from.  A vanishing m_2, or an m_2^{p/2} outside the float range,
+    leaves a non-finite standardized moment and error rather than raising.
     """
     values = np.asarray(values, dtype=float)
     log_weights = np.asarray(log_weights, dtype=float)
     if values.shape != log_weights.shape or values.ndim != 1:
         raise ValueError("values and log_weights must be equal-length 1-d arrays")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    if not isinstance(n_max, numbers.Integral) or n_max < 0:
+        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
     order = np.lexsort((log_weights, values))
     values = values[order]
     log_weights = log_weights[order]
@@ -176,13 +114,40 @@ def weighted_moments(values, log_weights, n_max, keep_samples=True):
     m = len(values)
     ess = effective_sample_size(log_weights)
 
-    mean, shift, table, sums = _power_sums(values, log_weights, n_max)
-    row = _moment_columns(sums, shift, mean, n_max, m)[0]
-    ses = _influence_errors(table, sums[0, 0], row, n_max)
-    point = [float(x) for x in row]
-    first_std = 2 + max(n_max - 1, 0)  # columns: mean, log mean-weight, m_2.., standardized 3..
-    mean_weight = math.exp(point[1]) if point[1] <= _LOG_FLOAT_MAX else math.inf  # no other estimate uses it
-    mean_weight_se = float(mean_weight * ses[1])  # delta method on log scale
+    shift = np.max(log_weights)
+    table = np.empty((max(n_max, 1) + 1, m))
+    table[0] = np.exp(log_weights - shift)
+    mean = float(np.sum(table[0] * values) / np.sum(table[0]))
+    for p in range(1, len(table)):  # w y^p, with y = values - mean formed in place
+        np.subtract(values, mean, out=table[p])
+        table[p] *= table[p - 1]
+    s0 = np.sum(table[0])
+    raw = [np.sum(row) / s0 for row in table]  # E[y^p]
+
+    def root_sum_square(x):
+        return float(np.sqrt(np.sum(x * x)) / s0)
+
+    log_mean_weight = float(shift + np.log(s0) - math.log(m))
+    mean_weight = math.exp(log_mean_weight) if log_mean_weight <= _LOG_FLOAT_MAX else math.inf
+    mean_weight_se = mean_weight * root_sum_square(table[0] - s0 / m)  # delta method on log scale
+    central, errors = [1.0, 0.0], [0.0, root_sum_square(table[1])]
+    standardized, standardized_errors = [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]
+    with np.errstate(all="ignore"):
+        # point powers by the np.power ufunc, the SE's m_2^{p/2} by scalar **: they can differ by an ulp
+        for p in range(2, n_max + 1):
+            central.append(sum(math.comb(p, j) * raw[j] * np.power(-raw[1], p - j) for j in range(p + 1)))
+            influence = table[p] - central[p] * table[0] - p * central[p - 1] * table[1]
+            errors.append(root_sum_square(influence))
+            if p == 2:
+                m2, influence_2 = central[2], influence
+            elif m2 > 0:
+                standardized.append(central[p] / np.power(m2, 0.5 * p))
+                standardized_errors.append(
+                    root_sum_square(influence / m2 ** (0.5 * p) - (0.5 * p * standardized[p] / m2) * influence_2)
+                )
+            else:
+                standardized.append(math.nan)
+                standardized_errors.append(math.nan)
 
     low = ess < ESS_FLOOR
     if low:
@@ -195,10 +160,10 @@ def weighted_moments(values, log_weights, n_max, keep_samples=True):
         sample_count=m,
         ess=ess,
         weighted_mean=mean,
-        central_moments=([1.0, 0.0] + point[2:first_std])[: n_max + 1],
-        standard_errors=([0.0, ses[0]] + ses[2:first_std])[: n_max + 1],
-        standardized=([1.0, 0.0, 1.0] + point[first_std:])[: n_max + 1],
-        standardized_errors=([0.0, 0.0, 0.0] + ses[first_std:])[: n_max + 1],
+        central_moments=[float(c) for c in central[: n_max + 1]],
+        standard_errors=errors[: n_max + 1],
+        standardized=[float(s) for s in standardized[: n_max + 1]],
+        standardized_errors=standardized_errors[: n_max + 1],
         mean_weight=mean_weight,
         mean_weight_se=mean_weight_se,
         low_ess=bool(low),
@@ -230,10 +195,10 @@ def tilted_moments_mc(
     """
     if samples < 10**3:
         raise ValueError(f"samples must be >= 1000, got {samples}")
-    if not 0 <= n_max <= 8:
-        raise ValueError(f"n_max must be in [0, 8] for MC, got {n_max}")
-    if k < 0:
-        raise ValueError(f"tilt k must be nonnegative, got {k}")
+    if not isinstance(n_max, numbers.Integral) or not 0 <= n_max <= 8:
+        raise ValueError(f"n_max must be an integer in [0, 8] for MC, got {n_max!r}")
+    if not 0 <= k < math.inf:
+        raise ValueError(f"tilt k must be finite and nonnegative, got {k}")
     if sampler == "split":
         if not float(k).is_integer():
             raise ValueError(
@@ -291,6 +256,10 @@ def gaussian_conformance(report: MomentReport, n, k) -> ConformanceRecord:
     against Normal(exact mean, exact variance).
     """
     n_max = len(report.central_moments) - 1
+    if n_max < 2:
+        raise ValueError(f"report must carry the variance (n_max >= 2), got n_max {n_max}")
+    if report.values is None:
+        raise ValueError("report must keep samples for the KS statistic")
     exact = rmt_exact.weighted_central_moments(rmt_exact.TiltSpec(n, float(k), max(2, n_max)))
     mu_e = exact.mu_weighted
     m2_e = exact.central_moments[2]
@@ -303,8 +272,6 @@ def gaussian_conformance(report: MomentReport, n, k) -> ConformanceRecord:
         se = report.standardized_errors[order]
         std_devs[order] = (report.standardized[order] - target) / se if se > 0 else float("nan")
         exact_std[order] = exact.central_moments[order] / m2_e ** (0.5 * order)
-    if report.values is None:
-        raise ValueError("report must keep samples for the KS statistic")
     ks = weighted_ks_vs_normal(report.values, report.log_weights, mu_e, m2_e)
     return ConformanceRecord(
         mean_deviation=float(mean_dev),

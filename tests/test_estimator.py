@@ -49,7 +49,9 @@ def test_reweighting_algebraic_identity():
     log_w = np.array([0.0, 1.0, -2.0, 0.3, 0.0])
     w = np.exp(log_w)
     expected_mean = np.sum(w * values) / np.sum(w)
-    report = weighted_moments(values, log_w, 2)
+    with pytest.warns(RuntimeWarning, match="effective sample size"):
+        report = weighted_moments(values, log_w, 2)
+    assert report.low_ess
     assert report.weighted_mean == pytest.approx(expected_mean, rel=1e-14)
     expected_m2 = np.sum(w * (values - expected_mean) ** 2) / np.sum(w)
     assert report.central_moments[2] == pytest.approx(expected_m2, rel=1e-14)
@@ -334,6 +336,20 @@ def test_preconditions():
         tilted_moments_mc(10, 0.5, 4, 2000, SeedSpec(1))
     with pytest.raises(ValueError):
         weighted_moments(np.ones(10), np.ones(11), 2)
+    with pytest.raises(ValueError, match="n_max"):
+        weighted_moments(np.ones(10), np.zeros(10), 2.5)
+    with pytest.raises(ValueError, match="n_max"):
+        tilted_moments_mc(10, 1, 2.5, 2000, SeedSpec(1))
+    for k in (math.nan, math.inf):
+        for sampler in ("cmv", "qr"):
+            with pytest.raises(ValueError, match="tilt k"):
+                tilted_moments_mc(10, k, 4, 2000, SeedSpec(1), sampler=sampler)
+    values = np.random.default_rng(6).normal(size=2000)
+    for n_max in (0, 1):
+        with pytest.raises(ValueError, match="variance"):
+            gaussian_conformance(weighted_moments(values, np.zeros_like(values), n_max), 10, 0)
+    with pytest.raises(ValueError, match="keep samples"):
+        gaussian_conformance(weighted_moments(values, np.zeros_like(values), 4, keep_samples=False), 10, 0)
 
 
 def test_report_invariants_enforced():
