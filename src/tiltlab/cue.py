@@ -28,10 +28,11 @@ helper as the dense stream.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .threads import thread_count
 
 __all__ = [
     "SeedSpec",
@@ -85,27 +86,6 @@ STREAM_SHARD = 4096
 _BLOCK_DOUBLES = 2**15
 
 
-def _stream_workers(shards):
-    """Threads for a sharded stream: TILTLAB_THREADS, else the CPUs this process may use.
-
-    Never more than the number of shards, so at most that many shards'
-    temporaries are alive at once.
-    """
-    setting = os.environ.get("TILTLAB_THREADS")
-    if setting:
-        try:
-            workers = int(setting)
-        except ValueError:  # "abc", "1.5": reported below like "0"
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"TILTLAB_THREADS must be a positive integer, got {setting!r}")
-    elif hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:  # pragma: no cover - platforms without CPU affinity
-        workers = os.cpu_count() or 1
-    return min(workers, shards)
-
-
 def _sharded(count, seed: SeedSpec, shard_body, shard_size=STREAM_SHARD, scratch=None):
     """count values, shard j of fixed size drawn by shard_body(rng_j, take, buffers).
 
@@ -119,7 +99,7 @@ def _sharded(count, seed: SeedSpec, shard_body, shard_size=STREAM_SHARD, scratch
     """
     out = np.empty(count)
     shards = -(-count // shard_size)
-    workers = _stream_workers(shards)
+    workers = thread_count(shards)
     idle = [scratch() if scratch else None for _ in range(workers)]
 
     def fill(j):

@@ -73,13 +73,18 @@ class MomentReport:
             raise ValueError("standard errors must be nonnegative")
 
 
+def _largest_log_weight(log_weights):
+    """max(log_weights), the shift that puts the largest weight at 1; it must exist and be finite."""
+    shift = np.max(log_weights, initial=-np.inf)
+    if not np.isfinite(shift):
+        raise ValueError("log_weights must be nonempty, with a finite largest entry")
+    return shift
+
+
 def effective_sample_size(log_weights):
     """(sum w)^2 / sum w^2 in linear space, with w = exp(log_weights - max) as in weighted_moments."""
     lw = np.asarray(log_weights, dtype=float)
-    shift = np.max(lw, initial=-np.inf)
-    if not np.isfinite(shift):
-        raise ValueError("log_weights must be nonempty, with a finite largest entry")
-    w = np.exp(lw - shift)
+    w = np.exp(lw - _largest_log_weight(lw))
     return float(np.sum(w) ** 2 / np.dot(w, w))
 
 
@@ -112,16 +117,15 @@ def weighted_moments(values, log_weights, n_max, keep_samples=True):
     log_weights = log_weights[order]
     del order  # not needed for the table, whose peak it would raise
     m = len(values)
-    ess = effective_sample_size(log_weights)
-
-    shift = np.max(log_weights)
+    shift = _largest_log_weight(log_weights)
     table = np.empty((max(n_max, 1) + 1, m))
     table[0] = np.exp(log_weights - shift)
-    mean = float(np.sum(table[0] * values) / np.sum(table[0]))
+    s0 = np.sum(table[0])
+    ess = float(s0**2 / np.dot(table[0], table[0]))  # effective_sample_size, off row 0
+    mean = float(np.sum(table[0] * values) / s0)
     for p in range(1, len(table)):  # w y^p, with y = values - mean formed in place
         np.subtract(values, mean, out=table[p])
         table[p] *= table[p - 1]
-    s0 = np.sum(table[0])
     raw = [np.sum(row) / s0 for row in table]  # E[y^p]
 
     def root_sum_square(x):

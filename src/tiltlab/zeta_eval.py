@@ -26,21 +26,29 @@ singularities to dodge.
 
 The main sum is read off one table X[n, j] = n^{-1/2 - i t_j} per block
 of points.  n^{-1/2-it} is completely multiplicative, so only the prime
-rows take a phase: -t log p is reduced mod 2 pi in extended precision
-(the raw phase is ~1e9 at t = 1e8), and theta(t) is reduced on its own.
-Each composite row is one product X[spf(n)] X[n / spf(n)], filled level
-by level in the number of prime factors.  Every jet order sums the same
-table, weighted by powers of log n.
+rows take a phase.  t log p / 2 pi is reduced mod 1 in float64 turns:
+log p / 2 pi is split at import into a head on a 2^-24 grid and a tail,
+so floor(t) * head is exact for t <= RS_MAX_T < 2^27 and only a few turns
+are left to add.  Extended precision (80-bit long double) remains for
+theta(t), reduced on its own, and for those import-time constants.  Each
+composite row is one product X[spf(n)] X[n / spf(n)]: odd n level by
+level in the number of prime factors, even n in doubling rounds.  Every
+jet order sums the same table, weighted by powers of log n.  With two or
+more threads, the next block's prime rows are built on a worker thread
+while the caller fills and sums this block's table; the values do not
+depend on the thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
 from . import jet
 from .special import BERNOULLI_EVEN as _B2N
+from .threads import thread_count
 
 __all__ = [
     "zeta_line",
@@ -57,7 +65,7 @@ TWO_PI = 2.0 * math.pi
 _LD = np.longdouble
 PI_LD = _LD("3.14159265358979323846264338327950288420")
 TWO_PI_LD = _LD(2) * PI_LD
-# prime phases near 1e9 keep ~1e-10 absolute only with a 64-bit mantissa (x87 80-bit)
+# theta(t) near 1e9 rad and log p / 2 pi to ~1e-19 need a 64-bit mantissa (x87 80-bit)
 _LONGDOUBLE_OK = np.finfo(_LD).nmant >= 63
 
 EM_AUTO_MAX_T = 1000.0  # the one crossover: EM at and below, RS above, at every order
@@ -280,40 +288,100 @@ def _factor_levels(n_max):
 
 _RS_MAX_N = int(math.sqrt(RS_MAX_T / TWO_PI))  # main-sum length at the ceiling
 _PRIMES, _LEVELS = _factor_levels(_RS_MAX_N)
-_LOG_P_LD = np.log(_PRIMES.astype(_LD))
+# odd composites (row n - 1 even) keep their levels; an even n is X[2] X[n / 2], filled by doubling
+_ODD_LEVELS = [(row[row % 2 == 0], spf[row % 2 == 0], cof[row % 2 == 0]) for row, spf, cof in _LEVELS]
+# log p / 2 pi, the turns of p^{-it} per unit t, as head + tail with head on a 2^-24
+# grid: head * 2^24 * floor(t) < 2^53 for t <= RS_MAX_T, so floor(t) * head is exact
+_TURNS_LD = np.log(_PRIMES.astype(_LD)) / TWO_PI_LD
+_TURNS = _TURNS_LD.astype(float)
+_TURNS_HEAD = (np.round(_TURNS_LD * 2**24) / 2**24).astype(float)
+_TURNS_TAIL = (_TURNS_LD - _TURNS_HEAD).astype(float)
 _INV_SQRT_P = 1.0 / np.sqrt(_PRIMES.astype(float))
-_LOG_N = np.log(np.arange(1, _RS_MAX_N + 1, dtype=float))
+_N = np.arange(1, _RS_MAX_N + 1)
+_LOG_N = np.log(_N.astype(float))
 
 
-def _power_table(t, big_n, buffer):
+def _prime_turns(t, n_primes):
+    """t log p / 2 pi mod 1 for the first n_primes primes (rows) at each t (columns), in float64.
+
+    With t = floor(t) + frac(t) and log p / 2 pi = head + tail, the product
+    floor(t) * head is exact, so its fractional part is too; what is left,
+    floor(t) * tail + frac(t) log p / 2 pi, is a few turns at most.  The
+    result is congruent to t log p / 2 pi mod 1 and lies in (-3, 6).
+    """
+    t_int = np.floor(t)
+    turns = np.multiply(_TURNS_HEAD[:n_primes, None], t_int)
+    rest = np.floor(turns)
+    turns -= rest
+    turns += np.multiply(_TURNS_TAIL[:n_primes, None], t_int, out=rest)
+    turns += np.multiply(_TURNS[:n_primes, None], t - t_int, out=rest)
+    return turns
+
+
+def _prime_rows(t, n_primes):
+    """X[p] = p^{-1/2 - it} for the first n_primes primes (rows) at each t (columns).
+
+    The turns u = t log p / 2 pi are split as q/4 + r with q = rint(4u), so
+    e^{-2 pi i u} = (-i)^q e^{-2 pi i r}: cos and sin only see |2 pi r| <= pi/4,
+    and the quarter turns are exact: a product by -i for odd q, then a sign
+    for q = 2, 3 mod 4.
+    """
+    turns = _prime_turns(t, n_primes)
+    turns *= 4.0
+    quarter = np.rint(turns)
+    turns -= quarter
+    turns *= -math.pi / 2
+    quarter = quarter.astype(np.int8)  # in (-12, 24)
+    quarter &= 3
+    rows = np.empty(turns.shape, dtype=np.complex128)
+    np.cos(turns, out=rows.real)
+    np.sin(turns, out=rows.imag)
+    np.multiply(rows, -1j, out=rows, where=(quarter & 1).astype(bool))
+    np.negative(rows, out=rows, where=quarter >= 2)
+    rows *= _INV_SQRT_P[:n_primes, None]
+    return rows
+
+
+def _power_table(prime_rows, big_n, buffer):
     """X[n - 1, j] = n^{-1/2 - i t_j} for n <= N_j, and 0 for N_j < n <= max N.
 
-    t is sorted ascending, so N = big_n is too; the table is a view of
-    `buffer`.  Prime rows take their phase -t log p mod 2 pi in extended
-    precision; composite rows are one product each, filled level by level
-    in Omega(n).
+    N = big_n is ascending and prime_rows holds X at the primes up to max N
+    (`_prime_rows`); the table is a view of `buffer`.  Composite rows are one
+    product X[spf(n)] X[n / spf(n)] each: odd n level by level in Omega(n),
+    then even n = 2m as X[2] X[m] over strided rows, m doubling each round.
     """
     rows = int(big_n[-1])
-    table = buffer[: rows * t.size].reshape(rows, t.size)
+    table = buffer[: rows * big_n.size].reshape(rows, big_n.size)
     table[0] = 1.0
-    n_primes = int(np.searchsorted(_PRIMES, rows, side="right"))
-    phase = np.remainder(-_LOG_P_LD[:n_primes, None] * t.astype(_LD), TWO_PI_LD).astype(float)
-    prime_rows = np.empty(phase.shape, dtype=np.complex128)
-    np.cos(phase, out=prime_rows.real)
-    np.sin(phase, out=prime_rows.imag)
-    prime_rows *= _INV_SQRT_P[:n_primes, None]
-    table[_PRIMES[:n_primes] - 1] = prime_rows
-    for n_row, spf_row, cof_row in _LEVELS:
+    table[_PRIMES[: len(prime_rows)] - 1] = prime_rows
+    for n_row, spf_row, cof_row in _ODD_LEVELS:
         cut = int(np.searchsorted(n_row, rows))
         if not cut:
             break
         product = table[spf_row[:cut]]
         product *= table[cof_row[:cut]]
         table[n_row[:cut]] = product
+    # m < high <= 2 low is odd or an even m filled by an earlier round
+    low = 2
+    while 2 * low <= rows:
+        high = min(2 * low, rows // 2 + 1)
+        np.multiply(table[1], table[low - 1 : high - 1], out=table[2 * low - 1 : 2 * high - 1 : 2])
+        low = high
     # columns left of a step in N stop at the N before the step
-    for col in np.flatnonzero(np.diff(big_n)) + 1:
-        table[big_n[col - 1] :, :col] = 0.0
+    low = int(big_n[0])
+    np.putmask(table[low:], _N[low:rows, None] > big_n, 0.0)
     return table
+
+
+def _rs_blocks(big_n):
+    """(start, stop) of each block of points: max N rows times its points fit _TABLE_ENTRIES."""
+    start = 0
+    while start < big_n.size:
+        # N[guess - 1] bounds N on any block that ends by `guess`; size the block by it
+        guess = min(big_n.size, start + _TABLE_ENTRIES // int(big_n[start]))
+        stop = min(big_n.size, start + _TABLE_ENTRIES // int(big_n[guess - 1]))
+        yield start, stop
+        start = stop
 
 
 def _rs_main_sums(t, big_n, order):
@@ -322,20 +390,46 @@ def _rs_main_sums(t, big_n, order):
     Each block of points fills one table of at most _TABLE_ENTRIES entries
     in a buffer shared by the blocks.  The sums are plain row reductions:
     a BLAS matrix-vector product this small spins its worker threads.
+
+    A block takes two stages of similar cost: its prime rows (phases, cos
+    and sin: `_prime_rows`), then the table (the primes scattered in, the
+    composite levels) and its sums.  When the TILTLAB_THREADS rule gives two
+    or more threads and there are two or more blocks, the stages run as a
+    pipeline: one worker thread builds block b + 1's prime rows while the
+    caller finishes block b.  Blocks and their arithmetic are those of the
+    serial order, so the sums are bit-identical for any thread count, and
+    one extra prime-row array is alive at a time.
     """
     sums = np.empty((order + 1, t.size), dtype=np.complex128)
     buffer = np.empty(_TABLE_ENTRIES, dtype=np.complex128)
-    start = 0
-    while start < t.size:
-        # N[guess - 1] bounds N on any block that ends by `guess`; size the block by it
-        guess = min(t.size, start + _TABLE_ENTRIES // int(big_n[start]))
-        stop = min(t.size, start + _TABLE_ENTRIES // int(big_n[guess - 1]))
-        table = _power_table(t[start:stop], big_n[start:stop], buffer)
-        sums[0, start:stop] = table.sum(axis=0)
-        for r in range(1, order + 1):
-            table *= _LOG_N[: table.shape[0], None]
-            sums[r, start:stop] = table.sum(axis=0)
-        start = stop
+    blocks = list(_rs_blocks(big_n))
+
+    def prime_rows(start, stop):
+        n_primes = int(np.searchsorted(_PRIMES, big_n[stop - 1], side="right"))
+        return _prime_rows(t[start:stop], n_primes)
+
+    threaded = thread_count(len(blocks)) > 1
+    if threaded:
+        # imported on first use: it would add about 0.7 MiB to every CLI process
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) if threaded else contextlib.nullcontext() as pool:
+
+        def ahead(block):
+            """A call that returns the block's prime rows: started on the worker now, or built on call."""
+            if pool is None:
+                return lambda: prime_rows(*block)
+            return pool.submit(prime_rows, *block).result
+
+        following = ahead(blocks[0]) if blocks else None
+        for i, (start, stop) in enumerate(blocks):
+            ready = following
+            if i + 1 < len(blocks):
+                following = ahead(blocks[i + 1])
+            table = _power_table(ready(), big_n[start:stop], buffer)
+            sums[0, start:stop] = table.sum(axis=0)
+            for r in range(1, order + 1):
+                table *= _LOG_N[: table.shape[0], None]
+                sums[r, start:stop] = table.sum(axis=0)
     return sums
 
 
@@ -353,7 +447,7 @@ def _rs_jet(t_arr, order, n_corr=4):
     if not _LONGDOUBLE_OK:
         raise ValueError(
             "Riemann-Siegel path needs an 80-bit long double "
-            "(np.finfo(np.longdouble).nmant >= 63) for its phase reduction"
+            "(np.finfo(np.longdouble).nmant >= 63) for theta(t) and its prime constants"
         )
     t_arr = np.asarray(t_arr, dtype=float)
     if not np.all((t_arr >= RS_MIN_T) & (t_arr <= RS_MAX_T)):

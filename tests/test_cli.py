@@ -248,6 +248,14 @@ def test_recipe_k1_quadrature_byte_identical_across_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_zeta_scan_byte_identical_across_rs_threads(tmp_path):
+    # about 50 Riemann-Siegel blocks at 5e7: serial, then pipelined with the next
+    # block's prime rows built on a worker thread
+    args = ["zeta-scan", "--t", "5e7", "--samples", "2000", "--k", "0"]
+    outputs = [_run_in_subprocess(args, tmp_path / f"scan-{t}.json", t) for t in ("1", "2")]
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("step", ["0", "-0.05"])
 def test_recipe_k1_rejects_non_positive_step(tmp_path, capsys, step):
     out = tmp_path / "recipe.json"
@@ -404,6 +412,16 @@ def test_zeta_scan_exit_codes(t, samples, k, m, alpha, window):
     if window is not None:
         args += [f"--window-lo={window[0]!r}", f"--window-hi={window[1]!r}"]
     _exit_code_contract(args)
+
+
+@pytest.mark.parametrize("setting", ["0", "-2", "1.5", "abc"])
+def test_zeta_scan_rejects_a_bad_thread_setting(tmp_path, capsys, monkeypatch, setting):
+    # a multi-block Riemann-Siegel scan reads the thread rule of the sharded streams
+    monkeypatch.setenv("TILTLAB_THREADS", setting)
+    args = ["zeta-scan", "--t", "5e7", "--samples", "200", "--k", "0", "--out", str(tmp_path / "scan.json")]
+    assert run_cli(args) == EXIT_PRECONDITION
+    assert f"TILTLAB_THREADS must be a positive integer, got {setting!r}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def _sized_exit_code_contract(args):

@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +13,13 @@ from tiltlab import zeta_eval
 from tiltlab.zeta_eval import (
     EM_AUTO_MAX_T,
     RS_MAX_T,
+    _PRIMES,
+    _RS_MAX_N,
     _factor_levels,
     _phi_derivative,
+    _prime_rows,
+    _prime_turns,
+    _rs_blocks,
     _rs_jet,
     _rs_main_sums,
     siegel_theta,
@@ -174,19 +182,74 @@ def test_rs_jet_order_zero_is_the_evaluation(order):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
-def test_rs_main_sum_memory_is_bounded_by_its_block_table():
-    import tracemalloc
+def test_split_prime_phases_against_mpmath():
+    # t log p mod 2 pi at 30 digits, for every prime of the main sum up to the ceiling
+    import mpmath as mp
 
+    mp.mp.dps = 30
+    ts = np.array([1e4 + 0.3, 5e7 + 1.5, 1e8 - 0.2])
+    assert _PRIMES[-1] <= _RS_MAX_N and _PRIMES.size == 550
+    turns = _prime_turns(ts, _PRIMES.size)
+    rows = _prime_rows(ts, _PRIMES.size)
+    two_pi = 2 * mp.pi
+    for j, t in enumerate(ts):
+        t_mp = mp.mpf(float(t))
+        for i, p in enumerate(_PRIMES.tolist()):
+            ref = t_mp * mp.log(p) % two_pi
+            gap = mp.mpf(float(turns[i, j])) * two_pi - ref
+            gap -= two_pi * mp.nint(gap / two_pi)
+            assert abs(gap) < 1e-10, (t, p, float(gap))
+            # the quarter-turn split of the rows: p^{-1/2} e^{-i t log p}
+            value = complex(mp.expj(-ref) / mp.sqrt(p))
+            assert abs(rows[i, j] - value) < 1e-10 / math.sqrt(p), (t, p)
+
+
+def test_split_prime_phase_heads_are_exact():
+    # floor(t) * head carries no rounding for any t <= RS_MAX_T: head is on a 2^-24
+    # grid and head * 2^24 * floor(RS_MAX_T) is an integer below 2^53
+    top = math.floor(RS_MAX_T)
+    for head, tail in zip(zeta_eval._TURNS_HEAD.tolist(), zeta_eval._TURNS_TAIL.tolist()):
+        scaled = Fraction(head) * 2**24
+        assert scaled.denominator == 1 and scaled * top < 2**53
+        assert Fraction(head * top) == Fraction(head) * top
+        assert abs(tail) <= 2.0**-25
+    assert np.all(np.abs(zeta_eval._TURNS_HEAD + zeta_eval._TURNS_TAIL - zeta_eval._TURNS) <= 1e-16)
+
+
+def test_zeta_line_bit_identical_for_any_thread_count(monkeypatch):
+    # a short switch interval interleaves the pipeline's two stages finely, so the
+    # worker building a block's prime rows while the caller sums the last would show
+    t = np.random.default_rng(12).uniform(5e7, 1e8, size=300)
+    big_n = np.sort(np.sqrt(t / (2.0 * math.pi)).astype(np.int64))
+    assert len(list(_rs_blocks(big_n))) >= 3
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("TILTLAB_THREADS", workers)
+            runs.append((zeta_line(t, 0), zeta_line(t, 2)))
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs[1:]:
+        for values, first in zip(run, runs[0]):
+            assert np.array_equal(values, first)
+
+
+def test_rs_main_sum_memory_is_bounded_by_its_block_table(monkeypatch):
     t = np.random.default_rng(8).uniform(5e7, 1e8, size=10_000)
     zeta_rs_many(t[:4])
-    tracemalloc.start()
-    try:
-        zeta_rs_many(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one 2 MiB table and its level products; all 10,000 main sums at once would take ~600 MiB
-    assert peak < 6 * 2**20
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TILTLAB_THREADS", workers)
+        tracemalloc.start()
+        try:
+            zeta_rs_many(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2 MiB table and its level products, and with two threads the next block's
+        # prime rows; all 10,000 main sums at once would take ~600 MiB
+        assert peak < 6 * 2**20, f"{workers} threads: peak {peak / 2**20:.2f} MiB"
 
 
 def test_factor_levels_rebuild_every_n():
