@@ -8,10 +8,18 @@ evaluators, prime-window Dirichlet polynomials, weighted scans, and the
 shifted-moment recipe combinatorics.
 """
 
+import os
+
+# honor the thread-count override before the first numpy import starts its BLAS pools
+_threads = os.environ.get("TILTLAB_THREADS")
+if _threads:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, _threads)
+
 __version__ = "0.1.0"
 
 from .cue import SeedSpec
-from .estimator import MomentReport, effective_sample_size, gaussian_conformance, tilted_moments_mc
+from .estimator import MomentReport, gaussian_conformance, tilted_moments_mc
 from .rmt_exact import (
     ExactMomentReport,
     TiltSpec,
@@ -36,7 +44,6 @@ __all__ = [
     "__version__",
     "SeedSpec",
     "MomentReport",
-    "effective_sample_size",
     "gaussian_conformance",
     "tilted_moments_mc",
     "ExactMomentReport",

@@ -11,17 +11,10 @@ not fit in memory), 3 numerical failure
 
 from __future__ import annotations
 
-import os
-
-# honor the thread-count override before numpy initializes its BLAS pools
-_threads = os.environ.get("TILTLAB_THREADS")
-if _threads:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
 import math
+import os
 import sys
 import tempfile
 import warnings
@@ -183,7 +176,6 @@ def _handle_mc_tilt(config):
         p["samples"],
         SeedSpec(config.seed),
         sampler=p["sampler"],
-        keep_samples=False,
     )
     results = {
         "sample_count": report.sample_count,

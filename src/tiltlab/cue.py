@@ -21,13 +21,15 @@ splitting stream keeps its own scratch.  At k = 0 (Haar) that is a shard's
 radii (8 bytes x 4096 x N) plus three row blocks of about 256 KiB; under
 a tilt (k >= 1) the draw order needs whole-shard arrays, about
 8 bytes x 4096 x N x (k + 5).
-``rotation_invariance_check`` draws its two sets through the same QR
-helper as the dense stream.
+``rotation_invariance_check`` draws both its sets through the same
+driver, pool and QR shard body as the dense stream; its first set is
+that stream.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,12 @@ class SeedSpec:
 
     def shifted(self, offset):
         return SeedSpec(self.master_seed, self.stream_index + offset)
+
+
+def checked_size(name, value, least=1):
+    """Raise ValueError naming `name` unless value is an integer >= least; 100.5 would fail deep in numpy."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _haar_unitary_batch(rng, n, count, phase_correction=True):
@@ -166,8 +174,8 @@ def log_char_poly_stream(n, count, seed: SeedSpec, k=0):
     Shard j of fixed size uses stream (master_seed, stream_index + j), so
     the output is bit-stable regardless of how shards are scheduled.
     """
-    if n < 1 or count < 1:
-        raise ValueError("n and count must be >= 1")
+    checked_size("n", n)
+    checked_size("count", count)
     if not (k >= 0 and float(k).is_integer()):
         raise ValueError(f"tilt k must be a nonnegative integer, got {k}")
     k = int(k)
@@ -230,8 +238,8 @@ def qr_log_char_poly_stream(n, count, seed: SeedSpec):
 
     Sharded like log_char_poly_stream, in shards of 2048 // n draws.
     """
-    if n < 1 or count < 1:
-        raise ValueError("n and count must be >= 1")
+    checked_size("n", n)
+    checked_size("count", count)
 
     def shard(rng, take, _buffers):
         return _haar_log_abs(rng, n, take)
@@ -265,24 +273,22 @@ def rotation_invariance_check(
     """Two-sample KS test of {log|Z|(., 0)} against {log|Z|(., phi)}.
 
     Haar rotation invariance makes the two laws identical; a sampler
-    without QR phase correction fails this at the 1% level.  The sets are
-    drawn from streams (master_seed, stream_index) and (.., stream_index + 1)
-    by the QR helper of qr_log_char_poly_stream.
+    without QR phase correction fails this at the 1% level.  Both sets go
+    through the sharded driver with the dense stream's QR shard body, so
+    the first set is qr_log_char_poly_stream(n, trials, seed); the second
+    starts at stream_index + trials, after every stream of the first.
     """
-    if n < 1:
-        raise ValueError(f"matrix size must be >= 1, got {n}")
-    if trials < 10**3:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
-    batch = max(1, 4096 // n)
+    checked_size("n", n)
+    checked_size("trials", trials, 10**3)
 
-    def draws(rng, theta):
-        takes = [min(batch, trials - lo) for lo in range(0, trials, batch)]
-        return np.concatenate(
-            [_haar_log_abs(rng, n, take, theta, phase_correction) for take in takes]
-        )
+    def draws(start, theta):
+        def shard(rng, take, _buffers):
+            return _haar_log_abs(rng, n, take, theta, phase_correction)
 
-    set_a = draws(seed.rng(), 0.0)
-    set_b = draws(seed.shifted(1).rng(), phi)
+        return _sharded(trials, start, shard, max(1, 2048 // n))
+
+    set_a = draws(seed, 0.0)
+    set_b = draws(seed.shifted(trials), phi)
     stat = _two_sample_ks(set_a, set_b)
     threshold = float(_KS_COEFF_1PCT * np.sqrt(2.0 / trials))
     return RotationCheck(stat, threshold, bool(stat < threshold), trials, phi)

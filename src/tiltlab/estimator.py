@@ -13,9 +13,10 @@ log-weights 2k log|Z|, for any real k >= 0; they degenerate at high tilt
 report: for each order p one loop gives the central moment m_p from the
 row sums, its delta-method (influence-function) error from the rows,
 and from p = 3 the standardized moment and its error.  The effective
-sample size (sum w)^2 / sum w^2 is taken in linear space over the same
-w.  Every reduction first sorts the (value, log-weight) pairs, so every
-reported field is invariant under permutations of the input stream.
+sample size (sum w)^2 / sum w^2 is read off row 0, in linear space.
+Every reduction first sorts the (value, log-weight) pairs, so every
+reported field is invariant under permutations of the input stream,
+and the report carries the sorted pairs.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rmt_exact
-from .cue import SeedSpec, log_char_poly_stream, qr_log_char_poly_stream
+from .cue import SeedSpec, checked_size, log_char_poly_stream, qr_log_char_poly_stream
 from .special import gaussian_central_moment
 
 __all__ = [
     "MomentReport",
     "ConformanceRecord",
-    "effective_sample_size",
     "weighted_moments",
     "tilted_moments_mc",
     "gaussian_conformance",
@@ -46,7 +46,11 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Weighted-moment estimates with delta-method (influence-function) errors for one MC run."""
+    """Weighted-moment estimates with delta-method (influence-function) errors for one MC run.
+
+    values and log_weights are the run's draws, sorted as the reduction
+    sorted them; gaussian_conformance reads its KS statistic off them.
+    """
 
     sample_count: int
     ess: float
@@ -73,22 +77,7 @@ class MomentReport:
             raise ValueError("standard errors must be nonnegative")
 
 
-def _largest_log_weight(log_weights):
-    """max(log_weights), the shift that puts the largest weight at 1; it must exist and be finite."""
-    shift = np.max(log_weights, initial=-np.inf)
-    if not np.isfinite(shift):
-        raise ValueError("log_weights must be nonempty, with a finite largest entry")
-    return shift
-
-
-def effective_sample_size(log_weights):
-    """(sum w)^2 / sum w^2 in linear space, with w = exp(log_weights - max) as in weighted_moments."""
-    lw = np.asarray(log_weights, dtype=float)
-    w = np.exp(lw - _largest_log_weight(lw))
-    return float(np.sum(w) ** 2 / np.dot(w, w))
-
-
-def weighted_moments(values, log_weights, n_max, keep_samples=True):
+def weighted_moments(values, log_weights, n_max):
     """Self-normalized moment estimates plus delta-method (influence-function) standard errors.
 
     One pass from a table whose row p is w y^p, p = 0..max(n_max, 1),
@@ -105,23 +94,27 @@ def weighted_moments(values, log_weights, n_max, keep_samples=True):
     i.i.d. unit, because the weights are paired with the values they came
     from.  A vanishing m_2, or an m_2^{p/2} outside the float range,
     leaves a non-finite standardized moment and error rather than raising.
+    The effective sample size is (sum w)^2 / sum w^2 over row 0, and the
+    report keeps the sorted values and log-weights.  The log-weights must
+    be nonempty, with a finite largest entry.
     """
     values = np.asarray(values, dtype=float)
     log_weights = np.asarray(log_weights, dtype=float)
     if values.shape != log_weights.shape or values.ndim != 1:
         raise ValueError("values and log_weights must be equal-length 1-d arrays")
-    if not isinstance(n_max, numbers.Integral) or n_max < 0:
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    checked_size("n_max", n_max, 0)
     order = np.lexsort((log_weights, values))
     values = values[order]
     log_weights = log_weights[order]
     del order  # not needed for the table, whose peak it would raise
     m = len(values)
-    shift = _largest_log_weight(log_weights)
+    shift = np.max(log_weights, initial=-np.inf)  # puts the largest weight at 1
+    if not np.isfinite(shift):
+        raise ValueError("log_weights must be nonempty, with a finite largest entry")
     table = np.empty((max(n_max, 1) + 1, m))
     table[0] = np.exp(log_weights - shift)
     s0 = np.sum(table[0])
-    ess = float(s0**2 / np.dot(table[0], table[0]))  # effective_sample_size, off row 0
+    ess = float(s0**2 / np.dot(table[0], table[0]))
     mean = float(np.sum(table[0] * values) / s0)
     for p in range(1, len(table)):  # w y^p, with y = values - mean formed in place
         np.subtract(values, mean, out=table[p])
@@ -171,20 +164,12 @@ def weighted_moments(values, log_weights, n_max, keep_samples=True):
         mean_weight=mean_weight,
         mean_weight_se=mean_weight_se,
         low_ess=bool(low),
-        values=values if keep_samples else None,
-        log_weights=log_weights if keep_samples else None,
+        values=values,
+        log_weights=log_weights,
     )
 
 
-def tilted_moments_mc(
-    n,
-    k,
-    n_max,
-    samples,
-    seed: SeedSpec,
-    sampler="split",
-    keep_samples=True,
-):
+def tilted_moments_mc(n, k, n_max, samples, seed: SeedSpec, sampler="split"):
     """Monte Carlo tilted moments of log|Z| at matrix size n, tilt k.
 
     sampler="split" (the default) draws `samples` values v_i = log|Z_i|
@@ -195,10 +180,9 @@ def tilted_moments_mc(
     (dense QR) draws Haar instances instead, sets log-weights 2k v_i for
     any real k >= 0, and mean_weight then estimates the normalizer
     M_N(2k).  Either way the estimates are reduced with delta-method
-    (influence-function) errors.
+    (influence-function) errors, and the report carries the sorted draws.
     """
-    if samples < 10**3:
-        raise ValueError(f"samples must be >= 1000, got {samples}")
+    checked_size("samples", samples, 10**3)
     if not isinstance(n_max, numbers.Integral) or not 0 <= n_max <= 8:
         raise ValueError(f"n_max must be an integer in [0, 8] for MC, got {n_max!r}")
     if not 0 <= k < math.inf:
@@ -216,7 +200,7 @@ def tilted_moments_mc(
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
     log_weights = np.zeros_like(values) if sampler == "split" else 2.0 * k * values
-    return weighted_moments(values, log_weights, n_max, keep_samples=keep_samples)
+    return weighted_moments(values, log_weights, n_max)
 
 
 _ERF = np.frompyfunc(math.erf, 1, 1)
@@ -262,8 +246,6 @@ def gaussian_conformance(report: MomentReport, n, k) -> ConformanceRecord:
     n_max = len(report.central_moments) - 1
     if n_max < 2:
         raise ValueError(f"report must carry the variance (n_max >= 2), got n_max {n_max}")
-    if report.values is None:
-        raise ValueError("report must keep samples for the KS statistic")
     exact = rmt_exact.weighted_central_moments(rmt_exact.TiltSpec(n, float(k), max(2, n_max)))
     mu_e = exact.mu_weighted
     m2_e = exact.central_moments[2]

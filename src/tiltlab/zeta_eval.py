@@ -504,6 +504,8 @@ def zeta_line(t, m=0):
     if not (isinstance(m, (int, np.integer)) and 0 <= m <= MAX_DERIVATIVE):
         raise ValueError(f"derivative order must be an integer in [0, {MAX_DERIVATIVE}], got {m!r}")
     t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t must be finite")
     height = np.abs(t.ravel())
     em = height <= EM_AUTO_MAX_T
     out = np.empty((m + 1, height.size), dtype=np.complex128)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cue import SeedSpec
+from .cue import SeedSpec, checked_size
 from .estimator import weighted_moments
 from .zeta_eval import RS_MAX_T, zeta_line
 
@@ -294,8 +294,7 @@ class ScanSpec:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.T < 10:
             raise ValueError(f"T must be >= 10, got {self.T}")
-        if self.samples < 10**2:
-            raise ValueError(f"samples must be >= 100, got {self.samples}")
+        checked_size("samples", self.samples, 10**2)
         if not (isinstance(self.k, (int, np.integer)) and self.k >= 0):
             raise ValueError(f"k must be a nonnegative integer, got {self.k}")
         if not (isinstance(self.m, (int, np.integer)) and 0 <= self.m <= 4):

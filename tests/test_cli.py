@@ -240,6 +240,13 @@ def test_mc_tilt_byte_identical_across_stream_workers(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_cue_check_byte_identical_across_stream_workers(tmp_path):
+    # sixteen QR shards of 128 draws per set, consumed by one or two worker threads
+    args = ["cue-check", "--n", "16", "--trials", "2000", "--seed", "3"]
+    outputs = [_run_in_subprocess(args, tmp_path / f"cue-{t}.json", t) for t in ("1", "2")]
+    assert outputs[0] == outputs[1]
+
+
 def test_recipe_k1_quadrature_byte_identical_across_blas_threads(tmp_path):
     # the quadrature's main sums are one complex matrix product; TILTLAB_THREADS
     # also sets the BLAS thread count, which must not change a byte

@@ -7,6 +7,7 @@ from concurrent import futures
 import numpy as np
 import pytest
 
+from tiltlab import cue
 from tiltlab.cue import (
     STREAM_SHARD,
     SeedSpec,
@@ -98,6 +99,18 @@ def test_rotation_invariance_negative_control():
     # QR without phase correction is the classic non-Haar sampler
     check = rotation_invariance_check(16, 10**4, SeedSpec(11), phi=1.0, phase_correction=False)
     assert not check.passed, f"KS={check.statistic:.4f} threshold={check.threshold:.4f}"
+
+
+def test_rotation_check_sets_are_qr_stream_draws(monkeypatch):
+    # set A is the dense QR stream itself; set B, at phi = 0, is that stream from
+    # stream_index + trials on, past every stream of set A
+    seen = []
+    monkeypatch.setattr(cue, "_two_sample_ks", lambda a, b: seen.append((a, b)) or 0.0)
+    seed = SeedSpec(11, 3)
+    rotation_invariance_check(16, 2000, seed)
+    rotation_invariance_check(16, 2000, seed, phi=0.0)
+    assert np.array_equal(seen[0][0], qr_log_char_poly_stream(16, 2000, seed))
+    assert np.array_equal(seen[1][1], qr_log_char_poly_stream(16, 2000, seed.shifted(2000)))
 
 
 def test_cmv_matrix_is_unitary_with_unimodular_spectrum():

@@ -8,7 +8,6 @@ import pytest
 from tiltlab.cue import SeedSpec
 from tiltlab.estimator import (
     MomentReport,
-    effective_sample_size,
     gaussian_conformance,
     tilted_moments_mc,
     weighted_ks_vs_normal,
@@ -21,26 +20,29 @@ from oracles import bootstrap_errors_loop, harmonic, weighted_point_stats
 
 def test_ess_equal_weights():
     m = 1000
-    assert effective_sample_size(np.zeros(m)) == pytest.approx(m)
-    assert effective_sample_size(np.full(m, -3.7)) == pytest.approx(m)
+    values = np.linspace(-1, 1, m)
+    assert weighted_moments(values, np.zeros(m), 0).ess == pytest.approx(m)
+    assert weighted_moments(values, np.full(m, -3.7), 0).ess == pytest.approx(m)
 
 
 def test_ess_single_dominant():
     lw = np.full(50, -np.inf)
     lw[17] = 2.0
-    assert effective_sample_size(lw) == pytest.approx(1.0)
+    with pytest.warns(RuntimeWarning, match="effective sample size"):
+        report = weighted_moments(np.linspace(-1, 1, 50), lw, 0)
+    assert report.ess == pytest.approx(1.0)
 
 
 def test_ess_zero_tilt_is_sample_count():
     values = np.linspace(-1, 1, 2048)
-    assert effective_sample_size(0.0 * values) == 2048.0
+    assert weighted_moments(values, 0.0 * values, 0).ess == 2048.0
 
 
 def test_ess_rejects_empty_and_all_zero():
     with pytest.raises(ValueError):
-        effective_sample_size([])
+        weighted_moments([], [], 0)
     with pytest.raises(ValueError):
-        effective_sample_size(np.full(4, -np.inf))
+        weighted_moments(np.zeros(4), np.full(4, -np.inf), 0)
 
 
 def test_reweighting_algebraic_identity():
@@ -231,7 +233,7 @@ def test_reduction_memory_is_bounded():
     log_w = 2.0 * values
     tracemalloc.start()
     try:
-        weighted_moments(values, log_w, 4, keep_samples=False)
+        weighted_moments(values, log_w, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -348,8 +350,6 @@ def test_preconditions():
     for n_max in (0, 1):
         with pytest.raises(ValueError, match="variance"):
             gaussian_conformance(weighted_moments(values, np.zeros_like(values), n_max), 10, 0)
-    with pytest.raises(ValueError, match="keep samples"):
-        gaussian_conformance(weighted_moments(values, np.zeros_like(values), 4, keep_samples=False), 10, 0)
 
 
 def test_report_invariants_enforced():

@@ -431,8 +431,11 @@ def test_theta_against_mpmath():
 
 
 def test_ceilings_and_guards():
-    for t in (RS_MAX_T * 2, -RS_MAX_T * 2, math.nan, math.inf, np.array([5.0, math.nan])):
+    for t in (RS_MAX_T * 2, -RS_MAX_T * 2):
         with pytest.raises(ValueError, match="Riemann-Siegel"):
+            zeta_line(t)
+    for t in (math.nan, math.inf, -math.inf, np.array([5.0, math.nan])):
+        with pytest.raises(ValueError, match="^t must be finite$"):
             zeta_line(t)
     with pytest.raises(ValueError):
         zeta_rs_many(np.array([10.0]))
