@@ -27,7 +27,7 @@ from .cue import SeedSpec, rotation_invariance_check
 from .estimator import tilted_moments_mc
 from .rmt_exact import TiltSpec, weighted_central_moments
 from .shifts import enumerate_selections, second_moment_quadrature_k1, second_moment_recipe_k1
-from .zeta_lab import PrimeWindow, ScanSpec, checked_alphas, mu_alpha, weighted_scan
+from .zeta_lab import ScanSpec, mu_alpha, weighted_scan
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -262,11 +262,10 @@ def _handle_zeta_scan(config):
 
 def _handle_mu_alpha(config):
     p = config.parameters
-    checked_alphas(p["alphas"])  # before the sieve
-    window = PrimeWindow.from_bounds(p["lo"], p["hi"])
-    values = list(zip(p["alphas"], mu_alpha(window, p["alphas"]).tolist()))
+    window = {}
+    values = list(zip(p["alphas"], mu_alpha((p["lo"], p["hi"]), p["alphas"], extent=window).tolist()))
     results = {
-        "window": _window_fields(window),
+        "window": window,
         "values": [{"alpha": a, "mu_alpha": v} for a, v in values],
     }
     rows = (("alpha", "mu_alpha"), values)

@@ -50,6 +50,7 @@ class MomentReport:
 
     values and log_weights are the run's draws, sorted as the reduction
     sorted them; gaussian_conformance reads its KS statistic off them.
+    Both are required, 1-d and of length sample_count.
     """
 
     sample_count: int
@@ -64,11 +65,15 @@ class MomentReport:
     mean_weight: float
     mean_weight_se: float
     low_ess: bool
+    values: np.ndarray = field(repr=False)
+    log_weights: np.ndarray = field(repr=False)
     proxy_correlation: float | None = None
-    values: np.ndarray | None = field(default=None, repr=False)
-    log_weights: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        for name in ("values", "log_weights"):
+            draws = getattr(self, name)
+            if np.ndim(draws) != 1 or len(draws) != self.sample_count:
+                raise ValueError(f"{name} must be a 1-d array of sample_count = {self.sample_count} draws")
         if not 1.0 <= self.ess <= self.sample_count * (1.0 + 1e-9):
             raise ValueError(f"ess {self.ess} outside [1, sample_count]")
         if self.central_moments[0] != 1.0:

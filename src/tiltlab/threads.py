@@ -1,10 +1,10 @@
-"""The one worker-thread rule shared by the sharded streams and the Riemann-Siegel main sums."""
+"""One worker-thread rule for every pool, and the one-ahead pipeline built on it."""
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["thread_count"]
+__all__ = ["one_ahead", "thread_count"]
 
 
 def thread_count(tasks):
@@ -27,3 +27,32 @@ def thread_count(tasks):
     else:  # pragma: no cover - platforms without CPU affinity
         workers = os.cpu_count() or 1
     return min(workers, tasks)
+
+
+def one_ahead(stage, items):
+    """An iterator over stage(item) for each item of the sequence `items`, in order.
+
+    When the thread rule gives two or more threads for len(items) tasks,
+    one worker thread runs stage(items[i + 1]) while the caller uses
+    stage(items[i]); otherwise every call runs inline, when its result is
+    drawn, and no thread starts.  Either way the calls run one at a time
+    and in order, so the results do not depend on the thread count, and
+    an exception raised by a call is raised to the caller at its item.
+    The thread rule is read here, so a bad setting raises at once.
+    """
+    if thread_count(len(items)) < 2:
+        return map(stage, items)
+    return _pipelined(stage, items)
+
+
+def _pipelined(stage, items):
+    # imported on first use: it would add about 0.7 MiB to every CLI process
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        following = pool.submit(stage, items[0])
+        for item in items[1:]:
+            ready = following  # the last item's result is let go before the next call starts
+            following = pool.submit(stage, item)
+            yield ready.result()
+        yield following.result()

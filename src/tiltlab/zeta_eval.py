@@ -41,14 +41,13 @@ depend on the thread count.
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
 
 from . import jet
 from .special import BERNOULLI_EVEN as _B2N
-from .threads import thread_count
+from .threads import one_ahead
 
 __all__ = [
     "zeta_line",
@@ -393,10 +392,10 @@ def _rs_main_sums(t, big_n, order):
 
     A block takes two stages of similar cost: its prime rows (phases, cos
     and sin: `_prime_rows`), then the table (the primes scattered in, the
-    composite levels) and its sums.  When the TILTLAB_THREADS rule gives two
-    or more threads and there are two or more blocks, the stages run as a
-    pipeline: one worker thread builds block b + 1's prime rows while the
-    caller finishes block b.  Blocks and their arithmetic are those of the
+    composite levels) and its sums.  The stages run through
+    `threads.one_ahead`: with two or more threads and two or more blocks,
+    one worker thread builds block b + 1's prime rows while the caller
+    finishes block b.  Blocks and their arithmetic are those of the
     serial order, so the sums are bit-identical for any thread count, and
     one extra prime-row array is alive at a time.
     """
@@ -404,32 +403,17 @@ def _rs_main_sums(t, big_n, order):
     buffer = np.empty(_TABLE_ENTRIES, dtype=np.complex128)
     blocks = list(_rs_blocks(big_n))
 
-    def prime_rows(start, stop):
+    def prime_rows(block):
+        start, stop = block
         n_primes = int(np.searchsorted(_PRIMES, big_n[stop - 1], side="right"))
         return _prime_rows(t[start:stop], n_primes)
 
-    threaded = thread_count(len(blocks)) > 1
-    if threaded:
-        # imported on first use: it would add about 0.7 MiB to every CLI process
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) if threaded else contextlib.nullcontext() as pool:
-
-        def ahead(block):
-            """A call that returns the block's prime rows: started on the worker now, or built on call."""
-            if pool is None:
-                return lambda: prime_rows(*block)
-            return pool.submit(prime_rows, *block).result
-
-        following = ahead(blocks[0]) if blocks else None
-        for i, (start, stop) in enumerate(blocks):
-            ready = following
-            if i + 1 < len(blocks):
-                following = ahead(blocks[i + 1])
-            table = _power_table(ready(), big_n[start:stop], buffer)
-            sums[0, start:stop] = table.sum(axis=0)
-            for r in range(1, order + 1):
-                table *= _LOG_N[: table.shape[0], None]
-                sums[r, start:stop] = table.sum(axis=0)
+    for (start, stop), rows in zip(blocks, one_ahead(prime_rows, blocks)):
+        table = _power_table(rows, big_n[start:stop], buffer)
+        sums[0, start:stop] = table.sum(axis=0)
+        for r in range(1, order + 1):
+            table *= _LOG_N[: table.shape[0], None]
+            sums[r, start:stop] = table.sum(axis=0)
     return sums
 
 

@@ -5,8 +5,10 @@ asymptotic choice x = T^eps is meaningless at reachable heights); the
 default window keeps the (log T, x] shape of the theory at x = T^0.3.
 A window's primes come from a segmented sieve over (lo, hi] alone, which
 stops at PRIME_COUNT_CAP primes and marks the window truncated; its
-memory does not grow with hi - lo, and the primes are held once, in the
-sieve's output.  Sums over a window run in cache-sized chunks.
+memory does not grow with hi - lo.  A PrimeWindow holds its primes once,
+in the sieve's output; `mu_alpha` over bounds sums each segment's primes
+as they are sieved and never holds the window.  Sums over a window run
+in cache-sized chunks.
 Weighted scans sample t uniformly in [T, 2T], weigh by
 |zeta^(m)(1/2 + it + i alpha)|^{2k}, and reuse the self-normalized
 reduction of the Monte Carlo estimator.  One `zeta_line` call gives a
@@ -23,6 +25,7 @@ import numpy as np
 
 from .cue import SeedSpec, checked_size
 from .estimator import weighted_moments
+from .threads import one_ahead
 from .zeta_eval import RS_MAX_T, zeta_line
 
 __all__ = [
@@ -74,13 +77,42 @@ def prime_count_bound(lo, hi):
 def sieve_primes(limit, lo=0, cap=None):
     """The primes p with lo < p <= limit, ascending; only the first `cap` if given.
 
-    Odd-only segmented Eratosthenes: the odd numbers of (lo, limit] are
-    sieved SIEVE_SEGMENT at a time, and sieving stops once `cap` primes
-    are found.  Each segment's primes are written straight into one int64
-    output sized by `prime_count_bound` (and `cap`); the result is a view of
-    its filled head, and the unfilled tail is never touched.  Memory is one
-    segment, the base primes up to sqrt(limit) and the output; it does not
-    grow with limit - lo.  A limit above SIEVE_LIMIT raises ValueError.
+    The segments of `_prime_segments` are copied into one int64 output
+    sized by `prime_count_bound` (and `cap`), and sieving stops once `cap`
+    primes are found; the result is a view of the output's filled head,
+    and the unfilled tail is never touched.  Memory is one segment's mask
+    and primes, the base primes up to sqrt(limit) and the output; it does
+    not grow with limit - lo.  A limit above SIEVE_LIMIT raises ValueError.
+    """
+    segments = _prime_segments(lo, limit)
+    size = prime_count_bound(max(math.floor(lo), 0), int(limit))
+    capped = cap is not None and cap <= size
+    out = np.empty(cap if capped else size, dtype=np.int64)
+    found = 0
+    for primes in segments:
+        if primes.size > out.size - found and not capped:
+            raise RuntimeError(
+                f"more primes in ({lo}, {limit}] than the bound {out.size}: prime_count_bound is wrong"
+            )
+        take = min(primes.size, out.size - found)
+        out[found : found + take] = primes[:take]
+        found += take
+        del primes  # before the next segment's primes are made
+        if capped and found == out.size:
+            break
+    return out[:found]
+
+
+def _prime_segments(lo, limit, ahead=False):
+    """The primes p with lo < p <= limit as an iterator of ascending int64 arrays, one per segment.
+
+    Odd-only segmented Eratosthenes: odd n = 2j + 1 has index j, and the
+    indices of (lo, limit] are sieved SIEVE_SEGMENT at a time in one bool
+    mask, a segment as each array is drawn.  The base primes up to
+    sqrt(limit) and the mask are made here, in the calling thread.  With
+    `ahead` the segments are sieved through `threads.one_ahead`: the next
+    one on a worker thread while the caller uses this one.  A limit above
+    SIEVE_LIMIT raises ValueError.
     """
     limit, lo = int(limit), max(math.floor(lo), 0)
     if limit > SIEVE_LIMIT:
@@ -89,38 +121,31 @@ def sieve_primes(limit, lo=0, cap=None):
             "over every base prime up to sqrt(limit)"
         )
     root = math.isqrt(max(limit, 0))
-    base = sieve_primes(root)[1:] if root >= 3 else np.empty(0, dtype=np.int64)  # odd base primes
-    size = prime_count_bound(lo, limit)
-    capped = cap is not None and cap <= size
-    out = np.empty(cap if capped else size, dtype=np.int64)
-    found = 0
-    if lo < 2 <= limit and out.size:
-        out[0], found = 2, 1
-    # odd number n = 2j + 1 has index j; sieve j in [start, stop)
-    start, stop = (lo + 1) // 2, (limit + 1) // 2
+    base = np.empty(0, dtype=np.int64)  # the odd primes up to root
+    if root >= 3:
+        base = np.concatenate([base, *_prime_segments(0, root)])[1:]
+    start = (lo + 1) // 2 if lo >= 2 else 0  # index 0 (n = 1) is never struck out: it stands for 2
+    stop = (limit + 1) // 2 if limit >= 2 else 0
     mask = np.empty(min(SIEVE_SEGMENT, max(stop - start, 0)), dtype=bool)
-    while start < stop and not (capped and found == out.size):
-        seg = mask[: min(SIEVE_SEGMENT, stop - start)]
+
+    def sieve(first):
+        seg = mask[: min(SIEVE_SEGMENT, stop - first)]
         seg.fill(True)
-        if start == 0:
-            seg[0] = False  # 1 is not prime
-        top = 2 * (start + seg.size) - 1
+        top = 2 * (first + seg.size) - 1
         q = base[: np.searchsorted(base, math.isqrt(top), side="right")]
-        # first index >= start of an odd multiple of q, and not below q*q
-        first = np.maximum(q * q // 2, start + (q // 2 - start) % q) - start
-        for step, offset in zip(q.tolist(), first.tolist()):
+        # first index >= first of an odd multiple of q, and not below q*q
+        offsets = np.maximum(q * q // 2, first + (q // 2 - first) % q) - first
+        for step, offset in zip(q.tolist(), offsets.tolist()):
             seg[offset::step] = False
-        count = np.count_nonzero(seg)
-        if count > out.size - found and not capped:
-            raise RuntimeError(
-                f"more primes in ({lo}, {limit}] than the bound {out.size}: prime_count_bound is wrong"
-            )
-        dest = out[found : found + count]
-        np.multiply(np.flatnonzero(seg)[: dest.size], 2, out=dest)  # the index array dies here
-        dest += 2 * start + 1
-        found += dest.size
-        start += seg.size
-    return out[:found]
+        primes = np.flatnonzero(seg)
+        primes *= 2
+        primes += 2 * first + 1
+        if first == 0:
+            primes[0] = 2
+        return primes
+
+    starts = range(start, stop, SIEVE_SEGMENT)
+    return one_ahead(sieve, starts) if ahead else map(sieve, starts)
 
 
 @dataclass(frozen=True)
@@ -189,23 +214,39 @@ def mertens_l(window: PrimeWindow) -> float:
     return mu_alpha(window, 0.0)
 
 
-def mu_alpha(window: PrimeWindow, alpha):
+def mu_alpha(window, alpha, extent=None):
     """Shifted mean density mu_alpha = sum_{p in X} cos(alpha log p)/p, for |alpha| < 1.
 
+    `window` is a PrimeWindow or (lo, hi) bounds.  Bounds are checked
+    after alpha, as `PrimeWindow.from_bounds` checks them, and sieved in
+    this pass: each segment's primes go straight into the sums while a
+    worker thread sieves the next segment (`threads.one_ahead`), so the
+    window's primes are never held.  As in `from_bounds`, the pass stops
+    at PRIME_COUNT_CAP primes.  A dict `extent` is filled with the window
+    summed: lo, hi (the last prime kept when the cap clipped the window),
+    count and truncated.
+
     alpha is a scalar (a float comes back) or a 1-d array (an array of one
-    value per alpha comes back).  One pass over chunks of MU_CHUNK primes
-    takes log p and 1/p once per chunk for every alpha; each chunk's terms
-    are summed pairwise and the chunk sums combined with math.fsum, so a
-    value depends neither on the other alphas nor on the thread count.
+    value per alpha comes back).  The primes are summed in chunks of
+    MU_CHUNK, cut at the same boundaries on both routes; each chunk takes
+    log p and 1/p once for every alpha, its terms are summed pairwise and
+    the chunk sums combined with math.fsum, so a value depends neither on
+    the route, nor on the other alphas, nor on the thread count.
     """
     alphas = checked_alphas(alpha)
-    primes = window.primes
-    inv_p, log_p, terms = np.empty((3, min(MU_CHUNK, primes.size)))
+    if isinstance(window, PrimeWindow):
+        lo, hi, truncated = window.lo, window.hi, window.truncated
+        segments, cap = [window.primes], window.primes.size
+    else:
+        lo, hi = window
+        _check_bounds(lo, hi)
+        lo, hi, truncated = float(lo), float(hi), False
+        segments, cap = _prime_segments(lo, math.floor(hi), ahead=True), PRIME_COUNT_CAP
+    inv_p, log_p, terms = np.empty((3, min(MU_CHUNK, cap, prime_count_bound(math.floor(lo), math.floor(hi)))))
     chunk_sums = [[] for _ in alphas.flat]
-    for lo in range(0, primes.size, MU_CHUNK):
-        size = min(MU_CHUNK, primes.size - lo)
+
+    def add_chunk(size):
         inv_c, log_c, terms_c = inv_p[:size], log_p[:size], terms[:size]
-        inv_c[:] = primes[lo : lo + size]
         np.log(inv_c, out=log_c)
         np.reciprocal(inv_c, out=inv_c)
         for a, sums in zip(alphas.flat, chunk_sums):
@@ -213,6 +254,29 @@ def mu_alpha(window: PrimeWindow, alpha):
             np.cos(terms_c, out=terms_c)
             terms_c *= inv_c
             sums.append(float(terms_c.sum()))
+
+    count = filled = 0
+    last = None
+    for primes in segments:
+        clipped = primes.size > cap - count
+        primes = primes[: cap - count]
+        count += primes.size
+        last = primes[-1] if primes.size else last
+        while primes.size:  # into the chunk buffer, a chunk summed each time it fills
+            take = min(MU_CHUNK - filled, primes.size)
+            inv_p[filled : filled + take] = primes[:take]
+            primes, filled = primes[take:], filled + take
+            if filled == MU_CHUNK:
+                add_chunk(filled)
+                filled = 0
+        del primes  # before the next segment's primes are made
+        if clipped:
+            truncated, hi = True, float(last)
+            break
+    if filled:
+        add_chunk(filled)
+    if extent is not None:
+        extent.update(lo=lo, hi=hi, count=count, truncated=truncated)
     values = np.array([math.fsum(sums) for sums in chunk_sums])
     return float(values[0]) if alphas.ndim == 0 else values
 

@@ -263,6 +263,14 @@ def test_zeta_scan_byte_identical_across_rs_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("lo", ["1", "123456.5"])
+def test_mu_alpha_byte_identical_across_sieve_threads(tmp_path, lo):
+    # 15 sieve segments: serial, then each sieved on a worker thread while the caller sums the one before
+    args = ["mu-alpha", "--lo", lo, "--hi", "3e7", "--alpha", "0.01", "--alpha", "-0.5", "--alpha", "0"]
+    outputs = [_run_in_subprocess(args, tmp_path / f"mu-{t}.json", t) for t in ("1", "2")]
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("step", ["0", "-0.05"])
 def test_recipe_k1_rejects_non_positive_step(tmp_path, capsys, step):
     out = tmp_path / "recipe.json"
@@ -327,7 +335,9 @@ def _never_sieve(*args, **kwargs):
     ],
 )
 def test_arguments_are_checked_before_the_sieve(tmp_path, monkeypatch, capsys, args, text):
+    # PrimeWindow.from_bounds sieves through sieve_primes, a streamed mu_alpha through the segments
     monkeypatch.setattr(zeta_lab, "sieve_primes", _never_sieve)
+    monkeypatch.setattr(zeta_lab, "_prime_segments", _never_sieve)
     out = tmp_path / "result.json"
     assert run_cli(args + ["--out", str(out)]) == EXIT_PRECONDITION
     assert text in capsys.readouterr().err

@@ -353,16 +353,26 @@ def test_preconditions():
 
 
 def test_report_invariants_enforced():
-    with pytest.raises(ValueError):
-        MomentReport(
-            sample_count=10,
-            ess=20.0,
-            weighted_mean=0.0,
-            central_moments=[1.0, 0.0],
-            standard_errors=[0.0, 0.1],
-            standardized=[1.0, 0.0],
-            standardized_errors=[0.0, 0.0],
-            mean_weight=1.0,
-            mean_weight_se=0.0,
-            low_ess=False,
-        )
+    fields = dict(
+        sample_count=10,
+        ess=5.0,
+        weighted_mean=0.0,
+        central_moments=[1.0, 0.0],
+        standard_errors=[0.0, 0.1],
+        standardized=[1.0, 0.0],
+        standardized_errors=[0.0, 0.0],
+        mean_weight=1.0,
+        mean_weight_se=0.0,
+        low_ess=False,
+        values=np.zeros(10),
+        log_weights=np.zeros(10),
+    )
+    assert MomentReport(**fields).proxy_correlation is None
+    with pytest.raises(ValueError, match="ess 20.0"):
+        MomentReport(**{**fields, "ess": 20.0})
+    for name, draws in (("values", np.zeros(9)), ("log_weights", np.zeros(11)), ("values", np.zeros((10, 1)))):
+        with pytest.raises(ValueError, match=f"{name} must be a 1-d array of sample_count = 10"):
+            MomentReport(**{**fields, name: draws})
+    for name in ("values", "log_weights"):  # the draws are required
+        with pytest.raises(TypeError, match=name):
+            MomentReport(**{key: value for key, value in fields.items() if key != name})

@@ -1,0 +1,114 @@
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from tiltlab import threads, zeta_lab
+from tiltlab.cli import EXIT_NUMERICAL, EXIT_PRECONDITION, main
+
+
+def _traced_stage(log):
+    def stage(item):
+        log.append(("make", item, threading.current_thread()))
+        time.sleep(0.002 * (item % 3))  # uneven stages: a fast one may finish before a slow one
+        return item * item
+
+    return stage
+
+
+@pytest.mark.parametrize("setting", ["1", "2", "3"])
+def test_results_come_back_in_input_order_one_ahead_at_most(monkeypatch, setting):
+    monkeypatch.setenv("TILTLAB_THREADS", setting)
+    log = []
+    items = list(range(12))
+    for item, result in zip(items, threads.one_ahead(_traced_stage(log), items)):
+        assert result == item * item
+        time.sleep(0.005)  # a slow caller: a worker free to run ahead would start item + 2 here
+        log.append(("use", item, threading.current_thread()))
+    assert [entry[1] for entry in log if entry[0] == "make"] == items
+    # item i + 2 is never started before the caller is done with item i
+    for position, (kind, item, _thread) in enumerate(log):
+        if kind == "make":
+            used = sum(1 for entry in log[:position] if entry[0] == "use")
+            assert used >= item - 1
+    workers = {thread for kind, _item, thread in log if kind == "make"}
+    assert (workers == {threading.main_thread()}) == (setting == "1")
+
+
+def test_a_single_item_or_none_runs_inline(monkeypatch):
+    monkeypatch.setenv("TILTLAB_THREADS", "4")
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    log = []
+    assert list(threads.one_ahead(_traced_stage(log), [5])) == [25]
+    assert list(threads.one_ahead(_traced_stage(log), [])) == []
+
+
+def _no_thread(self):
+    raise AssertionError("a thread was started")
+
+
+def test_one_thread_never_starts_a_thread(monkeypatch):
+    monkeypatch.setenv("TILTLAB_THREADS", "1")
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    log = []
+    assert list(threads.one_ahead(_traced_stage(log), range(8))) == [i * i for i in range(8)]
+    assert {thread for _kind, _item, thread in log} == {threading.main_thread()}
+    # a many-segment mu_alpha pass and a multi-block Riemann-Siegel sum run inline too
+    monkeypatch.setattr(zeta_lab, "SIEVE_SEGMENT", 1000)
+    assert zeta_lab.mu_alpha((1, 1e5), 0.0) == zeta_lab.mertens_l(zeta_lab.PrimeWindow.from_bounds(1, 1e5))
+    assert zeta_lab.zeta_line(np.linspace(5e7, 1e8 - 1.0, 200), 0).shape == (1, 200)  # six blocks
+
+
+def test_a_bad_thread_setting_raises_at_the_call(monkeypatch):
+    monkeypatch.setenv("TILTLAB_THREADS", "0")
+    with pytest.raises(ValueError, match="TILTLAB_THREADS must be a positive integer, got '0'"):
+        threads.one_ahead(_traced_stage([]), [1, 2])
+
+
+@pytest.mark.parametrize("setting", ["1", "2"])
+def test_an_exception_in_a_stage_reaches_the_caller_at_its_item(monkeypatch, setting):
+    monkeypatch.setenv("TILTLAB_THREADS", setting)
+    raised_on = []
+
+    def stage(item):
+        if item == 3:
+            raised_on.append(threading.current_thread())
+            raise RuntimeError("stage 3 failed")
+        return item
+
+    got = []
+    with pytest.raises(RuntimeError, match="stage 3 failed"):
+        for result in threads.one_ahead(stage, list(range(6))):
+            got.append(result)
+    assert got == [0, 1, 2]
+    assert (raised_on == [threading.main_thread()]) == (setting == "1")
+
+
+@pytest.mark.parametrize(
+    "error, code, text",
+    [
+        (RuntimeError("segment sieve failed"), EXIT_NUMERICAL, "numerical failure: segment sieve failed"),
+        (MemoryError("Unable to allocate"), EXIT_PRECONDITION, "precondition violated: out of memory"),
+    ],
+)
+def test_a_worker_failure_in_mu_alpha_maps_to_the_cli_exit_code(tmp_path, monkeypatch, capsys, error, code, text):
+    monkeypatch.setenv("TILTLAB_THREADS", "2")
+    monkeypatch.setattr(zeta_lab, "SIEVE_SEGMENT", 1000)
+    raised_on = []
+
+    def failing_one_ahead(stage, items):
+        def failing(item):
+            if item == items[3]:
+                raised_on.append(threading.current_thread())
+                raise error
+            return stage(item)
+
+        return threads.one_ahead(failing, items)
+
+    monkeypatch.setattr(zeta_lab, "one_ahead", failing_one_ahead)
+    out = tmp_path / "mu.json"
+    assert main(["mu-alpha", "--lo", "1", "--hi", "1e5", "--alpha", "0.1", "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(text)
+    assert raised_on and raised_on[0] is not threading.main_thread()
+    assert list(tmp_path.iterdir()) == []

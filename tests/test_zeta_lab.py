@@ -223,6 +223,10 @@ def test_from_bounds_stops_at_the_prime_count_cap():
     assert window.hi == 179_424_673.0 == window.primes[-1]  # the 10^7-th prime
     assert window.truncated
     assert not PrimeWindow.from_bounds(1, 179_424_673).truncated
+    # the streamed pass stops at the same prime, with the same sums
+    extent = {}
+    assert mu_alpha((1, 1e10), [0.0, 0.5], extent=extent).tobytes() == mu_alpha(window, [0.0, 0.5]).tobytes()
+    assert extent == {"lo": 1.0, "hi": 179_424_673.0, "count": 10**7, "truncated": True}
 
 
 def test_prime_window_membership():
@@ -288,6 +292,72 @@ def test_mu_alpha_rejects_shifts_outside_the_unit_interval():
 
 def test_mu_alpha_empty_window_is_zero():
     assert mu_alpha(PrimeWindow.from_bounds(8, 10), 0.3) == 0.0
+
+
+def _streamed_and_materialized(lo, hi, alphas):
+    extent = {}
+    streamed = mu_alpha((lo, hi), alphas, extent=extent)
+    window = PrimeWindow.from_bounds(lo, hi)
+    assert extent == {"lo": window.lo, "hi": window.hi, "count": window.primes.size, "truncated": window.truncated}
+    return streamed, mu_alpha(window, alphas)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "lo, hi, segment, chunk",
+    [
+        (1, 2e6, None, None),  # two 1 MiB segments, three chunks of 2^16
+        (0, 1e5, None, None),
+        (2.5, 3.5e4, None, None),  # 2 is out, the window starts inside the first segment
+        (1e6 + 0.5, 3e6, None, None),
+        (5000, 3e5, 1000, 777),  # 148 segments and 33 chunks whose edges never line up
+        (1, 4e4, 37, 5),
+        (10, 11, 3, 2),  # empty
+    ],
+)
+def test_streamed_mu_alpha_is_the_materialized_value(monkeypatch, threads, lo, hi, segment, chunk):
+    monkeypatch.setenv("TILTLAB_THREADS", threads)
+    if segment is not None:
+        monkeypatch.setattr(zeta_lab, "SIEVE_SEGMENT", segment)
+        monkeypatch.setattr(zeta_lab, "MU_CHUNK", chunk)
+    alphas = [0.0, 0.01, -0.37, 0.99]
+    streamed, materialized = _streamed_and_materialized(lo, hi, alphas)
+    assert streamed.tobytes() == materialized.tobytes()
+    assert mu_alpha((lo, hi), 0.01) == materialized[1]
+
+
+@pytest.mark.parametrize("extra", [0, 1, 57])
+def test_streamed_mu_alpha_stops_at_the_prime_count_cap(monkeypatch, extra):
+    # 12 segments of 500 odd numbers hold the 1,438 primes up to 11,999: a cap of that
+    # many clips the window at a segment edge, one more or 57 more inside the next segment
+    monkeypatch.setattr(zeta_lab, "SIEVE_SEGMENT", 500)
+    monkeypatch.setattr(zeta_lab, "MU_CHUNK", 300)
+    cap = sieve_primes(11_999).size + extra
+    monkeypatch.setattr(zeta_lab, "PRIME_COUNT_CAP", cap)
+    for lo, hi in ((1, 2e4), (1, 11_999), (1, 10**6)):
+        streamed, materialized = _streamed_and_materialized(lo, hi, [0.2, 0.0])
+        assert streamed.tobytes() == materialized.tobytes()
+    extent = {}
+    mu_alpha((1, 10**6), 0.5, extent=extent)
+    assert extent["count"] == cap and extent["truncated"]
+    assert extent["hi"] == sieve_primes(10**6)[cap - 1]
+
+
+def test_streamed_mu_alpha_never_holds_its_window():
+    mu_alpha((1, 10**5), 0.1)  # warm the path outside the traced region
+    for threads in ("1", "2"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("TILTLAB_THREADS", threads)
+            tracemalloc.start()
+            try:
+                values = mu_alpha((1, 5e7), [0.01, 0.001, 0.0])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the 3,001,134 primes up to 5e7 alone take 24 MB; this holds the 1 MiB mask,
+        # two segments' primes, the chunk buffers and the base primes
+        assert peak < 8 * 2**20, f"{threads} threads: peak {peak / 2**20:.2f} MiB"
+        assert values[2] == pytest.approx(math.log(math.log(5e7)) + 0.2615, abs=1e-3)
 
 
 def test_mu_alpha_pairwise_sum_matches_fsum():
