@@ -24,19 +24,24 @@ cos(2 pi w) is even in w and analytic there, so trapezoid = spectral
 accuracy); runtime evaluation is then plain Horner, with no removable
 singularities to dodge.
 
-The main sum is read off one table X[n, j] = n^{-1/2 - i t_j} per block
-of points.  n^{-1/2-it} is completely multiplicative, so only the prime
-rows take a phase.  t log p / 2 pi is reduced mod 1 in float64 turns:
+The main sum S(N) = sum_{n <= N} n^{-1/2-it} is built per block of
+points.  n^{-1/2-it} is completely multiplicative, so only the prime rows
+X[p] take a phase.  t log p / 2 pi is reduced mod 1 in float64 turns:
 log p / 2 pi is split at import into a head on a 2^-24 grid and a tail,
 so floor(t) * head is exact for t <= RS_MAX_T < 2^27 and only a few turns
 are left to add.  Extended precision (80-bit long double) remains for
-theta(t), reduced on its own, and for those import-time constants.  Each
-composite row is one product X[spf(n)] X[n / spf(n)]: odd n level by
-level in the number of prime factors, even n in doubling rounds.  Every
-jet order sums the same table, weighted by powers of log n.  With two or
-more threads, the next block's prime rows are built on a worker thread
-while the caller fills and sums this block's table; the values do not
-depend on the thread count.
+theta(t), reduced on its own, and for those import-time constants.  The
+quarter turns of the phase and the amplitude p^{-1/2} come from an
+import-time lookup of (-i)^q p^{-1/2}: one exact complex product.  Every
+n is s m with s = 2^a 3^b and m coprime to 6, so the block's table holds
+only the m, a third of the n, each composite row one product
+X[spf(m)] X[m / spf(m)], level by level in the number of prime factors.
+S(N) is then the sum over the 3-smooth s <= N of X[s] times the table's
+prefix sum up to floor(N / s).  Each jet order takes prefix sums of the
+table weighted by one more power of log m and combines them binomially
+with powers of log s.  With two or more threads, the next block's prime
+rows are built on a worker thread while the caller fills and sums this
+block's table; the values do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ RS_MIN_T = 40.0
 RS_MAX_T = 1.0e8
 MAX_DERIVATIVE = 4
 _TABLE_ENTRIES = 1 << 17  # complex entries per EM or RS block table: 2 MiB
+_LOOKUP_ENTRIES = 1 << 13  # quarter-turn factors gathered at a time for the prime rows: 128 KiB
 
 _EM_J = 14
 
@@ -287,17 +293,33 @@ def _factor_levels(n_max):
 
 _RS_MAX_N = int(math.sqrt(RS_MAX_T / TWO_PI))  # main-sum length at the ceiling
 _PRIMES, _LEVELS = _factor_levels(_RS_MAX_N)
-# odd composites (row n - 1 even) keep their levels; an even n is X[2] X[n / 2], filled by doubling
-_ODD_LEVELS = [(row[row % 2 == 0], spf[row % 2 == 0], cof[row % 2 == 0]) for row, spf, cof in _LEVELS]
 # log p / 2 pi, the turns of p^{-it} per unit t, as head + tail with head on a 2^-24
 # grid: head * 2^24 * floor(t) < 2^53 for t <= RS_MAX_T, so floor(t) * head is exact
 _TURNS_LD = np.log(_PRIMES.astype(_LD)) / TWO_PI_LD
 _TURNS = _TURNS_LD.astype(float)
 _TURNS_HEAD = (np.round(_TURNS_LD * 2**24) / 2**24).astype(float)
 _TURNS_TAIL = (_TURNS_LD - _TURNS_HEAD).astype(float)
-_INV_SQRT_P = 1.0 / np.sqrt(_PRIMES.astype(float))
-_N = np.arange(1, _RS_MAX_N + 1)
-_LOG_N = np.log(_N.astype(float))
+# entry 4 i + q is (-i)^q p^{-1/2} for the i-th prime p: a product by it is exact in the quarter turn
+_QUARTERS = (np.array([1.0, -1j, -1.0, 1j]) * (1.0 / np.sqrt(_PRIMES.astype(float)))[:, None]).ravel()
+# every n <= _RS_MAX_N is s m for one 3-smooth s = 2^a 3^b and one m coprime to 6; the
+# wheel table holds X[m] in row m // 3, and _WHEEL_COUNT[M] counts the m <= M
+_N = np.arange(_RS_MAX_N + 1)
+_WHEEL = _N[(_N % 2 == 1) & (_N % 3 != 0)]
+_WHEEL_COUNT = np.searchsorted(_WHEEL, _N, side="right")
+_LOG_WHEEL = np.log(_WHEEL.astype(float))[:, None]
+# the composites m coprime to 6 (spf(m) >= 5) of each level, as wheel rows
+_WHEEL_LEVELS = [
+    tuple((row[spf >= 4] + 1) // 3 for row in (n_row, spf, cof)) for n_row, spf, cof in _LEVELS if spf.max() >= 4
+]
+# the 3-smooth s = 2^a 3^b <= _RS_MAX_N, ordered by b and then a
+_SMOOTH_THREES, _SMOOTH_TWOS = np.array(
+    [(b, a) for b in range(_RS_MAX_N.bit_length()) for a in range(_RS_MAX_N.bit_length()) if 2**a * 3**b <= _RS_MAX_N]
+).T
+_SMOOTH = 2**_SMOOTH_TWOS * 3**_SMOOTH_THREES
+# rows per point of a block of max N: the N + 1 of a full table of n, or what its wheel
+# table, the table's prefix sums (from a zero row), X[s] for s <= N and the s-terms
+# gathered from the prefix sums take in the shared buffer, if that is more (N <= 133)
+_BLOCK_ROWS = np.maximum(_N + 1, 2 * _WHEEL_COUNT + 1 + 2 * np.cumsum(np.bincount(_SMOOTH, minlength=_N.size)))
 
 
 def _prime_turns(t, n_primes):
@@ -322,98 +344,142 @@ def _prime_rows(t, n_primes):
 
     The turns u = t log p / 2 pi are split as q/4 + r with q = rint(4u), so
     e^{-2 pi i u} = (-i)^q e^{-2 pi i r}: cos and sin only see |2 pi r| <= pi/4,
-    and the quarter turns are exact: a product by -i for odd q, then a sign
-    for q = 2, 3 mod 4.
+    and one product by the looked-up (-i)^q p^{-1/2} applies the quarter
+    turns and the amplitude exactly.  The lookup is gathered
+    _LOOKUP_ENTRIES at a time into one reused buffer.
     """
     turns = _prime_turns(t, n_primes)
     turns *= 4.0
-    quarter = np.rint(turns)
+    quarter = np.rint(turns).astype(np.intp)  # in (-12, 24)
     turns -= quarter
     turns *= -math.pi / 2
-    quarter = quarter.astype(np.int8)  # in (-12, 24)
-    quarter &= 3
     rows = np.empty(turns.shape, dtype=np.complex128)
     np.cos(turns, out=rows.real)
     np.sin(turns, out=rows.imag)
-    np.multiply(rows, -1j, out=rows, where=(quarter & 1).astype(bool))
-    np.negative(rows, out=rows, where=quarter >= 2)
-    rows *= _INV_SQRT_P[:n_primes, None]
+    del turns
+    quarter &= 3
+    quarter += 4 * np.arange(n_primes)[:, None]
+    flat, index = rows.reshape(-1), quarter.reshape(-1)
+    lookup = np.empty(min(flat.size, _LOOKUP_ENTRIES), dtype=np.complex128)
+    for lo in range(0, flat.size, lookup.size):
+        gathered = np.take(_QUARTERS, index[lo : lo + lookup.size], out=lookup[: flat.size - lo], mode="clip")
+        flat[lo : lo + lookup.size] *= gathered
     return rows
 
 
-def _power_table(prime_rows, big_n, buffer):
-    """X[n - 1, j] = n^{-1/2 - i t_j} for n <= N_j, and 0 for N_j < n <= max N.
+def _wheel_table(prime_rows, table):
+    """Fill table[m // 3, j] = m^{-1/2 - i t_j} for the m coprime to 6 with m // 3 < len(table).
 
-    N = big_n is ascending and prime_rows holds X at the primes up to max N
-    (`_prime_rows`); the table is a view of `buffer`.  Composite rows are one
-    product X[spf(n)] X[n / spf(n)] each: odd n level by level in Omega(n),
-    then even n = 2m as X[2] X[m] over strided rows, m doubling each round.
+    prime_rows holds X at the primes (`_prime_rows`); those from 5 up are
+    scattered in, and each composite row is one product X[spf(m)] X[m / spf(m)],
+    level by level in Omega(m).
     """
-    rows = int(big_n[-1])
-    table = buffer[: rows * big_n.size].reshape(rows, big_n.size)
     table[0] = 1.0
-    table[_PRIMES[: len(prime_rows)] - 1] = prime_rows
-    for n_row, spf_row, cof_row in _ODD_LEVELS:
-        cut = int(np.searchsorted(n_row, rows))
+    table[_PRIMES[2 : len(prime_rows)] // 3] = prime_rows[2:]
+    for m_row, spf_row, cof_row in _WHEEL_LEVELS:
+        cut = int(np.searchsorted(m_row, len(table)))
         if not cut:
             break
         product = table[spf_row[:cut]]
         product *= table[cof_row[:cut]]
-        table[n_row[:cut]] = product
-    # m < high <= 2 low is odd or an even m filled by an earlier round
-    low = 2
-    while 2 * low <= rows:
-        high = min(2 * low, rows // 2 + 1)
-        np.multiply(table[1], table[low - 1 : high - 1], out=table[2 * low - 1 : 2 * high - 1 : 2])
-        low = high
-    # columns left of a step in N stop at the N before the step
-    low = int(big_n[0])
-    np.putmask(table[low:], _N[low:rows, None] > big_n, 0.0)
-    return table
+        table[m_row[:cut]] = product
+
+
+def _powers(row, count):
+    """Rows x^0 .. x^{count-1} of the row x, each one product by x; x may be absent when count is 1."""
+    chain = np.empty((count, row.shape[1]), dtype=np.complex128)
+    chain[0] = 1.0
+    chain[1:] = row
+    return np.multiply.accumulate(chain, axis=0, out=chain)
+
+
+def _smooth_rows(prime_rows, keep, out):
+    """Fill out with X[s] = X[2]^a X[3]^b for the 3-smooth s = _SMOOTH[keep].
+
+    The s with the same power of 3 are adjacent, so each power of 3 takes
+    one product with a run of powers of 2.
+    """
+    per_three = np.bincount(_SMOOTH_THREES[keep]).tolist()
+    twos = _powers(prime_rows[:1], per_three[0])
+    threes = _powers(prime_rows[1:2], len(per_three))
+    start = 0
+    for three, count in zip(threes, per_three):
+        np.multiply(twos[:count], three, out=out[start : start + count])
+        start += count
 
 
 def _rs_blocks(big_n):
-    """(start, stop) of each block of points: max N rows times its points fit _TABLE_ENTRIES."""
+    """(start, stop) of each block of points: its _BLOCK_ROWS at max N times its points fit _TABLE_ENTRIES."""
     start = 0
     while start < big_n.size:
         # N[guess - 1] bounds N on any block that ends by `guess`; size the block by it
-        guess = min(big_n.size, start + _TABLE_ENTRIES // int(big_n[start]))
-        stop = min(big_n.size, start + _TABLE_ENTRIES // int(big_n[guess - 1]))
+        guess = min(big_n.size, start + _TABLE_ENTRIES // int(_BLOCK_ROWS[big_n[start]]))
+        stop = min(big_n.size, start + _TABLE_ENTRIES // int(_BLOCK_ROWS[big_n[guess - 1]]))
         yield start, stop
         start = stop
+
+
+def _add_block_sums(prime_rows, n, buffer, sums):
+    """Add one block's main sums S_r(N) (`_rs_main_sums`) into the rows of `sums`, given its prime rows."""
+    wheel = int(_WHEEL_COUNT[n[-1]])
+    keep = _SMOOTH <= n[-1]
+    s = _SMOOTH[keep]
+    ends = np.cumsum([wheel, wheel + 1, s.size, s.size]) * n.size
+    table, prefix, smooth, part = (x.reshape(-1, n.size) for x in np.split(buffer[: ends[-1]], ends[:-1]))
+    _wheel_table(prime_rows, table)
+    _smooth_rows(prime_rows, keep, smooth)
+    prefix[0] = 0.0
+    log_s = np.log(s.astype(float))[:, None]
+    # C_q(floor(N / s)) is prefix row _WHEEL_COUNT[floor(N / s)], row 0 where s > N
+    cut = _WHEEL_COUNT[n // s[:, None]]
+    cut *= n.size
+    cut += np.arange(n.size)
+    for q in range(len(sums)):
+        if q:
+            table *= _LOG_WHEEL[:wheel]
+        np.cumsum(table, axis=0, out=prefix[1:])
+        np.take(prefix, cut, out=part, mode="clip")
+        part *= smooth
+        for r in range(q, len(sums)):
+            if r > q:
+                part *= log_s
+            sums[r] += math.comb(r, q) * part.sum(axis=0)
 
 
 def _rs_main_sums(t, big_n, order):
     """S_r[j] = sum_{n <= N_j} n^{-1/2 - i t_j} (log n)^r for r <= order, t ascending.
 
-    Each block of points fills one table of at most _TABLE_ENTRIES entries
-    in a buffer shared by the blocks.  The sums are plain row reductions:
-    a BLAS matrix-vector product this small spins its worker threads.
+    n^{-1/2-it} is completely multiplicative, and n = s m factors uniquely
+    into a 3-smooth s = 2^a 3^b and an m coprime to 6.  With
+    C_q(M) = sum_{m <= M, (m, 6) = 1} m^{-1/2-it} (log m)^q,
 
-    A block takes two stages of similar cost: its prime rows (phases, cos
-    and sin: `_prime_rows`), then the table (the primes scattered in, the
-    composite levels) and its sums.  The stages run through
-    `threads.one_ahead`: with two or more threads and two or more blocks,
-    one worker thread builds block b + 1's prime rows while the caller
-    finishes block b.  Blocks and their arithmetic are those of the
-    serial order, so the sums are bit-identical for any thread count, and
-    one extra prime-row array is alive at a time.
+        S_r(N) = sum_{s <= N} s^{-1/2-it} sum_{q <= r} C(r, q) (log s)^{r-q} C_q(floor(N / s)).
+
+    A block of points (`_rs_blocks`) takes two stages of similar cost: its
+    prime rows (phases, cos and sin: `_prime_rows`), then one wheel table of
+    the m (`_wheel_table`, a third of the n), the rows X[s] (`_smooth_rows`)
+    and, per order q, the table's prefix sums over m, from which a point
+    reads C_q at its own floor(N / s) and adds its terms to S_q..S_order.
+    The tables, prefix sums and s-terms share one buffer of _TABLE_ENTRIES.
+    A point's sums S_r do not depend on `order`.
+
+    The stages run through `threads.one_ahead`: with two or more threads
+    and two or more blocks, one worker thread builds block b + 1's prime
+    rows while the caller finishes block b.  Blocks and their arithmetic
+    are those of the serial order, so the sums are bit-identical for any
+    thread count, and one extra prime-row array is alive at a time.
     """
-    sums = np.empty((order + 1, t.size), dtype=np.complex128)
+    sums = np.zeros((order + 1, t.size), dtype=np.complex128)
     buffer = np.empty(_TABLE_ENTRIES, dtype=np.complex128)
     blocks = list(_rs_blocks(big_n))
 
     def prime_rows(block):
         start, stop = block
-        n_primes = int(np.searchsorted(_PRIMES, big_n[stop - 1], side="right"))
-        return _prime_rows(t[start:stop], n_primes)
+        return _prime_rows(t[start:stop], int(np.searchsorted(_PRIMES, big_n[stop - 1], side="right")))
 
     for (start, stop), rows in zip(blocks, one_ahead(prime_rows, blocks)):
-        table = _power_table(rows, big_n[start:stop], buffer)
-        sums[0, start:stop] = table.sum(axis=0)
-        for r in range(1, order + 1):
-            table *= _LOG_N[: table.shape[0], None]
-            sums[r, start:stop] = table.sum(axis=0)
+        _add_block_sums(rows, big_n[start:stop], buffer, sums[:, start:stop])
+        del rows  # before the next block's prime rows are built
     return sums
 
 

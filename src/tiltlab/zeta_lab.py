@@ -49,6 +49,7 @@ SIEVE_SEGMENT = 1 << 20  # odd numbers per sieve segment: a 1 MiB bool mask
 SIEVE_LIMIT = 10**12  # keeps the base primes (78,498 up to 1e6) and each segment's loop small
 MU_CHUNK = 1 << 16  # primes per mu_alpha chunk (three 512 KiB float buffers) and per ascending check
 DIRICHLET_ENTRIES = 1 << 17  # complex entries per Dirichlet (heights x primes) block: 2 MiB
+DIRICHLET_CHUNK = 1 << 17  # primes per Dirichlet chunk, so that one height's block fits DIRICHLET_ENTRIES
 HISTOGRAM_BINS = 80
 HISTOGRAM_HALF_WIDTHS = 6.0  # in units of sqrt(L/2)
 
@@ -292,20 +293,32 @@ def checked_alphas(alpha):
 
 
 def dirichlet_poly_many(t_arr, window: PrimeWindow):
-    """P(t) = sum_{p in X} p^{-1/2 - it} for an array of heights t."""
-    p = window.primes.astype(float)
+    """P(t) = sum_{p in X} p^{-1/2 - it} for an array of heights t.
+
+    The window's primes go in chunks of DIRICHLET_CHUNK and the heights in
+    blocks of DIRICHLET_ENTRIES // (primes in the chunk), at least one, so
+    no (heights x primes) block outgrows DIRICHLET_ENTRIES; each chunk's
+    sums are added to the heights' totals in turn.  A window of one chunk
+    is one pass over the heights.
+    """
     t_arr = np.asarray(t_arr, dtype=float)
-    if p.size == 0:
-        return np.zeros(t_arr.shape, dtype=np.complex128)
-    log_p = np.log(p)
-    amp = 1.0 / np.sqrt(p)
-    out = np.empty(t_arr.shape, dtype=np.complex128)
-    chunk = max(1, DIRICHLET_ENTRIES // p.size)
+    out = np.zeros(t_arr.shape, dtype=np.complex128)
     flat = t_arr.ravel()
     res = out.ravel()
-    for lo in range(0, flat.size, chunk):
-        blk = flat[lo : lo + chunk]
-        res[lo : lo + chunk] = (np.exp(-1j * np.outer(blk, log_p)) * amp).sum(axis=1)
+    for start in range(0, window.primes.size, DIRICHLET_CHUNK):
+        p = window.primes[start : start + DIRICHLET_CHUNK].astype(float)
+        log_p = np.log(p)
+        amp = np.divide(1.0, np.sqrt(p, out=p), out=p)
+        chunk = max(1, DIRICHLET_ENTRIES // p.size)
+        phases = np.empty(min(chunk, flat.size) * p.size)
+        terms = np.empty(phases.size, dtype=np.complex128)
+        for lo in range(0, flat.size, chunk):
+            blk = flat[lo : lo + chunk]
+            block = terms[: blk.size * p.size].reshape(blk.size, p.size)
+            np.multiply(np.outer(blk, log_p, out=phases[: block.size].reshape(block.shape)), -1j, out=block)
+            np.exp(block, out=block)
+            block *= amp
+            res[lo : lo + chunk] += block.sum(axis=1)
     return out
 
 

@@ -3,7 +3,9 @@
 Everything here recomputes target values through routes that do not share
 code with the package: plain series, trial division, high-precision
 finite differences, alternating-series acceleration, dense CMV matrices
-and eigenphase sums.  Nothing here imports tiltlab.
+and eigenphase sums.  Only `rs_main_sums_direct` reads tiltlab: it starts
+from the package's prime rows, which are checked against mpmath on their
+own.
 """
 
 import math
@@ -43,6 +45,38 @@ def trial_division_primes(limit):
         if all(q % p for p in range(2, int(q**0.5) + 1)):
             out.append(q)
     return out
+
+
+def rs_main_sums_direct(t, big_n, order):
+    """S_r[j] = sum_{n <= N_j} n^{-1/2 - i t_j} (log n)^r for r = 0..order, from a full table of n.
+
+    Every row X[n] is the product of the prime rows of n's factorization
+    by trial division, one prime factor at a time; the prime rows are
+    tiltlab's `_prime_rows`.  Row by row, each X[n] (log n)^r is added to
+    the points with n <= N.
+    """
+    from tiltlab.zeta_eval import _prime_rows
+
+    t = np.asarray(t, dtype=float)
+    big_n = np.asarray(big_n)
+    primes = trial_division_primes(int(big_n.max()))
+    prime_rows = dict(zip(primes, _prime_rows(t, len(primes))))
+    sums = np.zeros((order + 1, t.size), dtype=np.complex128)
+    for n in range(1, int(big_n.max()) + 1):
+        row = np.ones(t.size, dtype=np.complex128)
+        rest = n
+        for p in primes:
+            if p * p > rest:
+                break
+            while rest % p == 0:
+                row = row * prime_rows[p]
+                rest //= p
+        if rest > 1:
+            row = row * prime_rows[rest]
+        row[big_n < n] = 0.0
+        for r in range(order + 1):
+            sums[r] += row * math.log(n) ** r
+    return sums
 
 
 def odd_only_sieve(limit):

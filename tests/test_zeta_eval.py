@@ -29,7 +29,7 @@ from tiltlab.zeta_eval import (
     zeta_rs_many,
 )
 
-from oracles import eta_zeta, eta_zeta_derivative, trial_division_primes
+from oracles import eta_zeta, eta_zeta_derivative, rs_main_sums_direct, trial_division_primes
 
 ZETA_HALF = -1.4603545088095868
 FIRST_ZERO = 14.134725141734693
@@ -247,8 +247,9 @@ def test_rs_main_sum_memory_is_bounded_by_its_block_table(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one 2 MiB table and its level products, and with two threads the next block's
-        # prime rows; all 10,000 main sums at once would take ~600 MiB
+        # one 2 MiB buffer for the wheel table, its prefix sums and the s-terms, the
+        # level products, and with two threads the next block's prime rows; all
+        # 10,000 main sums at once would take ~600 MiB
         assert peak < 6 * 2**20, f"{workers} threads: peak {peak / 2**20:.2f} MiB"
 
 
@@ -268,6 +269,105 @@ def test_factor_levels_rebuild_every_n():
             assert spf in primes and not any(n % q == 0 for q in primes[primes < spf])
         built[n_row + 1] = built[spf_row + 1] * built[cof_row + 1]
     assert built.tolist() == list(range(n_max + 1))
+
+
+def test_rs_main_sums_match_a_full_table_of_n():
+    # N from 12 (just above t = 1000) to 3,989 (t = 1e8); every block holds several N
+    t = np.geomspace(1000.5, 1e8, 300)
+    big_n = np.sqrt(t / (2.0 * math.pi)).astype(np.int64)
+    assert big_n[0] == 12 and big_n[-1] == _RS_MAX_N
+    blocks = list(_rs_blocks(big_n))
+    assert len(blocks) > 1 and all(np.unique(big_n[start:stop]).size > 1 for start, stop in blocks)
+    want = rs_main_sums_direct(t, big_n, 4)
+    full = _rs_main_sums(t, big_n, 4)
+    assert np.all(np.abs(full - want) <= 1e-12 * np.abs(want))
+    # a point's rows do not depend on how many orders were asked for
+    for order in range(4):
+        assert np.array_equal(_rs_main_sums(t, big_n, order), full[: order + 1])
+
+
+def _is_3_smooth(n):
+    for p in (2, 3):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_wheel_tables_factor_every_n():
+    smooth, wheel = zeta_eval._SMOOTH, zeta_eval._WHEEL
+    ns = range(1, _RS_MAX_N + 1)
+    assert sorted(smooth.tolist()) == [n for n in ns if _is_3_smooth(n)]
+    assert wheel.tolist() == [n for n in ns if math.gcd(n, 6) == 1]
+    assert np.array_equal(wheel // 3, np.arange(wheel.size))
+    assert np.array_equal(zeta_eval._WHEEL_COUNT, np.cumsum([math.gcd(n, 6) == 1 for n in range(_RS_MAX_N + 1)]))
+    # n = s m for exactly one 3-smooth s and one m coprime to 6
+    products = np.outer(smooth, wheel)
+    assert np.array_equal(np.bincount(products[products <= _RS_MAX_N]), [0] + [1] * _RS_MAX_N)
+
+
+def test_wheel_levels_rebuild_every_m():
+    wheel = zeta_eval._WHEEL
+    primes = _PRIMES[2:]
+    built = np.zeros(wheel.size, dtype=np.int64)
+    built[0] = 1
+    built[primes // 3] = primes
+    for m_row, spf_row, cof_row in zeta_eval._WHEEL_LEVELS:
+        assert np.all(np.diff(m_row) > 0)
+        assert np.all(built[spf_row] > 0) and np.all(built[cof_row] > 0)
+        assert np.all(built[m_row] == 0)
+        # the smallest prime factor: a prime from 5 up, and no smaller prime divides m
+        for m, spf in zip(wheel[m_row], wheel[spf_row]):
+            assert spf in primes and not any(m % q == 0 for q in _PRIMES[_PRIMES < spf])
+        built[m_row] = built[spf_row] * built[cof_row]
+    assert np.array_equal(built, wheel)
+
+
+def test_quarter_lookup_is_exact():
+    amp = 1.0 / np.sqrt(_PRIMES.astype(float))
+    want = np.array([[complex(a, 0.0), complex(0.0, -a), complex(-a, 0.0), complex(0.0, a)] for a in amp])
+    assert np.array_equal(zeta_eval._QUARTERS.view(np.uint64), want.ravel().view(np.uint64))
+
+
+def _masked_quarter_rows(turns):
+    # p^{-1/2} e^{-2 pi i u} with the quarter turns of u taken by masked passes:
+    # a product by -i for odd q, then a sign for q = 2, 3 mod 4
+    turns = 4.0 * turns
+    quarter = np.rint(turns)
+    turns = (turns - quarter) * (-math.pi / 2)
+    rows = np.empty(turns.shape, dtype=np.complex128)
+    np.cos(turns, out=rows.real)
+    np.sin(turns, out=rows.imag)
+    quarter = quarter.astype(np.int64) & 3
+    np.multiply(rows, -1j, out=rows, where=(quarter & 1).astype(bool))
+    np.negative(rows, out=rows, where=quarter >= 2)
+    rows *= (1.0 / np.sqrt(_PRIMES[: len(rows)].astype(float)))[:, None]
+    return rows
+
+
+def test_quarter_lookup_rows_match_masked_quarter_turns(monkeypatch):
+    # the lookup's one product gives the masked passes' bits, also where 4u is an
+    # integer and cos and sin see a signed zero
+    rng = np.random.default_rng(21)
+    t = rng.uniform(1e3, 1e8, 300)
+    on_quarters = np.concatenate([np.arange(-12, 24) / 4.0, rng.uniform(-3.0, 6.0, 264)])
+    for turns in (_prime_turns(t, _PRIMES.size), np.tile(on_quarters, (_PRIMES.size, 1))):
+        monkeypatch.setattr(zeta_eval, "_prime_turns", lambda t, n, turns=turns: turns[:n].copy())
+        got = _prime_rows(t, _PRIMES.size)
+        assert np.array_equal(got.view(np.uint64), _masked_quarter_rows(turns).view(np.uint64))
+
+
+def test_rs_memory_at_low_height_is_bounded():
+    t = np.random.default_rng(9).uniform(1e5, 2e5, size=10_000)
+    zeta_line(t[:4], 1)
+    tracemalloc.start()
+    try:
+        zeta_line(t, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2 MiB block buffer, this block's and, with two threads, the next block's
+    # prime rows, and the jet rows of 10,000 points
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_rs_path_requires_an_extended_long_double(monkeypatch):

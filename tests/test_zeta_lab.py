@@ -176,6 +176,23 @@ def test_dirichlet_poly_allocates_cache_sized_blocks():
     assert peak < 8 * 2**20
 
 
+def test_dirichlet_poly_chunks_a_large_window_in_bounded_memory():
+    window = PrimeWindow.from_bounds(1, 10**7)  # 664,579 primes: six chunks
+    t = np.array([1e5, 1.5e5 + 0.3, 2e5])
+    tracemalloc.start()
+    try:
+        values = dirichlet_poly_many(t, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the window's own 5.1 MiB array: one 2 MiB block, its phases, and one
+    # chunk's logs and amplitudes; whole-window copies took 35.6 MiB
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    p = window.primes.astype(float)
+    want = [np.sum(np.exp(-1j * ti * np.log(p)) / np.sqrt(p)) for ti in t]
+    assert np.abs(values - want).max() < 1e-12 * np.sum(1.0 / np.sqrt(p))
+
+
 def test_dirichlet_poly_values_do_not_depend_on_the_block_size(monkeypatch):
     window = PrimeWindow.from_bounds(1, 3000)
     t = np.random.default_rng(3).uniform(10, 1e3, size=(7, 9))
