@@ -23,7 +23,6 @@ from .estimator import MomentReport, gaussian_conformance, tilted_moments_mc
 from .rmt_exact import (
     ExactMomentReport,
     TiltSpec,
-    asymptotic_mn,
     cumulants,
     log_moment_mn,
     weighted_central_moments,
@@ -38,7 +37,7 @@ from .shifts import (
     swap_shifts,
 )
 from .zeta_eval import zeta_line
-from .zeta_lab import PrimeWindow, ScanSpec, mertens_l, mu_alpha, sieve_primes, weighted_scan
+from .zeta_lab import ScanSpec, mertens_l, mu_alpha, weighted_scan
 
 __all__ = [
     "__version__",
@@ -48,7 +47,6 @@ __all__ = [
     "tilted_moments_mc",
     "ExactMomentReport",
     "TiltSpec",
-    "asymptotic_mn",
     "cumulants",
     "log_moment_mn",
     "weighted_central_moments",
@@ -60,10 +58,8 @@ __all__ = [
     "second_moment_recipe_k1",
     "swap_shifts",
     "zeta_line",
-    "PrimeWindow",
     "ScanSpec",
     "mertens_l",
     "mu_alpha",
-    "sieve_primes",
     "weighted_scan",
 ]

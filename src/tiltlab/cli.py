@@ -218,13 +218,11 @@ def _handle_cue_check(config):
     return results, rows
 
 
-def _window_fields(window):
-    return {"lo": window.lo, "hi": window.hi, "count": int(len(window.primes)), "truncated": window.truncated}
-
-
 def _handle_zeta_scan(config):
     p = config.parameters
     bounds = (p["window_lo"], p["window_hi"])
+    if bounds.count(None) == 1:
+        raise ValueError("give both --window-lo and --window-hi, or neither for the default window")
     spec = ScanSpec(  # checks every field before it sieves a window
         T=p["t"],
         samples=p["samples"],
@@ -234,7 +232,8 @@ def _handle_zeta_scan(config):
         window=None if None in bounds else bounds,
         seed=SeedSpec(config.seed),
     )
-    hist, report = weighted_scan(spec)
+    window = {}
+    hist, report = weighted_scan(spec, window)
     results = {
         "weighted_mean": report.weighted_mean,
         "central_moments": report.central_moments,
@@ -248,7 +247,7 @@ def _handle_zeta_scan(config):
         "overflow_weight": hist.overflow_weight,
         "bin_edges": list(hist.bin_edges),
         "weighted_counts": list(hist.weighted_counts),
-        "window": _window_fields(spec.window),
+        "window": window,
     }
     rows = (
         ("bin_lo", "bin_hi", "weighted_count"),

@@ -23,10 +23,8 @@ __all__ = [
     "TiltSpec",
     "ExactMomentReport",
     "log_moment_mn",
-    "asymptotic_mn",
     "cumulants",
     "weighted_mean",
-    "fj_derivative_sum",
     "weighted_central_moments",
 ]
 
@@ -112,16 +110,6 @@ def _midpoint_sum(N, c1, h, slope):
     return float(min(N, m) * anchor + reach @ step + tail)
 
 
-def asymptotic_mn(N, k):
-    """Leading form k^2 log N + 2 log G(1+k) - log G(1+2k), integer k only."""
-    _validate_nk(N, k, "k")
-    if not float(k).is_integer():
-        raise ValueError(f"asymptotic_mn unsupported for non-integer k={k}; use log_moment_mn")
-    k = int(k)
-    log_gamma = [math.lgamma(m) for m in range(1, 2 * k + 1)]  # G(1+n) = prod_{m<=n} Gamma(m)
-    return k * k * math.log(N) + 2.0 * math.fsum(log_gamma[:k]) - math.fsum(log_gamma)
-
-
 def _telescoped(a, x):
     """F_m(x) / (m+1)! for m = 1..order-1 (rows) from the jet a at the points x (columns).
 
@@ -165,13 +153,6 @@ def weighted_mean(N, k):
     """
     _validate_nk(N, k, "k")
     return _midpoint_sum(N, 1.0 + 1.5 * k, 0.5 * k, slope=True)
-
-
-def fj_derivative_sum(N, k, i):
-    """sum_j f_j^{(i)}(0) = sum_j [psi^{(i-1)}(j+2k) - 2^{1-i} psi^{(i-1)}(j+k)]."""
-    if not isinstance(i, (int, np.integer)) or i < 1:
-        raise ValueError(f"derivative order i must be an integer >= 1, got {i}")
-    return _fj_sums(N, k, i)[-1]
 
 
 def weighted_central_moments(spec: TiltSpec) -> ExactMomentReport:

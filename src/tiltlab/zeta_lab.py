@@ -3,12 +3,12 @@
 The prime window X = (lo, hi] is an explicit input everywhere (the
 asymptotic choice x = T^eps is meaningless at reachable heights); the
 default window keeps the (log T, x] shape of the theory at x = T^0.3.
-A window's primes come from a segmented sieve over (lo, hi] alone, which
-stops at PRIME_COUNT_CAP primes and marks the window truncated; its
-memory does not grow with hi - lo.  A PrimeWindow holds its primes once,
-in the sieve's output; `mu_alpha` over bounds sums each segment's primes
-as they are sieved and never holds the window.  Sums over a window run
-in cache-sized chunks.
+A window is only ever its bounds.  Each sum over it (`mu_alpha`, and
+`dirichlet_poly` for the scan's proxy) sieves it in the same pass, one
+segment of (lo, hi] at a time, and takes its primes in fixed-size chunks
+through a buffer the sum owns; no window's primes are ever held, and
+memory does not grow with hi - lo.  Every pass stops at PRIME_COUNT_CAP
+primes and marks the window truncated.
 Weighted scans sample t uniformly in [T, 2T], weigh by
 |zeta^(m)(1/2 + it + i alpha)|^{2k}, and reuse the self-normalized
 reduction of the Monte Carlo estimator.  One `zeta_line` call gives a
@@ -29,14 +29,11 @@ from .threads import one_ahead
 from .zeta_eval import RS_MAX_T, zeta_line
 
 __all__ = [
-    "PrimeWindow",
     "WeightedHistogram",
     "ScanSpec",
     "ScanStream",
-    "sieve_primes",
-    "prime_count_bound",
     "default_window",
-    "dirichlet_poly_many",
+    "dirichlet_poly",
     "mertens_l",
     "mu_alpha",
     "checked_alphas",
@@ -47,61 +44,11 @@ __all__ = [
 PRIME_COUNT_CAP = 10**7
 SIEVE_SEGMENT = 1 << 20  # odd numbers per sieve segment: a 1 MiB bool mask
 SIEVE_LIMIT = 10**12  # keeps the base primes (78,498 up to 1e6) and each segment's loop small
-MU_CHUNK = 1 << 16  # primes per mu_alpha chunk (three 512 KiB float buffers) and per ascending check
+MU_CHUNK = 1 << 16  # primes per mu_alpha chunk: three 512 KiB float buffers
 DIRICHLET_ENTRIES = 1 << 17  # complex entries per Dirichlet (heights x primes) block: 2 MiB
 DIRICHLET_CHUNK = 1 << 17  # primes per Dirichlet chunk, so that one height's block fits DIRICHLET_ENTRIES
 HISTOGRAM_BINS = 80
 HISTOGRAM_HALF_WIDTHS = 6.0  # in units of sqrt(L/2)
-
-
-def prime_count_bound(lo, hi):
-    """A proven upper bound on the number of primes p with lo < p <= hi, for integers lo >= 0.
-
-    The least of three: the odd numbers in (lo, hi] plus one for 2; Dusart's
-    (1999) pi(x) <= x/ln x (1 + 1.2762/ln x) for x > 1 at hi, less Rosser and
-    Schoenfeld's pi(x) >= x/ln x for x >= 17 at lo; and Montgomery and
-    Vaughan's (1973) pi(x + y) - pi(x) <= 2y/ln y for y = hi - lo > 1.  The
-    real bounds are floored after adding 1, which covers their rounding.
-    """
-    if hi <= lo:
-        return 0
-    bounds = [(hi + 1) // 2 - (lo + 1) // 2 + (lo < 2 <= hi)]
-    if hi >= 2:
-        log_hi = math.log(hi)
-        below_lo = lo / math.log(lo) if lo >= 17 else 0.0
-        bounds.append(math.floor(hi / log_hi * (1.0 + 1.2762 / log_hi) - below_lo + 1.0))
-    if hi - lo >= 2:
-        bounds.append(math.floor(2.0 * (hi - lo) / math.log(hi - lo) + 1.0))
-    return min(bounds)
-
-
-def sieve_primes(limit, lo=0, cap=None):
-    """The primes p with lo < p <= limit, ascending; only the first `cap` if given.
-
-    The segments of `_prime_segments` are copied into one int64 output
-    sized by `prime_count_bound` (and `cap`), and sieving stops once `cap`
-    primes are found; the result is a view of the output's filled head,
-    and the unfilled tail is never touched.  Memory is one segment's mask
-    and primes, the base primes up to sqrt(limit) and the output; it does
-    not grow with limit - lo.  A limit above SIEVE_LIMIT raises ValueError.
-    """
-    segments = _prime_segments(lo, limit)
-    size = prime_count_bound(max(math.floor(lo), 0), int(limit))
-    capped = cap is not None and cap <= size
-    out = np.empty(cap if capped else size, dtype=np.int64)
-    found = 0
-    for primes in segments:
-        if primes.size > out.size - found and not capped:
-            raise RuntimeError(
-                f"more primes in ({lo}, {limit}] than the bound {out.size}: prime_count_bound is wrong"
-            )
-        take = min(primes.size, out.size - found)
-        out[found : found + take] = primes[:take]
-        found += take
-        del primes  # before the next segment's primes are made
-        if capped and found == out.size:
-            break
-    return out[:found]
 
 
 def _prime_segments(lo, limit, ahead=False):
@@ -149,50 +96,53 @@ def _prime_segments(lo, limit, ahead=False):
     return one_ahead(sieve, starts) if ahead else map(sieve, starts)
 
 
-@dataclass(frozen=True)
-class PrimeWindow:
-    """Explicit prime interval X = (lo, hi] with its sieved prime list.
-
-    `truncated` is true when PRIME_COUNT_CAP clipped the requested hi down
-    to the cap-th prime of the window.
-    """
-
-    lo: float
-    hi: float
-    primes: np.ndarray
-    truncated: bool = False
-
-    def __post_init__(self):
-        _check_bounds(self.lo, self.hi)
-        primes = np.asarray(self.primes, dtype=np.int64)
-        for lo in range(0, primes.size - 1, MU_CHUNK):  # a bool temporary per chunk, not per prime
-            chunk = primes[lo : lo + MU_CHUNK + 1]
-            if not np.all(chunk[1:] > chunk[:-1]):
-                raise ValueError("prime list must be strictly ascending")
-        if primes.size and (primes[0] <= self.lo or primes[-1] > self.hi):
-            raise ValueError("prime list escapes the window bounds")
-        object.__setattr__(self, "primes", primes)
-
-    @classmethod
-    def from_bounds(cls, lo, hi):
-        _check_bounds(lo, hi)
-        primes = sieve_primes(math.floor(hi), lo=lo, cap=PRIME_COUNT_CAP + 1)
-        truncated = len(primes) > PRIME_COUNT_CAP
-        if truncated:
-            primes = primes[:PRIME_COUNT_CAP]
-            hi = float(primes[-1])
-        return cls(lo=float(lo), hi=float(hi), primes=primes, truncated=truncated)
-
-
-def _check_bounds(lo, hi):
+def _checked_window(window):
+    """The bounds (lo, hi) of a prime window as floats, once 0 <= lo < hi <= SIEVE_LIMIT is checked."""
+    lo, hi = window
     if not 0 <= lo < hi:
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
     if hi > SIEVE_LIMIT:
         raise ValueError(f"window hi = {hi:g} is above the sieve limit {SIEVE_LIMIT:.0e}")
+    return float(lo), float(hi)
+
+
+def _prime_chunks(window, buffer, extent, ahead):
+    """Walk the primes of the checked window (lo, hi] through the caller's `buffer`, in order.
+
+    Each segment of `_prime_segments` (with `ahead`, sieved a segment
+    ahead on the one-ahead worker) is copied into `buffer`, cast to its
+    dtype; the count filled is yielded each time the buffer is full, and
+    once more for a partly filled last chunk, and the caller uses
+    buffer[:count] before drawing the next.  The pass stops at
+    PRIME_COUNT_CAP primes.  Once it is exhausted, the dict `extent` holds
+    the window walked: lo, hi (the last prime kept when the cap clipped
+    the window), count and truncated.
+    """
+    lo, hi = window
+    truncated, count, filled, last = False, 0, 0, None
+    for primes in _prime_segments(lo, math.floor(hi), ahead):
+        clipped = primes.size > PRIME_COUNT_CAP - count
+        primes = primes[: PRIME_COUNT_CAP - count]
+        count += primes.size
+        last = primes[-1] if primes.size else last
+        while primes.size:
+            take = min(buffer.size - filled, primes.size)
+            buffer[filled : filled + take] = primes[:take]
+            primes, filled = primes[take:], filled + take
+            if filled == buffer.size:
+                yield filled
+                filled = 0
+        del primes  # before the next segment's primes are made
+        if clipped:
+            truncated, hi = True, float(last)
+            break
+    if filled:
+        yield filled
+    extent.update(lo=lo, hi=hi, count=count, truncated=truncated)
 
 
 def default_window(T):
-    """The theory-shaped default window (log T, T^0.3].
+    """The bounds (lo, hi) of the theory-shaped default window (log T, T^0.3].
 
     It holds no prime for T in [10, 656.14) or [1096.6, 2960.1), and those
     heights raise ValueError.
@@ -200,17 +150,16 @@ def default_window(T):
     if T < 10:
         raise ValueError("default window needs T >= 10")
     lo, hi = math.log(T), T**0.3
-    window = PrimeWindow.from_bounds(lo, hi) if lo < hi else None
-    if window is None or window.primes.size == 0:
+    if lo >= hi or not any(primes.size for primes in _prime_segments(lo, hi)):
         raise ValueError(
             f"the default prime window (log T, T^0.3] = ({lo:.4g}, {hi:.4g}] is empty at "
             f"T = {T:g}: it holds a prime only for 656.14 <= T < 1096.6 and T >= 2960.1; "
             "give the window explicitly with --window-lo/--window-hi"
         )
-    return window
+    return lo, hi
 
 
-def mertens_l(window: PrimeWindow) -> float:
+def mertens_l(window) -> float:
     """L = sum_{p in X} 1/p, the alpha = 0 case of `mu_alpha`."""
     return mu_alpha(window, 0.0)
 
@@ -218,35 +167,23 @@ def mertens_l(window: PrimeWindow) -> float:
 def mu_alpha(window, alpha, extent=None):
     """Shifted mean density mu_alpha = sum_{p in X} cos(alpha log p)/p, for |alpha| < 1.
 
-    `window` is a PrimeWindow or (lo, hi) bounds.  Bounds are checked
-    after alpha, as `PrimeWindow.from_bounds` checks them, and sieved in
-    this pass: each segment's primes go straight into the sums while a
-    worker thread sieves the next segment (`threads.one_ahead`), so the
-    window's primes are never held.  As in `from_bounds`, the pass stops
-    at PRIME_COUNT_CAP primes.  A dict `extent` is filled with the window
-    summed: lo, hi (the last prime kept when the cap clipped the window),
-    count and truncated.
+    `window` is the bounds (lo, hi), checked after alpha and sieved in
+    this pass (`_prime_chunks`), so its primes are never held.  A dict
+    `extent` is filled with the window summed: lo, hi, count and
+    truncated.
 
     alpha is a scalar (a float comes back) or a 1-d array (an array of one
     value per alpha comes back).  The primes are summed in chunks of
-    MU_CHUNK, cut at the same boundaries on both routes; each chunk takes
-    log p and 1/p once for every alpha, its terms are summed pairwise and
-    the chunk sums combined with math.fsum, so a value depends neither on
-    the route, nor on the other alphas, nor on the thread count.
+    MU_CHUNK; each chunk takes log p and 1/p once for every alpha, its
+    terms are summed pairwise and the chunk sums combined with math.fsum,
+    so a value depends neither on the other alphas, nor on the sieve's
+    segment size, nor on the thread count.
     """
     alphas = checked_alphas(alpha)
-    if isinstance(window, PrimeWindow):
-        lo, hi, truncated = window.lo, window.hi, window.truncated
-        segments, cap = [window.primes], window.primes.size
-    else:
-        lo, hi = window
-        _check_bounds(lo, hi)
-        lo, hi, truncated = float(lo), float(hi), False
-        segments, cap = _prime_segments(lo, math.floor(hi), ahead=True), PRIME_COUNT_CAP
-    inv_p, log_p, terms = np.empty((3, min(MU_CHUNK, cap, prime_count_bound(math.floor(lo), math.floor(hi)))))
+    lo, hi = _checked_window(window)
+    inv_p, log_p, terms = np.empty((3, min(MU_CHUNK, math.floor(hi) - math.floor(lo))))
     chunk_sums = [[] for _ in alphas.flat]
-
-    def add_chunk(size):
+    for size in _prime_chunks((lo, hi), inv_p, {} if extent is None else extent, ahead=True):
         inv_c, log_c, terms_c = inv_p[:size], log_p[:size], terms[:size]
         np.log(inv_c, out=log_c)
         np.reciprocal(inv_c, out=inv_c)
@@ -255,29 +192,6 @@ def mu_alpha(window, alpha, extent=None):
             np.cos(terms_c, out=terms_c)
             terms_c *= inv_c
             sums.append(float(terms_c.sum()))
-
-    count = filled = 0
-    last = None
-    for primes in segments:
-        clipped = primes.size > cap - count
-        primes = primes[: cap - count]
-        count += primes.size
-        last = primes[-1] if primes.size else last
-        while primes.size:  # into the chunk buffer, a chunk summed each time it fills
-            take = min(MU_CHUNK - filled, primes.size)
-            inv_p[filled : filled + take] = primes[:take]
-            primes, filled = primes[take:], filled + take
-            if filled == MU_CHUNK:
-                add_chunk(filled)
-                filled = 0
-        del primes  # before the next segment's primes are made
-        if clipped:
-            truncated, hi = True, float(last)
-            break
-    if filled:
-        add_chunk(filled)
-    if extent is not None:
-        extent.update(lo=lo, hi=hi, count=count, truncated=truncated)
     values = np.array([math.fsum(sums) for sums in chunk_sums])
     return float(values[0]) if alphas.ndim == 0 else values
 
@@ -292,33 +206,37 @@ def checked_alphas(alpha):
     return alphas
 
 
-def dirichlet_poly_many(t_arr, window: PrimeWindow):
-    """P(t) = sum_{p in X} p^{-1/2 - it} for an array of heights t.
+def dirichlet_poly(t_arr, window):
+    """P(t) = sum_{p in X} p^{-1/2 - it} for an array of heights t, over the bounds (lo, hi) of X.
 
-    The window's primes go in chunks of DIRICHLET_CHUNK and the heights in
-    blocks of DIRICHLET_ENTRIES // (primes in the chunk), at least one, so
-    no (heights x primes) block outgrows DIRICHLET_ENTRIES; each chunk's
-    sums are added to the heights' totals in turn.  A window of one chunk
-    is one pass over the heights.
+    The window is sieved in this pass, inline (beside these sums the sieve
+    costs little, and a worker would hold a second segment), and stops at
+    the same capped prime as `mu_alpha`.  Its primes come in chunks of
+    DIRICHLET_CHUNK and the heights in blocks of DIRICHLET_ENTRIES //
+    (primes in the chunk), at least one, so no (heights x primes) block
+    outgrows DIRICHLET_ENTRIES; each chunk's sums are added to the
+    heights' totals in turn.
     """
     t_arr = np.asarray(t_arr, dtype=float)
+    lo, hi = _checked_window(window)
     out = np.zeros(t_arr.shape, dtype=np.complex128)
-    flat = t_arr.ravel()
-    res = out.ravel()
-    for start in range(0, window.primes.size, DIRICHLET_CHUNK):
-        p = window.primes[start : start + DIRICHLET_CHUNK].astype(float)
-        log_p = np.log(p)
-        amp = np.divide(1.0, np.sqrt(p, out=p), out=p)
-        chunk = max(1, DIRICHLET_ENTRIES // p.size)
-        phases = np.empty(min(chunk, flat.size) * p.size)
-        terms = np.empty(phases.size, dtype=np.complex128)
-        for lo in range(0, flat.size, chunk):
-            blk = flat[lo : lo + chunk]
-            block = terms[: blk.size * p.size].reshape(blk.size, p.size)
-            np.multiply(np.outer(blk, log_p, out=phases[: block.size].reshape(block.shape)), -1j, out=block)
+    flat, res = t_arr.ravel(), out.ravel()
+    amp, log_p = np.empty((2, min(DIRICHLET_CHUNK, math.floor(hi) - math.floor(lo))))
+    for size in _prime_chunks((lo, hi), amp, {}, ahead=False):
+        p, log_c = amp[:size], log_p[:size]
+        np.log(p, out=log_c)
+        np.divide(1.0, np.sqrt(p, out=p), out=p)
+        heights = max(1, DIRICHLET_ENTRIES // size)
+        terms = np.empty(min(heights, flat.size) * size, dtype=np.complex128)
+        for start in range(0, flat.size, heights):
+            blk = flat[start : start + heights]
+            block = terms[: blk.size * size].reshape(blk.size, size)
+            block.real = 0.0
+            np.multiply.outer(-blk, log_c, out=block.imag)  # -i t log p
             np.exp(block, out=block)
-            block *= amp
-            res[lo : lo + chunk] += block.sum(axis=1)
+            block *= p
+            res[start : start + heights] += block.sum(axis=1)
+        terms = block = None  # let this chunk's block go before the next one is made
     return out
 
 
@@ -353,7 +271,8 @@ class WeightedHistogram:
 class ScanSpec:
     """One weighted scan: t ~ U[T, 2T], weight |zeta^(m)(1/2+it+i alpha)|^{2k}.
 
-    `window` is a PrimeWindow, (lo, hi) bounds sieved once every other field passes, or None.
+    `window` is the bounds (lo, hi), checked once every other field passes, or None for
+    `default_window(T)`; the scan sieves it.
     """
 
     T: float
@@ -361,7 +280,7 @@ class ScanSpec:
     k: int = 0
     m: int = 0
     alpha: float = 0.0
-    window: PrimeWindow | tuple | None = None
+    window: tuple | None = None
     seed: SeedSpec = SeedSpec(42)
 
     def __post_init__(self):
@@ -384,15 +303,8 @@ class ScanSpec:
                 f"T = {self.T:g}: the scan reaches t = {top:g} (t in [T, 2T], shifted by alpha for "
                 f"the weight), above the evaluator's ceiling {RS_MAX_T:.0e}"
             )
-        if self.window is None:
-            object.__setattr__(self, "window", default_window(self.T))
-        elif not isinstance(self.window, PrimeWindow):
-            object.__setattr__(self, "window", PrimeWindow.from_bounds(*self.window))
-        if self.window.primes.size == 0:
-            raise ValueError(
-                f"the prime window ({self.window.lo:g}, {self.window.hi:g}] holds no prime; "
-                "the scan's prime proxy needs at least one"
-            )
+        window = default_window(self.T) if self.window is None else _checked_window(self.window)
+        object.__setattr__(self, "window", window)
 
 
 @dataclass(frozen=True)
@@ -421,17 +333,27 @@ def scan_stream(spec: ScanSpec) -> ScanStream:
         if spec.k and spec.alpha:
             rows = zeta_line(t + spec.alpha, spec.m)
         log_w = 2.0 * spec.k * np.log(np.abs(rows[-1])) if spec.k else np.zeros(t.shape)
-    proxy = dirichlet_poly_many(t, spec.window).real
+    proxy = dirichlet_poly(t, spec.window).real
     return ScanStream(t=t, values=values, log_weights=log_w, proxy=proxy)
 
 
-def weighted_scan(spec: ScanSpec):
+def weighted_scan(spec: ScanSpec, extent=None):
     """Self-normalized weighted histogram and moment report (orders 0..4) for one scan.
 
-    Near-zero |zeta| samples drive log to -inf; they land in the
+    One `mu_alpha` pass over the window, before any zeta value, gives the
+    histogram's width from L = sum 1/p, fills the dict `extent` as
+    `mu_alpha` does, and raises ValueError for a window that holds no
+    prime.  Near-zero |zeta| samples drive log to -inf; they land in the
     underflow bin with their (vanishing, at k >= 1) weight rather than
     being dropped.
     """
+    extent = {} if extent is None else extent
+    mertens = mu_alpha(spec.window, 0.0, extent)
+    if not extent["count"]:
+        raise ValueError(
+            f"the prime window ({extent['lo']:g}, {extent['hi']:g}] holds no prime; "
+            "the scan's prime proxy needs at least one"
+        )
     stream = scan_stream(spec)
     log_w = stream.log_weights
     finite = np.isfinite(stream.values)
@@ -439,7 +361,7 @@ def weighted_scan(spec: ScanSpec):
     corr = float(np.corrcoef(stream.proxy[finite], stream.values[finite])[0, 1])
     report = dataclasses.replace(report, proxy_correlation=corr)
 
-    half_width = HISTOGRAM_HALF_WIDTHS * math.sqrt(0.5 * max(mertens_l(spec.window), 1e-12))
+    half_width = HISTOGRAM_HALF_WIDTHS * math.sqrt(0.5 * max(mertens, 1e-12))
     center = report.weighted_mean
     edges = np.linspace(center - half_width, center + half_width, HISTOGRAM_BINS + 1)
     shift = np.max(log_w)

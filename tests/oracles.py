@@ -3,9 +3,10 @@
 Everything here recomputes target values through routes that do not share
 code with the package: plain series, trial division, high-precision
 finite differences, alternating-series acceleration, dense CMV matrices
-and eigenphase sums.  Only `rs_main_sums_direct` reads tiltlab: it starts
-from the package's prime rows, which are checked against mpmath on their
-own.
+and eigenphase sums.  Two helpers read tiltlab: `rs_main_sums_direct`
+starts from the package's prime rows, which are checked against mpmath
+on their own, and `fj_derivative_sum` reads one order of the package's
+telescoped polygamma sums for the tests of their growth in N.
 """
 
 import math
@@ -45,6 +46,24 @@ def trial_division_primes(limit):
         if all(q % p for p in range(2, int(q**0.5) + 1)):
             out.append(q)
     return out
+
+
+def asymptotic_mn(N, k):
+    """Leading form k^2 log N + 2 log G(1+k) - log G(1+2k) of log M_N(2k), integer k only."""
+    if not float(k).is_integer():
+        raise ValueError(f"asymptotic_mn needs an integer k, got {k}")
+    k = int(k)
+    log_gamma = [math.lgamma(m) for m in range(1, 2 * k + 1)]  # G(1+n) = prod_{m<=n} Gamma(m)
+    return k * k * math.log(N) + 2.0 * math.fsum(log_gamma[:k]) - math.fsum(log_gamma)
+
+
+def fj_derivative_sum(N, k, i):
+    """sum_j f_j^{(i)}(0) = sum_j [psi^{(i-1)}(j+2k) - 2^{1-i} psi^{(i-1)}(j+k)], from `rmt_exact._fj_sums`."""
+    from tiltlab.rmt_exact import _fj_sums
+
+    if not isinstance(i, (int, np.integer)) or i < 1:
+        raise ValueError(f"derivative order i must be an integer >= 1, got {i}")
+    return _fj_sums(N, k, i)[-1]
 
 
 def rs_main_sums_direct(t, big_n, order):

@@ -55,7 +55,6 @@ from tiltlab.shifts import (
 )
 from tiltlab.zeta_eval import siegel_theta, zeta_em_many, zeta_rs_many
 from tiltlab.zeta_lab import (
-    PrimeWindow,
     ScanSpec,
     mertens_l,
     mu_alpha,
@@ -252,7 +251,7 @@ def test_criterion_7_mu_alpha_regimes():
     # (the band [0, 0.5] brackets the Mertens constant 0.2615), so the
     # internally-consistent window (1, 1e6] is used
     checks = Checks("7")
-    window = PrimeWindow.from_bounds(1, 10**6)
+    window = (1, 10**6)
     # -log|alpha| holds for |alpha| log hi >> 1; below that mu_alpha
     # saturates at mu_0 ~ loglog hi (|alpha| log hi = 0.138, 0.0138 here)
     loglog_hi = math.log(math.log(10**6))

@@ -126,9 +126,9 @@ def test_mu_alpha_csv(tmp_path):
     data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert len(data) == 2
     alpha0 = float(data[0].split(",")[1])
-    from tiltlab.zeta_lab import PrimeWindow, mertens_l
+    from tiltlab.zeta_lab import mertens_l
 
-    assert alpha0 == pytest.approx(mertens_l(PrimeWindow.from_bounds(1, 1000)), abs=1e-12)
+    assert alpha0 == pytest.approx(mertens_l((1, 1000)), abs=1e-12)
 
 
 def test_recipe_k1_with_quadrature(tmp_path):
@@ -332,11 +332,13 @@ def _never_sieve(*args, **kwargs):
         (["mu-alpha", "--lo", "1", "--hi", "1e10", "--alpha", "2"], "got [2.0]"),
         (["zeta-scan", "--t", "1e300", "--samples", "100"], "T = 1e+300"),
         (["zeta-scan", "--t", "6e7", "--samples", "100", "--window-lo", "1", "--window-hi", "1e10"], "T = 6e+07"),
+        # half a window is refused, not replaced by the default window
+        (["zeta-scan", "--t", "1e5", "--samples", "200", "--k", "1", "--window-lo", "1"], "--window-lo and --window-hi"),
+        (["zeta-scan", "--t", "1e5", "--samples", "200", "--window-hi", "1000"], "--window-lo and --window-hi"),
     ],
 )
 def test_arguments_are_checked_before_the_sieve(tmp_path, monkeypatch, capsys, args, text):
-    # PrimeWindow.from_bounds sieves through sieve_primes, a streamed mu_alpha through the segments
-    monkeypatch.setattr(zeta_lab, "sieve_primes", _never_sieve)
+    # every prime pass sieves through the segments
     monkeypatch.setattr(zeta_lab, "_prime_segments", _never_sieve)
     out = tmp_path / "result.json"
     assert run_cli(args + ["--out", str(out)]) == EXIT_PRECONDITION

@@ -7,18 +7,18 @@ import pytest
 from tiltlab.rmt_exact import (
     MAX_TILT,
     TiltSpec,
-    asymptotic_mn,
     cumulants,
-    fj_derivative_sum,
     log_moment_mn,
     weighted_central_moments,
     weighted_mean,
 )
 
 from oracles import (
+    asymptotic_mn,
     central_moment_fd,
     cumulants_to_central_moments,
     euler_gamma_series,
+    fj_derivative_sum,
     harmonic,
     log_mn_barnes,
     psi1_sum_oracle,

@@ -18,9 +18,9 @@ from tiltlab.shifts import (
     swap_shifts,
 )
 from tiltlab.zeta_eval import zeta_em_many
-from tiltlab.zeta_lab import PrimeWindow, mu_alpha
+from tiltlab.zeta_lab import mu_alpha
 
-from oracles import recipe_k1_mp
+from oracles import recipe_k1_mp, trial_division_primes
 
 
 def random_tuple(k, rng):
@@ -112,15 +112,15 @@ def test_gaussian_exponent_theorem2_reduction():
     # with the Theorem-2 shifts and mu = mu_alpha, the linear part of the
     # exponent vanishes for every selection, leaving z^2 L / 4
     alpha0 = 0.15
-    window = PrimeWindow.from_bounds(1, 500)
-    mu = mu_alpha(window, alpha0)
-    logs = np.log(window.primes.astype(float))
-    inv_p = 1.0 / window.primes.astype(float)
+    primes = np.array(trial_division_primes(500), dtype=float)
+    mu = mu_alpha((1, 500), alpha0)
+    logs = np.log(primes)
+    inv_p = 1.0 / primes
     for k in (1, 2, 3):
         tup = ShiftTuple(k, (1j * alpha0,) * k, (-1j * alpha0,) * k)
         for sel in enumerate_selections(k):
             g_sum = sum(
-                g_p_factor(int(p), sel, tup) / p for p in window.primes.astype(float)
+                g_p_factor(int(p), sel, tup) / p for p in primes
             )
             z = 0.37 + 0.11j
             L = float(np.sum(inv_p))

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltlab.rmt_exact import _midpoint_sum, asymptotic_mn
+from tiltlab.rmt_exact import _midpoint_sum
 from tiltlab.special import MAX_ORDER, gaussian_central_moment, log_gamma_jet
 
-from oracles import euler_gamma_series, zeta3_series
+from oracles import asymptotic_mn, euler_gamma_series, zeta3_series
 
 ABS_TOL = 1e-12
 

@@ -12,164 +12,139 @@ from tiltlab import zeta_eval, zeta_lab
 from tiltlab.cue import SeedSpec
 from tiltlab.estimator import weighted_moments
 from tiltlab.zeta_lab import (
-    PrimeWindow,
     ScanSpec,
     WeightedHistogram,
     default_window,
-    dirichlet_poly_many,
+    dirichlet_poly,
     mertens_l,
     mu_alpha,
-    prime_count_bound,
     scan_stream,
-    sieve_primes,
     weighted_scan,
 )
 
 from oracles import odd_only_sieve, trial_division_primes
 
 
+def sieved(limit, lo=0):
+    """The primes of (lo, limit] from the package's segmented sieve, joined into one array."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *zeta_lab._prime_segments(lo, limit)])
+
+
+def walked(window, chunk, ahead=False):
+    """The primes `_prime_chunks` walks through a buffer of `chunk` entries, joined, and the extent it fills."""
+    buffer, extent = np.empty(chunk, dtype=np.int64), {}
+    chunks = [buffer[:size].copy() for size in zeta_lab._prime_chunks(window, buffer, extent, ahead)]
+    assert all(piece.size == chunk for piece in chunks[:-1])
+    return np.concatenate([np.empty(0, dtype=np.int64), *chunks]), extent
+
+
 def test_sieve_small():
-    assert list(sieve_primes(10)) == [2, 3, 5, 7]
-    assert list(sieve_primes(1)) == []
-    assert list(sieve_primes(2)) == [2]
+    assert list(sieved(10)) == [2, 3, 5, 7]
+    assert list(sieved(1)) == []
+    assert list(sieved(2)) == [2]
 
 
 def test_sieve_against_trial_division():
-    assert list(sieve_primes(100)) == trial_division_primes(100)
-    assert len(sieve_primes(100)) == 25
+    assert list(sieved(100)) == trial_division_primes(100)
+    assert len(sieved(100)) == 25
 
 
 def test_sieve_against_independent_sieve():
-    assert len(sieve_primes(10**6)) == 78498
-    assert len(sieve_primes(10**7)) == 664579
-    assert list(sieve_primes(10**4)) == odd_only_sieve(10**4)
+    for limit, count in ((10**6, 78498), (10**7, 664579)):
+        assert sum(primes.size for primes in zeta_lab._prime_segments(0, limit)) == count
+    assert list(sieved(10**4)) == odd_only_sieve(10**4)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     limit=st.integers(-3, 2500),
     lo=st.integers(-2, 2500) | st.floats(-2.0, 2500.0),
-    cap=st.none() | st.integers(0, 400),
+    cap=st.none() | st.integers(1, 400),
     segment=st.integers(1, 40),
+    chunk=st.integers(1, 50),
+    ahead=st.booleans(),
 )
-def test_sieve_window_matches_trial_division(limit, lo, cap, segment):
-    # segments of a few odd numbers put many segment edges inside (lo, limit]
+def test_sieve_window_matches_trial_division(limit, lo, cap, segment, chunk, ahead):
+    # segments of a few odd numbers put many segment edges inside (lo, limit], and
+    # chunks of a few primes put the chunk edges anywhere inside a segment
+    every = [p for p in trial_division_primes(max(limit, 0)) if p > lo]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zeta_lab, "SIEVE_SEGMENT", segment)
-        got = sieve_primes(limit, lo=lo, cap=cap)
-    want = [p for p in trial_division_primes(max(limit, 0)) if p > lo][:cap]
+        assert sieved(limit, lo).tolist() == every
+        if cap is not None:
+            mp.setattr(zeta_lab, "PRIME_COUNT_CAP", cap)
+        got, extent = walked((lo, limit), chunk, ahead)
+    want = every[:cap]
     assert got.dtype == np.int64
     assert got.tolist() == want
-
-
-# pi(10^j), j = 1..12
-PRIME_COUNTS = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511, 4118054813, 37607912018)
-
-
-def test_prime_count_bound_covers_known_counts():
-    for j, count in enumerate(PRIME_COUNTS, start=1):
-        bound = prime_count_bound(0, 10**j)
-        assert count <= bound < 1.3 * count + 3
-    # every odd number of (2, 7] is prime: the bound is met exactly
-    assert prime_count_bound(2, 7) == 3 == len(sieve_primes(7, lo=2))
-    assert prime_count_bound(1, 7) == 4 == len(sieve_primes(7, lo=1))
-    assert prime_count_bound(10, 10) == prime_count_bound(10, 3) == 0
+    truncated = len(every) > len(want)
+    assert extent == {"lo": lo, "hi": want[-1] if truncated else limit, "count": len(want), "truncated": truncated}
 
 
 @settings(max_examples=200, deadline=None)
 @given(lo=st.integers(0, 10**6), width=st.integers(0, 5000), segment=st.integers(1, 40))
 def test_sieve_fills_windows_within_the_bound(lo, width, segment):
-    # short windows high up, where the Montgomery-Vaughan and Dusart terms bind,
-    # and windows whose count sits at the bound, cut into many segments
+    # short windows high up, cut into many segments
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zeta_lab, "SIEVE_SEGMENT", segment)
-        got = sieve_primes(lo + width, lo=lo)
-    assert got.size <= prime_count_bound(lo, lo + width)
+        got = sieved(lo + width, lo)
     numbers = np.arange(max(lo + 1, 2), lo + width + 1)
     divisors = np.array(trial_division_primes(1000))
     composite = ((numbers[:, None] % divisors == 0) & (numbers[:, None] != divisors)).any(axis=1)
     assert got.tolist() == numbers[~composite].tolist()
 
 
-def test_sieve_raises_when_the_bound_is_too_small(monkeypatch):
-    monkeypatch.setattr(zeta_lab, "prime_count_bound", lambda lo, hi: 24)
-    with pytest.raises(RuntimeError, match="than the bound 24"):
-        sieve_primes(100)
-    # a cap at or below the buffer stops the sieve instead: nothing is lost
-    assert sieve_primes(100, cap=24).tolist() == trial_division_primes(100)[:24]
-
-
-def test_window_sieve_holds_one_copy_of_its_output():
-    sieve_primes(10**4)  # warm the base primes' path outside the traced region
-    tracemalloc.start()
-    try:
-        window = PrimeWindow.from_bounds(1, 10**7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the output is written in place: no list of per-segment pieces to concatenate
-    assert window.primes.size == 664579
-    assert peak < window.primes.nbytes + 3 * 2**20
-
-
-def test_window_order_check_runs_in_chunks():
-    sieve_primes(10**4)  # warm the base primes' path outside the traced region
-    peaks = []
-    for build in (
-        lambda: sieve_primes(10**8, lo=1, cap=zeta_lab.PRIME_COUNT_CAP + 1),
-        lambda: PrimeWindow.from_bounds(1, 10**8),
-    ):
-        tracemalloc.start()
-        try:
-            build()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    # one bool per prime would add 5.5 MiB for the 5,761,455 primes up to 1e8
-    assert peaks[1] <= peaks[0] + 2**19
-
-
 def test_bounds_and_heights_are_checked_before_sieving(monkeypatch):
     def never_sieve(*args, **kwargs):
         raise AssertionError("sieved before the bounds were checked")
 
-    monkeypatch.setattr(zeta_lab, "sieve_primes", never_sieve)
+    monkeypatch.setattr(zeta_lab, "_prime_segments", never_sieve)
     for lo, hi, text in (
         (-5.0, 1e10, "(-5.0, 10000000000.0]"),
         (7.0, 7.0, "(7.0, 7.0]"),
         (math.nan, 10.0, "(nan, 10.0]"),
         (1.0, 1e13, "hi = 1e+13 is above the sieve limit"),
     ):
-        with pytest.raises(ValueError) as info:
-            PrimeWindow.from_bounds(lo, hi)
-        assert text in str(info.value)
+        for call in (
+            lambda: mu_alpha((lo, hi), 0.0),
+            lambda: dirichlet_poly([1.0], (lo, hi)),
+            lambda: ScanSpec(T=1e4, samples=100, window=(lo, hi)),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert text in str(info.value)
     # [T, 2T], and t + alpha for a weight, must stay under the evaluator's 1e8 ceiling
     for T, kwargs in ((6e7, {}), (1e300, {}), (5e7, dict(k=1, alpha=0.5)), (5e7 + 0.25, {})):
         with pytest.raises(ValueError, match=re.escape(f"T = {T:g}")):
             ScanSpec(T=T, samples=100, window=(1.0, 1e10), **kwargs)
-    window = PrimeWindow(lo=1, hi=10, primes=np.array([2, 3, 5, 7]))
+    # explicit bounds are checked, not sieved, when the spec is made
     for kwargs in (dict(k=0, alpha=0.5), dict(k=1, alpha=-0.5), dict(k=1)):
-        assert ScanSpec(T=5e7, samples=100, window=window, **kwargs).window is window
+        window = ScanSpec(T=5e7, samples=100, window=(1, 10), **kwargs).window
+        assert window == (1.0, 10.0) and all(type(bound) is float for bound in window)
 
 
-def test_mu_alpha_allocates_chunks_not_windows():
-    window = PrimeWindow.from_bounds(1, 10**7)
+def test_mu_alpha_allocates_chunks_not_windows(monkeypatch):
+    monkeypatch.setenv("TILTLAB_THREADS", "1")
+    mu_alpha((1, 10**5), 0.1)  # warm the path outside the traced region
     tracemalloc.start()
     try:
-        values = mu_alpha(window, [0.01, 0.3])
+        values = mu_alpha((1, 10**7), [0.01, 0.3])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert values.shape == (2,)
-    assert peak < 2 * 2**20
+    # three 512 KiB chunk buffers, the 1 MiB segment mask and one segment's primes
+    # (155,611 int64 in the first, 1.2 MiB) beside the base primes; the window's
+    # 664,579 primes alone would take 5.1 MiB
+    chunk_buffers, mask, segment_primes = 3 * zeta_lab.MU_CHUNK * 8, zeta_lab.SIEVE_SEGMENT, 155_611 * 8
+    assert peak < chunk_buffers + mask + segment_primes + 2**19, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_dirichlet_poly_allocates_cache_sized_blocks():
-    window = PrimeWindow.from_bounds(1, 10**6)
     t = np.linspace(1e5, 2e5, 200)
     tracemalloc.start()
     try:
-        dirichlet_poly_many(t, window)
+        dirichlet_poly(t, (1, 10**6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -177,115 +152,126 @@ def test_dirichlet_poly_allocates_cache_sized_blocks():
 
 
 def test_dirichlet_poly_chunks_a_large_window_in_bounded_memory():
-    window = PrimeWindow.from_bounds(1, 10**7)  # 664,579 primes: six chunks
-    t = np.array([1e5, 1.5e5 + 0.3, 2e5])
+    t = np.array([1e5, 1.5e5 + 0.3, 2e5])  # (1, 1e7] holds 664,579 primes: six chunks
     tracemalloc.start()
     try:
-        values = dirichlet_poly_many(t, window)
+        values = dirichlet_poly(t, (1, 10**7))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # beyond the window's own 5.1 MiB array: one 2 MiB block, its phases, and one
-    # chunk's logs and amplitudes; whole-window copies took 35.6 MiB
+    # one 2 MiB block, one chunk's amplitudes and logs, and the sieve's mask and
+    # segment; whole-window copies took 35.6 MiB
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
-    p = window.primes.astype(float)
+    p = np.array(odd_only_sieve(10**7), dtype=float)
     want = [np.sum(np.exp(-1j * ti * np.log(p)) / np.sqrt(p)) for ti in t]
     assert np.abs(values - want).max() < 1e-12 * np.sum(1.0 / np.sqrt(p))
 
 
+def test_scan_prime_passes_hold_no_per_prime_array():
+    # a scan over (1, 1e7] makes two passes over its 664,579 primes (a 5.1 MiB int64
+    # array): mu_alpha's for the window block and L, and the proxy's Dirichlet sum
+    t = np.array([1e5, 1.3e5 + 0.7, 1.6e5 + 0.1, 2e5])
+    mu_alpha((1, 10**5), 0.0)  # warm the path outside the traced region
+    tracemalloc.start()
+    try:
+        extent = {}
+        mu_alpha((1, 1e7), 0.0, extent)
+        dirichlet_poly(t, (1, 1e7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert extent == {"lo": 1.0, "hi": 1e7, "count": 664_579, "truncated": False}
+    # the Dirichlet pass sets the peak: its chunk buffers (amplitudes and logs, a float
+    # each per prime), one complex (heights x primes) block, one sieve mask and one
+    # segment's primes (155,611 int64 in the first), sieved inline
+    chunk_buffers = 2 * zeta_lab.DIRICHLET_CHUNK * 8
+    block = zeta_lab.DIRICHLET_ENTRIES * 16
+    mask, segment_primes = zeta_lab.SIEVE_SEGMENT, 155_611 * 8
+    assert peak < chunk_buffers + block + mask + segment_primes + 2**19, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_dirichlet_poly_values_do_not_depend_on_the_block_size(monkeypatch):
-    window = PrimeWindow.from_bounds(1, 3000)
     t = np.random.default_rng(3).uniform(10, 1e3, size=(7, 9))
-    p = window.primes.astype(float)
+    p = np.array(trial_division_primes(3000), dtype=float)
     want = np.vectorize(lambda ti: np.sum(p ** (-0.5 - 1j * ti)))(t)
-    got = [dirichlet_poly_many(t, window)]
+    got = [dirichlet_poly(t, (1, 3000))]
     for entries in (1, 430, 10**6):
         monkeypatch.setattr(zeta_lab, "DIRICHLET_ENTRIES", entries)
-        got.append(dirichlet_poly_many(t, window))
+        got.append(dirichlet_poly(t, (1, 3000)))
         assert np.array_equal(got[-1], got[0])
     assert np.abs(got[0] - want).max() < 1e-11
 
 
 def test_high_window_sieves_in_bounded_memory():
     lo, hi = 10**10 - 10**6, 10**10
-    sieve_primes(10**5)  # the base primes' sieve, outside the traced region
+    sieved(10**5)  # the base primes' sieve, outside the traced region
     tracemalloc.start()
     try:
-        window = PrimeWindow.from_bounds(lo, hi)
+        extent = {}
+        mu_alpha((lo, hi), 0.0, extent)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one 1 MiB segment mask, an output sized for 2y/ln y ~ 145k primes (43k
-    # found) and the base primes; a mask over (0, hi] would be 10 GB
+    # one 1 MiB segment mask, its 43k primes, the chunk buffers and the base primes;
+    # a mask over (0, hi] would be 10 GB
     assert peak < 4 * 2**20
-    assert not window.truncated
+    assert not extent["truncated"]
     # both ends of the window against trial division by the primes up to sqrt(hi)
+    primes = sieved(hi, lo)
+    assert primes.size == extent["count"]
     divisors = np.array(odd_only_sieve(10**5), dtype=np.int64)
     for numbers in (np.arange(lo + 1, lo + 2001), np.arange(hi - 1999, hi + 1)):
         composite = np.zeros(numbers.size, dtype=bool)
         for d in divisors:
             composite |= numbers % d == 0
-        assert np.array_equal(window.primes[np.isin(window.primes, numbers)], numbers[~composite])
+        assert np.array_equal(primes[np.isin(primes, numbers)], numbers[~composite])
 
 
 def test_sieve_rejects_limits_above_the_base_prime_bound():
     for hi in (zeta_lab.SIEVE_LIMIT + 1, 1e20, 1e300):
-        with pytest.raises(ValueError, match="sieve limit"):
-            PrimeWindow.from_bounds(1, hi)
+        for call in (lambda: mu_alpha((1, hi), 0.0), lambda: zeta_lab._prime_segments(1, hi)):
+            with pytest.raises(ValueError, match="sieve limit"):
+                call()
 
 
 def test_from_bounds_stops_at_the_prime_count_cap():
-    window = PrimeWindow.from_bounds(1, 1e10)
-    assert window.primes.size == zeta_lab.PRIME_COUNT_CAP == 10**7
-    assert window.hi == 179_424_673.0 == window.primes[-1]  # the 10^7-th prime
-    assert window.truncated
-    assert not PrimeWindow.from_bounds(1, 179_424_673).truncated
-    # the streamed pass stops at the same prime, with the same sums
-    extent = {}
-    assert mu_alpha((1, 1e10), [0.0, 0.5], extent=extent).tobytes() == mu_alpha(window, [0.0, 0.5]).tobytes()
+    # a window past the 10^7-th prime stops there, with the sums of the window that ends there
+    extent, below = {}, {}
+    capped = mu_alpha((1, 1e10), [0.0, 0.5], extent=extent)
     assert extent == {"lo": 1.0, "hi": 179_424_673.0, "count": 10**7, "truncated": True}
+    assert mu_alpha((1, 179_424_673), [0.0, 0.5], extent=below).tobytes() == capped.tobytes()
+    assert below == dict(extent, truncated=False)
 
 
 def test_prime_window_membership():
-    w = PrimeWindow.from_bounds(10, 60)
-    assert list(w.primes) == [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-    assert not w.truncated
-    with pytest.raises(ValueError):
-        PrimeWindow(lo=10, hi=5, primes=np.array([7], dtype=np.int64))
-    with pytest.raises(ValueError):
-        PrimeWindow(lo=1, hi=10, primes=np.array([3, 2], dtype=np.int64))
-    with pytest.raises(ValueError):
-        PrimeWindow(lo=1, hi=10, primes=np.array([2, 11], dtype=np.int64))
+    assert list(sieved(60, 10)) == [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    got, extent = walked((10.0, 60.0), 4)
+    assert got.tolist() == sieved(60, 10).tolist()
+    assert extent == {"lo": 10.0, "hi": 60.0, "count": 13, "truncated": False}
 
 
 def test_mertens_small_window():
-    w = PrimeWindow.from_bounds(1, 10)
-    assert mertens_l(w) == pytest.approx(1.0 / 2 + 1.0 / 3 + 1.0 / 5 + 1.0 / 7, abs=1e-15)
+    assert mertens_l((1, 10)) == pytest.approx(1.0 / 2 + 1.0 / 3 + 1.0 / 5 + 1.0 / 7, abs=1e-15)
 
 
 def test_mertens_constant_at_desk_scale():
-    w = PrimeWindow.from_bounds(1, 10**6)
     target = math.log(math.log(10**6)) + 0.26149721
-    assert abs(mertens_l(w) - target) < 0.01
+    assert abs(mertens_l((1, 10**6)) - target) < 0.01
 
 
 def test_mertens_additivity():
-    a = PrimeWindow.from_bounds(1, 50)
-    b = PrimeWindow.from_bounds(50, 400)
-    c = PrimeWindow.from_bounds(1, 400)
-    assert mertens_l(a) + mertens_l(b) == pytest.approx(mertens_l(c), abs=1e-12)
+    assert mertens_l((1, 50)) + mertens_l((50, 400)) == pytest.approx(mertens_l((1, 400)), abs=1e-12)
 
 
 def test_mu_alpha_zero_is_mertens():
     for hi in (5000, 2 * 10**6):  # one chunk and three
-        w = PrimeWindow.from_bounds(1, hi)
-        assert mu_alpha(w, 0.0) == mertens_l(w)
+        assert mu_alpha((1, hi), 0.0) == mertens_l((1, hi))
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 7, 1000])
 def test_mu_alpha_of_many_alphas_is_each_alone(monkeypatch, chunk):
     # 2e6 holds 148,933 primes: three chunks of 2^16 at the default size
-    w = PrimeWindow.from_bounds(1, 2 * 10**6 if chunk is None else 3000)
+    w = (1, 2 * 10**6 if chunk is None else 3000)
     if chunk is not None:
         monkeypatch.setattr(zeta_lab, "MU_CHUNK", chunk)
     alphas = [0.01, -0.3, 0.0, 0.99]
@@ -299,24 +285,35 @@ def test_mu_alpha_of_many_alphas_is_each_alone(monkeypatch, chunk):
 
 
 def test_mu_alpha_rejects_shifts_outside_the_unit_interval():
-    w = PrimeWindow.from_bounds(1, 100)
     for alpha in (1.0, -1.5, 1e300, [0.1, 2.0], math.nan):
         with pytest.raises(ValueError, match=r"\|alpha\| must be < 1"):
-            mu_alpha(w, alpha)
+            mu_alpha((1, 100), alpha)
     with pytest.raises(ValueError, match="1-d"):
-        mu_alpha(w, [[0.1]])
+        mu_alpha((1, 100), [[0.1]])
 
 
 def test_mu_alpha_empty_window_is_zero():
-    assert mu_alpha(PrimeWindow.from_bounds(8, 10), 0.3) == 0.0
+    assert mu_alpha((8, 10), 0.3) == 0.0
 
 
 def _streamed_and_materialized(lo, hi, alphas):
+    """mu_alpha over the bounds, and the same sums over the window's primes held at once.
+
+    The held primes are cut at the same MU_CHUNK edges, and each chunk is
+    summed with the same numpy calls, so the two agree to the bit.
+    """
     extent = {}
     streamed = mu_alpha((lo, hi), alphas, extent=extent)
-    window = PrimeWindow.from_bounds(lo, hi)
-    assert extent == {"lo": window.lo, "hi": window.hi, "count": window.primes.size, "truncated": window.truncated}
-    return streamed, mu_alpha(window, alphas)
+    every = sieved(hi, lo)
+    primes = every[: zeta_lab.PRIME_COUNT_CAP].astype(float)
+    truncated = every.size > primes.size
+    want_hi = float(primes[-1]) if truncated else float(hi)
+    assert extent == {"lo": float(lo), "hi": want_hi, "count": primes.size, "truncated": truncated}
+    materialized = []
+    for a in np.asarray(alphas, dtype=float):
+        chunks = (primes[i : i + zeta_lab.MU_CHUNK] for i in range(0, primes.size, zeta_lab.MU_CHUNK))
+        materialized.append(math.fsum(float((np.cos(a * np.log(p)) * np.reciprocal(p)).sum()) for p in chunks))
+    return streamed, np.array(materialized)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -349,7 +346,7 @@ def test_streamed_mu_alpha_stops_at_the_prime_count_cap(monkeypatch, extra):
     # many clips the window at a segment edge, one more or 57 more inside the next segment
     monkeypatch.setattr(zeta_lab, "SIEVE_SEGMENT", 500)
     monkeypatch.setattr(zeta_lab, "MU_CHUNK", 300)
-    cap = sieve_primes(11_999).size + extra
+    cap = sieved(11_999).size + extra
     monkeypatch.setattr(zeta_lab, "PRIME_COUNT_CAP", cap)
     for lo, hi in ((1, 2e4), (1, 11_999), (1, 10**6)):
         streamed, materialized = _streamed_and_materialized(lo, hi, [0.2, 0.0])
@@ -357,7 +354,13 @@ def test_streamed_mu_alpha_stops_at_the_prime_count_cap(monkeypatch, extra):
     extent = {}
     mu_alpha((1, 10**6), 0.5, extent=extent)
     assert extent["count"] == cap and extent["truncated"]
-    assert extent["hi"] == sieve_primes(10**6)[cap - 1]
+    assert extent["hi"] == sieved(10**6)[cap - 1]
+    # the Dirichlet pass stops at the same prime: its sums are those of the window that ends there
+    t = np.array([30.0, 1e3 + 0.5])
+    assert dirichlet_poly(t, (1, 10**6)).tobytes() == dirichlet_poly(t, (1, extent["hi"])).tobytes()
+    p = sieved(10**6)[:cap].astype(float)
+    want = [math.fsum(np.cos(ti * np.log(p)) / np.sqrt(p)) for ti in t]
+    assert np.abs(dirichlet_poly(t, (1, 10**6)).real - want).max() < 1e-12
 
 
 def test_streamed_mu_alpha_never_holds_its_window():
@@ -378,36 +381,36 @@ def test_streamed_mu_alpha_never_holds_its_window():
 
 
 def test_mu_alpha_pairwise_sum_matches_fsum():
-    w = PrimeWindow.from_bounds(1, 10**6)
-    p = w.primes.astype(float)
+    w = (1, 10**6)
+    p = sieved(10**6).astype(float)
     for alpha in (0.0, 0.001, 0.01, 0.5, 0.99, -0.3):
         exact = math.fsum(np.cos(alpha * np.log(p)) / p)
         assert mu_alpha(w, alpha) == pytest.approx(exact, rel=1e-13, abs=0)
 
 
 def test_mu_alpha_even_in_alpha():
-    w = PrimeWindow.from_bounds(1, 3000)
+    w = (1, 3000)
     for alpha in (0.01, 0.3, 0.77):
         assert mu_alpha(w, alpha) == mu_alpha(w, -alpha)
 
 
 def test_mu_alpha_large_shift_band():
     # when |alpha| log(hi) > 1 the -log|alpha| regime is visible
-    w = PrimeWindow.from_bounds(1, 10**6)
+    w = (1, 10**6)
     for alpha in (0.2, 0.3, 0.5):
         assert abs(mu_alpha(w, alpha) + math.log(alpha)) < 2.0
 
 
 def test_mu_alpha_small_shift_tracks_mertens():
     # |alpha| log(hi) <= 1 keeps mu_alpha within O(1) of L
-    w = PrimeWindow.from_bounds(1, 10**6)
+    w = (1, 10**6)
     for alpha in (0.01, 0.001):
         assert abs(mu_alpha(w, alpha) - mertens_l(w)) < 0.1
 
 
 def test_mu_alpha_lipschitz_bound():
-    w = PrimeWindow.from_bounds(1, 2000)
-    bound = mertens_l(w) * math.log(float(w.primes[-1]))
+    w = (1, 2000)
+    bound = mertens_l(w) * math.log(float(sieved(2000)[-1]))
     rng = np.random.default_rng(5)
     for _ in range(50):
         a, b = rng.uniform(-0.9, 0.9, size=2)
@@ -415,25 +418,23 @@ def test_mu_alpha_lipschitz_bound():
 
 
 def test_dirichlet_poly_empty_window():
-    w = PrimeWindow(lo=24.0, hi=28.0, primes=np.empty(0, dtype=np.int64))
-    assert dirichlet_poly_many(np.array([1.0]), w)[0] == 0.0
+    assert dirichlet_poly(np.array([1.0]), (24.0, 28.0))[0] == 0.0
+    assert dirichlet_poly(np.empty((0, 3)), (1, 100)).shape == (0, 3)  # no heights
 
 
 def test_dirichlet_poly_real_at_zero():
-    w = PrimeWindow.from_bounds(1, 100)
-    value = dirichlet_poly_many(np.array([0.0]), w)[0]
+    value = dirichlet_poly(np.array([0.0]), (1, 100))[0]
     assert value.imag == pytest.approx(0.0, abs=1e-14)
     assert value.real == pytest.approx(
-        math.fsum(1.0 / math.sqrt(p) for p in w.primes), abs=1e-12
+        math.fsum(1.0 / math.sqrt(p) for p in trial_division_primes(100)), abs=1e-12
     )
 
 
 def test_dirichlet_poly_conjugate_symmetry():
-    w = PrimeWindow.from_bounds(1, 500)
     rng = np.random.default_rng(11)
     t = rng.uniform(-50, 50, size=100)
-    vals_pos = dirichlet_poly_many(t, w)
-    vals_neg = dirichlet_poly_many(-t, w)
+    vals_pos = dirichlet_poly(t, (1, 500))
+    vals_neg = dirichlet_poly(-t, (1, 500))
     assert np.abs(vals_neg - np.conj(vals_pos)).max() < 1e-11
 
 
@@ -466,8 +467,7 @@ def test_histogram_mass_invariant_enforced():
 
 
 def test_overflow_weight_is_the_weight_above_the_top_edge():
-    window = PrimeWindow.from_bounds(1, 100)
-    spec = ScanSpec(T=300.0, samples=2000, k=1, m=0, window=window, seed=SeedSpec(5))
+    spec = ScanSpec(T=300.0, samples=2000, k=1, m=0, window=(1, 100), seed=SeedSpec(5))
     hist, _ = weighted_scan(spec)
     stream = scan_stream(spec)
     log_w = stream.log_weights
@@ -481,10 +481,12 @@ def test_default_window_rejects_heights_without_primes():
         with pytest.raises(ValueError, match="empty"):
             default_window(T)
     for T, p in ((656.2, 7), (1096.0, 7), (2961.0, 11), (1e4, 11)):
-        assert p in default_window(T).primes
+        lo, hi = default_window(T)
+        assert (lo, hi) == (math.log(T), T**0.3)
+        assert p in sieved(hi, lo)
 
 
-def test_scan_spec_validation():
+def test_scan_spec_validation(monkeypatch):
     with pytest.raises(ValueError):
         ScanSpec(T=5, samples=500)
     with pytest.raises(ValueError):
@@ -493,10 +495,13 @@ def test_scan_spec_validation():
         ScanSpec(T=100.0, samples=500, alpha=1.5)
     with pytest.raises(ValueError):
         ScanSpec(T=100.0, samples=500, m=5)
-    with pytest.raises(ValueError, match=r"\(8, 10\] holds no prime"):
-        ScanSpec(T=5000.0, samples=200, window=PrimeWindow.from_bounds(8, 10))
+    # the scan's first pass finds the window empty before any zeta value is taken
+    with monkeypatch.context() as mp:
+        mp.setattr(zeta_lab, "zeta_line", None)
+        with pytest.raises(ValueError, match=r"\(8, 10\] holds no prime"):
+            weighted_scan(ScanSpec(T=5000.0, samples=200, window=(8, 10)))
     spec = ScanSpec(T=1e4, samples=500)
-    assert spec.window.lo == pytest.approx(math.log(1e4))
+    assert spec.window == (math.log(1e4), 1e4**0.3)
 
 
 @pytest.mark.parametrize(
@@ -538,8 +543,7 @@ def test_proxy_positively_correlated():
 
 
 def test_scan_log_weights_zero_tilt_and_shift_reuse():
-    window = PrimeWindow.from_bounds(1, 100)
-    spec = ScanSpec(T=5000.0, samples=100, k=0, m=2, alpha=0.3, window=window, seed=SeedSpec(3))
+    spec = ScanSpec(T=5000.0, samples=100, k=0, m=2, alpha=0.3, window=(1, 100), seed=SeedSpec(3))
     stream = scan_stream(spec)
     assert np.array_equal(stream.log_weights, np.zeros(spec.samples))
     for m, alpha in ((0, 0.0), (2, 0.0), (1, 0.3)):
