@@ -1,11 +1,14 @@
 """tiltlab: tilted CUE statistics and weighted value distributions of zeta.
 
-Exact side: closed-form moments/cumulants of log|Z| under |Z|^{2k} d_Haar.
-Monte Carlo side: sharded streams of log|Z| (one splitting sampler, exact
-at any integer tilt and plain Haar at tilt 0, and dense QR Haar draws;
-Haar draws are reweighted by self-normalized importance sampling).  Zeta side: critical-line
-evaluators, prime-window Dirichlet polynomials, weighted scans, and the
-shifted-moment recipe combinatorics.
+Exact side: closed-form moments and cumulant sums of log|Z| under
+|Z|^{2k} d_Haar.  Monte Carlo side: sharded streams of log|Z| (one
+splitting sampler, exact at any integer tilt and plain Haar at tilt 0,
+and dense QR Haar draws; Haar draws are reweighted by self-normalized
+importance sampling), reduced to weighted moments with delta-method
+errors.  Zeta side: critical-line evaluators, prime-window Dirichlet
+polynomials, weighted scans, and the shifted-moment recipe combinatorics.
+Every function here but the `shifts` recipe helpers is reached from the
+`tiltlab` command line; `tests/test_api.py` traces the runs that show it.
 """
 
 import os
@@ -19,11 +22,10 @@ if _threads:
 __version__ = "0.1.0"
 
 from .cue import SeedSpec
-from .estimator import MomentReport, gaussian_conformance, tilted_moments_mc
+from .estimator import MomentReport, tilted_moments_mc
 from .rmt_exact import (
     ExactMomentReport,
     TiltSpec,
-    cumulants,
     log_moment_mn,
     weighted_central_moments,
     weighted_mean,
@@ -37,17 +39,15 @@ from .shifts import (
     swap_shifts,
 )
 from .zeta_eval import zeta_line
-from .zeta_lab import ScanSpec, mertens_l, mu_alpha, weighted_scan
+from .zeta_lab import ScanSpec, mu_alpha, weighted_scan
 
 __all__ = [
     "__version__",
     "SeedSpec",
     "MomentReport",
-    "gaussian_conformance",
     "tilted_moments_mc",
     "ExactMomentReport",
     "TiltSpec",
-    "cumulants",
     "log_moment_mn",
     "weighted_central_moments",
     "weighted_mean",
@@ -59,7 +59,6 @@ __all__ = [
     "swap_shifts",
     "zeta_line",
     "ScanSpec",
-    "mertens_l",
     "mu_alpha",
     "weighted_scan",
 ]

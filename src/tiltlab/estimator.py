@@ -15,8 +15,7 @@ row sums, its delta-method (influence-function) error from the rows,
 and from p = 3 the standardized moment and its error.  The effective
 sample size (sum w)^2 / sum w^2 is read off row 0, in linear space.
 Every reduction first sorts the (value, log-weight) pairs, so every
-reported field is invariant under permutations of the input stream,
-and the report carries the sorted pairs.
+reported field is invariant under permutations of the input stream.
 """
 
 from __future__ import annotations
@@ -24,21 +23,13 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import rmt_exact
 from .cue import SeedSpec, checked_size, log_char_poly_stream, qr_log_char_poly_stream
-from .special import gaussian_central_moment
 
-__all__ = [
-    "MomentReport",
-    "ConformanceRecord",
-    "weighted_moments",
-    "tilted_moments_mc",
-    "gaussian_conformance",
-]
+__all__ = ["MomentReport", "weighted_moments", "tilted_moments_mc"]
 
 ESS_FLOOR = 30.0
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
@@ -46,12 +37,7 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Weighted-moment estimates with delta-method (influence-function) errors for one MC run.
-
-    values and log_weights are the run's draws, sorted as the reduction
-    sorted them; gaussian_conformance reads its KS statistic off them.
-    Both are required, 1-d and of length sample_count.
-    """
+    """Weighted-moment estimates with delta-method (influence-function) errors for one MC run."""
 
     sample_count: int
     ess: float
@@ -65,15 +51,9 @@ class MomentReport:
     mean_weight: float
     mean_weight_se: float
     low_ess: bool
-    values: np.ndarray = field(repr=False)
-    log_weights: np.ndarray = field(repr=False)
     proxy_correlation: float | None = None
 
     def __post_init__(self):
-        for name in ("values", "log_weights"):
-            draws = getattr(self, name)
-            if np.ndim(draws) != 1 or len(draws) != self.sample_count:
-                raise ValueError(f"{name} must be a 1-d array of sample_count = {self.sample_count} draws")
         if not 1.0 <= self.ess <= self.sample_count * (1.0 + 1e-9):
             raise ValueError(f"ess {self.ess} outside [1, sample_count]")
         if self.central_moments[0] != 1.0:
@@ -99,9 +79,8 @@ def weighted_moments(values, log_weights, n_max):
     i.i.d. unit, because the weights are paired with the values they came
     from.  A vanishing m_2, or an m_2^{p/2} outside the float range,
     leaves a non-finite standardized moment and error rather than raising.
-    The effective sample size is (sum w)^2 / sum w^2 over row 0, and the
-    report keeps the sorted values and log-weights.  The log-weights must
-    be nonempty, with a finite largest entry.
+    The effective sample size is (sum w)^2 / sum w^2 over row 0.  The
+    log-weights must be nonempty, with a finite largest entry.
     """
     values = np.asarray(values, dtype=float)
     log_weights = np.asarray(log_weights, dtype=float)
@@ -169,8 +148,6 @@ def weighted_moments(values, log_weights, n_max):
         mean_weight=mean_weight,
         mean_weight_se=mean_weight_se,
         low_ess=bool(low),
-        values=values,
-        log_weights=log_weights,
     )
 
 
@@ -185,7 +162,7 @@ def tilted_moments_mc(n, k, n_max, samples, seed: SeedSpec, sampler="split"):
     (dense QR) draws Haar instances instead, sets log-weights 2k v_i for
     any real k >= 0, and mean_weight then estimates the normalizer
     M_N(2k).  Either way the estimates are reduced with delta-method
-    (influence-function) errors, and the report carries the sorted draws.
+    (influence-function) errors by `weighted_moments`.
     """
     checked_size("samples", samples, 10**3)
     if not isinstance(n_max, numbers.Integral) or not 0 <= n_max <= 8:
@@ -206,70 +183,3 @@ def tilted_moments_mc(n, k, n_max, samples, seed: SeedSpec, sampler="split"):
         raise ValueError(f"unknown sampler {sampler!r}")
     log_weights = np.zeros_like(values) if sampler == "split" else 2.0 * k * values
     return weighted_moments(values, log_weights, n_max)
-
-
-_ERF = np.frompyfunc(math.erf, 1, 1)
-
-
-def _normal_cdf(x):
-    return 0.5 * (1.0 + _ERF(x / math.sqrt(2.0)).astype(float))
-
-
-def weighted_ks_vs_normal(values, log_weights, mean, variance):
-    """sup |weighted ECDF - Normal(mean, variance) CDF| over the sample."""
-    order = np.argsort(values)
-    v = values[order]
-    w = np.exp(log_weights[order] - np.max(log_weights))
-    cw = np.cumsum(w)
-    cw /= cw[-1]
-    cdf = _normal_cdf((v - mean) / math.sqrt(variance))
-    upper = np.max(np.abs(cw - cdf))
-    lower = np.max(np.abs(np.concatenate(([0.0], cw[:-1])) - cdf))
-    return float(max(upper, lower))
-
-
-@dataclass(frozen=True)
-class ConformanceRecord:
-    """MC-vs-exact deviations, each in units of its delta-method (influence-function) SE."""
-
-    mean_deviation: float
-    variance_deviation: float
-    standardized_deviations: dict
-    ks_statistic: float
-    exact_mean: float
-    exact_variance: float
-    exact_standardized: dict
-
-
-def gaussian_conformance(report: MomentReport, n, k) -> ConformanceRecord:
-    """Compare an MC report against the exact tilted values and the Gaussian law.
-
-    Standardized moments are compared against (n-1)!! (even orders) or 0
-    (odd orders); the KS statistic pits the reweighted empirical CDF
-    against Normal(exact mean, exact variance).
-    """
-    n_max = len(report.central_moments) - 1
-    if n_max < 2:
-        raise ValueError(f"report must carry the variance (n_max >= 2), got n_max {n_max}")
-    exact = rmt_exact.weighted_central_moments(rmt_exact.TiltSpec(n, float(k), max(2, n_max)))
-    mu_e = exact.mu_weighted
-    m2_e = exact.central_moments[2]
-    mean_dev = (report.weighted_mean - mu_e) / report.standard_errors[1]
-    var_dev = (report.central_moments[2] - m2_e) / report.standard_errors[2]
-    std_devs = {}
-    exact_std = {}
-    for order in range(3, n_max + 1):
-        target = gaussian_central_moment(order, 1.0)
-        se = report.standardized_errors[order]
-        std_devs[order] = (report.standardized[order] - target) / se if se > 0 else float("nan")
-        exact_std[order] = exact.central_moments[order] / m2_e ** (0.5 * order)
-    ks = weighted_ks_vs_normal(report.values, report.log_weights, mu_e, m2_e)
-    return ConformanceRecord(
-        mean_deviation=float(mean_dev),
-        variance_deviation=float(var_dev),
-        standardized_deviations=std_devs,
-        ks_statistic=ks,
-        exact_mean=mu_e,
-        exact_variance=m2_e,
-        exact_standardized=exact_std,
-    )

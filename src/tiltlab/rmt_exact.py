@@ -23,7 +23,6 @@ __all__ = [
     "TiltSpec",
     "ExactMomentReport",
     "log_moment_mn",
-    "cumulants",
     "weighted_mean",
     "weighted_central_moments",
 ]
@@ -133,17 +132,6 @@ def _fj_sums(N, k, n_max):
     i = np.arange(2, n_max + 1)
     higher = np.cumprod(i, dtype=float) * (f[:, 1] - f[:, 0] - 2.0 ** (1 - i) * (f[:, 3] - f[:, 2]))
     return [mean] + higher.tolist()
-
-
-def cumulants(N, j_max):
-    """Cumulants Q_m of log|Z| under plain Haar, m = 1..j_max.
-
-    Q_m = (1 - 2^{1-m}) sum_{i<=N} psi^{(m-1)}(i), the zero-tilt f_j sums;
-    Q_1 vanishes identically.
-    """
-    if not 1 <= j_max <= MAX_MOMENT_ORDER:
-        raise ValueError(f"j_max must be in [1, {MAX_MOMENT_ORDER}], got {j_max}")
-    return _fj_sums(N, 0, j_max)
 
 
 def weighted_mean(N, k):

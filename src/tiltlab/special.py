@@ -1,4 +1,4 @@
-"""One array kernel for log-Gamma and its derivatives, plus the Gaussian moments.
+"""One array kernel for log-Gamma and its derivatives.
 
 `log_gamma_jet` shifts its arguments up with the recurrence until they clear
 a cutoff, then sums the Stirling series from the one exact Bernoulli table
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["log_gamma_jet", "gaussian_central_moment", "BERNOULLI_EVEN"]
+__all__ = ["log_gamma_jet", "BERNOULLI_EVEN"]
 
 
 def _bernoulli_even(count):
@@ -93,19 +93,3 @@ def log_gamma_jet(x, order):
         inv = np.where(live, 1.0 / steps, 0.0)
         out[1:] -= _LOG_JET[:order] * (inv ** r[1:, :, None]).sum(axis=1)
     return out.reshape((order + 1,) + x.shape)
-
-
-def gaussian_central_moment(n, variance):
-    """Central moment of order n of a normal law: 0 for odd n, (n-1)!! v^{n/2} else."""
-    if n < 0 or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"moment order must be a nonnegative integer, got {n}")
-    if variance < 0:
-        raise ValueError("variance must be nonnegative")
-    if n % 2 == 1:
-        return 0.0
-    if n == 0:
-        return 1.0
-    double_fact = 1
-    for i in range(n - 1, 0, -2):
-        double_fact *= i
-    return double_fact * variance ** (n // 2)

@@ -26,7 +26,7 @@ import numpy as np
 from .cue import SeedSpec, checked_size
 from .estimator import weighted_moments
 from .threads import one_ahead
-from .zeta_eval import RS_MAX_T, zeta_line
+from .zeta_eval import MAX_DERIVATIVE, RS_MAX_T, zeta_line
 
 __all__ = [
     "WeightedHistogram",
@@ -34,7 +34,6 @@ __all__ = [
     "ScanStream",
     "default_window",
     "dirichlet_poly",
-    "mertens_l",
     "mu_alpha",
     "checked_alphas",
     "scan_stream",
@@ -157,11 +156,6 @@ def default_window(T):
             "give the window explicitly with --window-lo/--window-hi"
         )
     return lo, hi
-
-
-def mertens_l(window) -> float:
-    """L = sum_{p in X} 1/p, the alpha = 0 case of `mu_alpha`."""
-    return mu_alpha(window, 0.0)
 
 
 def mu_alpha(window, alpha, extent=None):
@@ -293,10 +287,9 @@ class ScanSpec:
         checked_size("samples", self.samples, 10**2)
         if not (isinstance(self.k, (int, np.integer)) and self.k >= 0):
             raise ValueError(f"k must be a nonnegative integer, got {self.k}")
-        if not (isinstance(self.m, (int, np.integer)) and 0 <= self.m <= 4):
-            raise ValueError(f"derivative order m must be in [0, 4], got {self.m}")
-        if not abs(self.alpha) < 1:
-            raise ValueError(f"|alpha| must be < 1, got {self.alpha}")
+        if not (isinstance(self.m, (int, np.integer)) and 0 <= self.m <= MAX_DERIVATIVE):
+            raise ValueError(f"derivative order m must be in [0, {MAX_DERIVATIVE}], got {self.m}")
+        checked_alphas(self.alpha)
         top = 2.0 * self.T + (max(self.alpha, 0.0) if self.k else 0.0)
         if top > RS_MAX_T:
             raise ValueError(

@@ -3,16 +3,20 @@
 Everything here recomputes target values through routes that do not share
 code with the package: plain series, trial division, high-precision
 finite differences, alternating-series acceleration, dense CMV matrices
-and eigenphase sums.  Two helpers read tiltlab: `rs_main_sums_direct`
+and eigenphase sums.  Three helpers read tiltlab: `rs_main_sums_direct`
 starts from the package's prime rows, which are checked against mpmath
-on their own, and `fj_derivative_sum` reads one order of the package's
-telescoped polygamma sums for the tests of their growth in N.
+on their own, `fj_derivative_sum` reads one order of the package's
+telescoped polygamma sums for the tests of their growth in N, and
+`gaussian_conformance` measures a Monte Carlo run against the package's
+exact tilted moments.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from scipy.special import ndtr
 
 
 def euler_gamma_series(n=10**4):
@@ -344,7 +348,7 @@ def weighted_point_stats(values, log_weights, n_max):
 def bootstrap_errors_loop(values, log_weights, n_max, n_boot, seed):
     """Bootstrap SEs of a weighted-moment reduction, one full pass per resample.
 
-    The reference for estimator.reduce_weighted: the pairs are sorted the
+    The reference for estimator.weighted_moments: the pairs are sorted the
     same way, resample b is the b-th rng.integers(0, m, m) draw, and each
     resample is reduced by weighted_point_stats.  Returns (standard_errors,
     standardized_errors, mean_weight_se) laid out as in MomentReport.
@@ -364,6 +368,63 @@ def bootstrap_errors_loop(values, log_weights, n_max, n_boot, seed):
     standard_errors = ([0.0, ses[0]] + central_ses)[: n_max + 1]
     standardized_errors = ([0.0, 0.0, 0.0] + list(ses[2 + len(central_ses) :]))[: n_max + 1]
     return standard_errors, standardized_errors, mean_weight * ses[1]
+
+
+def weighted_ks_vs_normal(values, log_weights, mean, variance):
+    """sup |weighted ECDF - Normal(mean, variance) CDF| over the sample."""
+    order = np.argsort(values)
+    v = values[order]
+    w = np.exp(log_weights[order] - np.max(log_weights))
+    cw = np.cumsum(w)
+    cw /= cw[-1]
+    cdf = ndtr((v - mean) / math.sqrt(variance))
+    upper = np.max(np.abs(cw - cdf))
+    lower = np.max(np.abs(np.concatenate(([0.0], cw[:-1])) - cdf))
+    return float(max(upper, lower))
+
+
+@dataclass(frozen=True)
+class ConformanceRecord:
+    """MC-vs-exact deviations, each in units of its delta-method (influence-function) SE."""
+
+    mean_deviation: float
+    variance_deviation: float
+    standardized_deviations: dict
+    ks_statistic: float
+    exact_mean: float
+    exact_variance: float
+    exact_standardized: dict
+
+
+def gaussian_conformance(report, values, log_weights, n, k):
+    """Compare an MC report (n_max >= 2) and the draws it reduced with the exact law and the Gaussian.
+
+    Standardized moments are compared against (order-1)!! (even orders)
+    or 0 (odd orders); the KS statistic pits the reweighted empirical CDF
+    of the draws against Normal(exact mean, exact variance).
+    """
+    from tiltlab.rmt_exact import TiltSpec, weighted_central_moments
+
+    n_max = len(report.central_moments) - 1
+    exact = weighted_central_moments(TiltSpec(n, float(k), max(2, n_max)))
+    mu_e = exact.mu_weighted
+    m2_e = exact.central_moments[2]
+    std_devs = {}
+    exact_std = {}
+    for order in range(3, n_max + 1):
+        target = 0.0 if order % 2 else float(math.prod(range(order - 1, 0, -2)))
+        se = report.standardized_errors[order]
+        std_devs[order] = (report.standardized[order] - target) / se if se > 0 else float("nan")
+        exact_std[order] = exact.central_moments[order] / m2_e ** (0.5 * order)
+    return ConformanceRecord(
+        mean_deviation=float((report.weighted_mean - mu_e) / report.standard_errors[1]),
+        variance_deviation=float((report.central_moments[2] - m2_e) / report.standard_errors[2]),
+        standardized_deviations=std_devs,
+        ks_statistic=weighted_ks_vs_normal(values, log_weights, mu_e, m2_e),
+        exact_mean=mu_e,
+        exact_variance=m2_e,
+        exact_standardized=exact_std,
+    )
 
 
 def recipe_k1_mp(t_lo, t_hi, c, dps=40):

@@ -2,10 +2,11 @@
 
     PYTHONPATH=src python tests/se_coverage.py --seeds 40
 
-For each seed and each cell, one `tilted_moments_mc` run gives the mean
-and variance of log|Z| with their delta-method (influence-function) SEs,
-and `oracles.bootstrap_errors_loop` gives 400-resample bootstrap SEs of
-the same sample.  The script reports, per cell, estimate and estimator,
+For each seed and each cell, one draw of the splitting stream, reduced
+as `tilted_moments_mc` reduces it, gives the mean and variance of log|Z|
+with their delta-method (influence-function) SEs, and
+`oracles.bootstrap_errors_loop` gives 400-resample bootstrap SEs of the
+same draws.  The script reports, per cell, estimate and estimator,
 the share of seeds whose |MC - exact| lies within 2 SE, with its binomial
 standard error sqrt(p (1 - p) / seeds); a correct SE puts that share
 near 95%.  Pytest does not collect this file: it takes a few minutes
@@ -18,13 +19,16 @@ import argparse
 import math
 import warnings
 
+import numpy as np
+
 from oracles import bootstrap_errors_loop
-from tiltlab.cue import SeedSpec
-from tiltlab.estimator import tilted_moments_mc
+from tiltlab.cue import SeedSpec, log_char_poly_stream
+from tiltlab.estimator import weighted_moments
 from tiltlab.rmt_exact import TiltSpec, weighted_central_moments
 
-# (label, sampler, N, k, draws): one exact tilted cell and one importance-sampled cell; the
-# importance-sampled cell needs 1e5 draws for an ESS in the thousands (2e4 draws gave ESS 93)
+# (label, sampler, N, k, draws): one exact tilted cell and one importance-sampled cell, each
+# drawn and weighted as `tilted_moments_mc(sampler=...)` draws it; the importance-sampled
+# cell needs 1e5 draws for an ESS in the thousands (2e4 draws gave ESS 93)
 CELLS = (
     ("split N=20 k=1", "split", 20, 1, 20000),
     ("cmv N=20 k=1", "cmv", 20, 1, 100000),
@@ -41,9 +45,12 @@ def coverage(seeds):
         for seed in range(1, seeds + 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                report = tilted_moments_mc(n, k, 2, draws, SeedSpec(seed), sampler=sampler)
+                split = sampler == "split"
+                values = log_char_poly_stream(n, draws, SeedSpec(seed), k=k if split else 0)
+                log_weights = np.zeros_like(values) if split else 2.0 * k * values
+                report = weighted_moments(values, log_weights, 2)
             min_ess[label] = min(min_ess.get(label, math.inf), report.ess)
-            boot, _, _ = bootstrap_errors_loop(report.values, report.log_weights, 2, BOOTSTRAP, seed)
+            boot, _, _ = bootstrap_errors_loop(values, log_weights, 2, BOOTSTRAP, seed)
             estimates = (report.weighted_mean, report.central_moments[2])
             for order, ((name, target), value) in enumerate(zip(targets, estimates), start=1):
                 for estimator, se in (("delta", report.standard_errors[order]), ("bootstrap", boot[order])):

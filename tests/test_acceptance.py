@@ -22,9 +22,12 @@ their own bands at desk-scale heights:
   (1.52 times it at T=1e6), so the ratio is taken against the
   finite-height variance, CUE constant and arithmetic factor included.
 
-Criterion 3 runs on the exact tilted sampler (`sampler="split"`):
-importance sampling from Haar at N=200, k=1 keeps an effective sample
-size near 10^2 of 2e5, too little to resolve the KS bound 0.02.
+Criterion 3 runs on the exact tilted sampler, the splitting stream at
+tilt k that `tilted_moments_mc(sampler="split")` reduces: importance
+sampling from Haar at N=200, k=1 keeps an effective sample size near
+10^2 of 2e5, too little to resolve the KS bound 0.02.  The draws come
+from the stream itself, since the KS statistic needs them and the
+report does not carry them.
 """
 
 import dataclasses
@@ -35,11 +38,10 @@ import warnings
 import numpy as np
 from scipy.optimize import brentq
 
-from tiltlab.cue import SeedSpec
-from tiltlab.estimator import gaussian_conformance, tilted_moments_mc
+from tiltlab.cue import SeedSpec, log_char_poly_stream
+from tiltlab.estimator import tilted_moments_mc, weighted_moments
 from tiltlab.rmt_exact import (
     TiltSpec,
-    cumulants,
     log_moment_mn,
     weighted_central_moments,
     weighted_mean,
@@ -56,7 +58,6 @@ from tiltlab.shifts import (
 from tiltlab.zeta_eval import siegel_theta, zeta_em_many, zeta_rs_many
 from tiltlab.zeta_lab import (
     ScanSpec,
-    mertens_l,
     mu_alpha,
     scan_stream,
 )
@@ -66,6 +67,7 @@ from oracles import (
     cue_derivative_weight_shift,
     eta_zeta,
     euler_gamma_series,
+    gaussian_conformance,
     harmonic,
     paired_bootstrap_diff,
     selberg_variance,
@@ -105,11 +107,13 @@ def test_criterion_1_exact_formula_suite():
         worst = max(worst, abs(weighted_mean(n, 1) - (h - 1.0)))
     checks.record("weighted_mean", worst < 1e-12, f"max abs err {worst:.2e} over N<=1e4")
 
-    q1_ok = all(cumulants(n, 1)[0] == 0.0 for n in (1, 17, 10**4))
+    q1_ok = all(
+        weighted_central_moments(TiltSpec(n, 0.0, 1)).cumulant_sums[0] == 0.0 for n in (1, 17, 10**4)
+    )
     checks.record("q1", q1_ok, "Q1 identically zero")
 
     gamma = euler_gamma_series()
-    q2 = cumulants(10**4, 2)[1]
+    q2 = weighted_central_moments(TiltSpec(10**4, 0.0, 2)).cumulant_sums[1]
     dev = abs(q2 - 0.5 * math.log(10**4) - (1 + gamma) / 2)
     checks.record("q2", dev < 0.01, f"|Q2 - log(N)/2 - (1+gamma)/2| = {dev:.2e}")
 
@@ -144,8 +148,10 @@ def test_criterion_3_theorem_rmt_at_desk_scale():
     n_size, k, samples = 200, 1.0, 2 * 10**5
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        report = tilted_moments_mc(n_size, k, 4, samples, SeedSpec(MASTER_SEED))
-    conf = gaussian_conformance(report, n_size, k)
+        values = log_char_poly_stream(n_size, samples, SeedSpec(MASTER_SEED), k=k)
+        log_weights = np.zeros_like(values)
+        report = weighted_moments(values, log_weights, 4)
+    conf = gaussian_conformance(report, values, log_weights, n_size, k)
 
     checks.record(
         "mean",

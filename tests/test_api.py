@@ -1,4 +1,6 @@
+import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -12,6 +14,66 @@ from tiltlab.estimator import tilted_moments_mc
 from tiltlab.zeta_lab import ScanSpec
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tiltlab.__path__))
+
+# small runs that together cover every subcommand; each writes its own --out file, one as CSV
+REACHABILITY_RUNS = (
+    ["exact-moments", "--n", "30", "--k", "1.5", "--orders", "6"],
+    ["mc-tilt", "--n", "10", "--k", "1", "--samples", "5000"],  # two shards on the pool
+    ["mc-tilt", "--n", "6", "--k", "0.5", "--samples", "1000", "--sampler", "qr", "--format", "csv"],
+    ["cue-check", "--n", "4", "--trials", "1000"],
+    ["zeta-scan", "--t", "5e7", "--samples", "200", "--k", "0", "--window-lo", "1", "--window-hi", "100"],
+    ["zeta-scan", "--t", "700", "--samples", "200", "--k", "1", "--m", "1"],
+    ["zeta-scan", "--t", "700", "--samples", "200", "--k", "1", "--alpha", "0.05"],
+    ["mu-alpha", "--lo", "1", "--hi", "3e6", "--alpha", "0", "--alpha", "0.5"],  # two sieve segments
+    ["shift-table", "--k", "2"],
+    ["recipe-k1", "--t-lo", "1000", "--t-hi", "1100", "--quadrature"],
+    ["recipe-k1", "--t-lo", "1000", "--t-hi", "1100", "--alpha", "0.3", "--beta", "0.1"],
+)
+# module.qualname -> why no CLI run enters it
+UNREACHED_BY_CLI = {
+    "cli._json_default": "a guard: json.dumps calls it only for numpy values; every handler passes plain ones",
+    "shifts.ShiftTuple.__post_init__": "no subcommand builds a ShiftTuple; only the recipe helpers below use one",
+    "shifts.swap_shifts": "kept for the twisted fourth moment (ROADMAP item 4, stage 2)",
+    "shifts.g_p_factor": "kept for the twisted fourth moment (ROADMAP item 4, stage 2)",
+    "shifts.gaussian_exponent": "kept for the twisted fourth moment (ROADMAP item 4, stage 2)",
+    "shifts.gaussian_exponent_derivatives": "kept for the twisted fourth moment (ROADMAP item 4, stage 2)",
+}
+# profiles every thread from before the package is imported, so the tables built at import count
+_REACHABILITY_PROBE = """
+import json, os, sys, threading
+package, runs = sys.argv[1], json.loads(sys.argv[2])
+entered = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(package):
+        entered.add(os.path.splitext(os.path.basename(code.co_filename))[0] + "." + code.co_qualname)
+
+threading.setprofile(profile)
+sys.setprofile(profile)
+from tiltlab.cli import main
+codes = [main(argv) for argv in runs]
+sys.setprofile(None)
+threading.setprofile(None)
+print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+"""
+
+
+def _defined_functions(path, module):
+    """module.qualname of every def in the file, as the interpreter names its code object."""
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name
+                yield from walk(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{prefix}{child.name}.")
+            else:
+                yield from walk(child, prefix)
+
+    with open(path) as handle:
+        return {f"{module}.{name}" for name in walk(ast.parse(handle.read()), "")}
 
 
 @pytest.mark.parametrize("module", ["tiltlab"] + [f"tiltlab.{name}" for name in MODULES])
@@ -41,6 +103,28 @@ def test_single_shard_stream_leaves_thread_pool_unimported():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
+def test_every_function_has_a_cli_caller(tmp_path):
+    # no function in src/ that only the tests reach: one traced process runs every
+    # subcommand, with two threads so that the pools and the one-ahead worker start
+    package = os.path.dirname(os.path.abspath(tiltlab.__file__))
+    defined = set()
+    for name in ["__init__"] + MODULES:
+        defined |= _defined_functions(os.path.join(package, f"{name}.py"), name)
+    runs = [argv + ["--out", str(tmp_path / f"run{i}.out")] for i, argv in enumerate(REACHABILITY_RUNS)]
+    done = subprocess.run(
+        [sys.executable, "-c", _REACHABILITY_PROBE, package, json.dumps(runs)],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(package), TILTLAB_THREADS="2"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0] * len(runs)
+    assert sorted(defined - set(result["entered"])) == sorted(UNREACHED_BY_CLI)
 
 
 def test_thread_setting_caps_blas_before_numpy_starts():

@@ -126,9 +126,7 @@ def test_mu_alpha_csv(tmp_path):
     data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert len(data) == 2
     alpha0 = float(data[0].split(",")[1])
-    from tiltlab.zeta_lab import mertens_l
-
-    assert alpha0 == pytest.approx(mertens_l((1, 1000)), abs=1e-12)
+    assert alpha0 == pytest.approx(zeta_lab.mu_alpha((1, 1000), 0.0), abs=1e-12)
 
 
 def test_recipe_k1_with_quadrature(tmp_path):
@@ -441,6 +439,28 @@ def test_zeta_scan_rejects_a_bad_thread_setting(tmp_path, capsys, monkeypatch, s
     assert run_cli(args) == EXIT_PRECONDITION
     assert f"TILTLAB_THREADS must be a positive integer, got {setting!r}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["exact-moments", "--n", "10", "--k", "1"],
+        ["mc-tilt", "--n", "10", "--k", "1", "--samples", "1000"],
+        ["cue-check", "--n", "4", "--trials", "1000"],
+        ["zeta-scan", "--t", "1e4", "--samples", "200"],
+        ["mu-alpha", "--lo", "1", "--hi", "100", "--alpha", "0"],
+        ["shift-table", "--k", "2"],
+        ["recipe-k1", "--t-lo", "1000", "--t-hi", "1100"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_every_subcommand_rejects_a_bad_thread_setting(tmp_path, capsys, monkeypatch, args):
+    # the thread rule is read once, before dispatch, also by subcommands that start no pool
+    for setting in ("0", "abc"):
+        monkeypatch.setenv("TILTLAB_THREADS", setting)
+        assert run_cli(args + ["--out", str(tmp_path / "result.json")]) == EXIT_PRECONDITION
+        assert f"TILTLAB_THREADS must be a positive integer, got {setting!r}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 def _sized_exit_code_contract(args):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltlab.rmt_exact import _midpoint_sum
-from tiltlab.special import MAX_ORDER, gaussian_central_moment, log_gamma_jet
+from tiltlab.special import MAX_ORDER, log_gamma_jet
 
 from oracles import asymptotic_mn, euler_gamma_series, zeta3_series
 
@@ -129,23 +129,6 @@ def test_barnes_g_recurrence_values():
         assert asymptotic_mn(1, k + 1) - asymptotic_mn(1, k) == pytest.approx(step, abs=1e-11)
 
 
-def test_gaussian_central_moment_values():
-    from fractions import Fraction
-
-    assert gaussian_central_moment(3, 17.0) == 0.0
-    assert gaussian_central_moment(2, 1.7) == pytest.approx(1.7)
-    assert gaussian_central_moment(4, 2.0) == pytest.approx(3 * 4.0)
-    for n in range(4, 13, 2):
-        # exact ratio identity: dyadic floats stay exact through powers,
-        # and Fractions make it exact for arbitrary rationals
-        v = 0.5
-        ratio = gaussian_central_moment(n, v) / gaussian_central_moment(n - 2, v)
-        assert ratio == (n - 1) * v
-        vq = Fraction(73, 100)
-        ratio_q = gaussian_central_moment(n, vq) / gaussian_central_moment(n - 2, vq)
-        assert ratio_q == (n - 1) * vq
-
-
 @pytest.mark.parametrize("x", [0.0, -1.5, -2.0, math.nan, math.inf, [3.0, -1.0]])
 def test_jet_rejects_arguments_outside_its_domain(x):
     with pytest.raises(ValueError):
@@ -161,7 +144,3 @@ def test_jet_rejects_orders_outside_its_range(order):
 def test_domain_errors():
     with pytest.raises(ValueError):
         asymptotic_mn(1, 0.5)
-    with pytest.raises(ValueError):
-        gaussian_central_moment(-1, 1.0)
-    with pytest.raises(ValueError):
-        gaussian_central_moment(2, -1.0)
