@@ -25,7 +25,6 @@ from .cue import SeedSpec
 from .estimator import MomentReport, tilted_moments_mc
 from .rmt_exact import (
     ExactMomentReport,
-    TiltSpec,
     log_moment_mn,
     weighted_central_moments,
     weighted_mean,
@@ -47,7 +46,6 @@ __all__ = [
     "MomentReport",
     "tilted_moments_mc",
     "ExactMomentReport",
-    "TiltSpec",
     "log_moment_mn",
     "weighted_central_moments",
     "weighted_mean",

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .cue import SeedSpec, rotation_invariance_check
 from .estimator import tilted_moments_mc
-from .rmt_exact import TiltSpec, weighted_central_moments
+from .rmt_exact import weighted_central_moments
 from .shifts import enumerate_selections, second_moment_quadrature_k1, second_moment_recipe_k1
 from .threads import thread_count
 from .zeta_lab import ScanSpec, mu_alpha, weighted_scan
@@ -154,7 +154,7 @@ def run(config: RunConfig) -> int:
 
 def _handle_exact_moments(config):
     p = config.parameters
-    report = weighted_central_moments(TiltSpec(N=p["n"], k=p["k"], n_max=p["orders"]))
+    report = weighted_central_moments(p["n"], p["k"], p["orders"])
     results = {
         "log_mn": report.log_mn,
         "mu_weighted": report.mu_weighted,

@@ -71,20 +71,18 @@ def checked_size(name, value, least=1):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _haar_unitary_batch(rng, n, count, phase_correction=True):
-    """count Haar(U(n)) draws by QR; phase_correction=False is the known-biased negative control."""
+def _haar_unitary_batch(rng, n, count):
+    """count Haar(U(n)) draws by QR, each Q multiplied by the phases of diag(R)."""
     shape = (count, n, n)
     a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     q, r = np.linalg.qr(a)
-    if phase_correction:
-        d = np.einsum("...ii->...i", r).copy()
-        q = q * (d / np.abs(d))[..., None, :]
-    return q
+    d = np.einsum("...ii->...i", r).copy()
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def _haar_log_abs(rng, n, take, theta=0.0, phase_correction=True):
+def _haar_log_abs(rng, n, take, theta=0.0):
     """log|det(I - e^{-i theta} U)| for take QR Haar draws U, by batched slogdet."""
-    u = _haar_unitary_batch(rng, n, take, phase_correction)
+    u = _haar_unitary_batch(rng, n, take)
     return np.linalg.slogdet(np.eye(n) - np.exp(-1j * theta) * u)[1]
 
 
@@ -267,23 +265,24 @@ class RotationCheck:
     phi: float
 
 
-def rotation_invariance_check(
-    n, trials, seed: SeedSpec, phi=1.0, phase_correction=True
-) -> RotationCheck:
-    """Two-sample KS test of {log|Z|(., 0)} against {log|Z|(., phi)}.
+def rotation_invariance_check(n, trials, seed: SeedSpec, phi=1.0) -> RotationCheck:
+    """Two-sample KS test of {log|Z|(., 0)} against {log|Z|(., phi)}, phi finite.
 
-    Haar rotation invariance makes the two laws identical; a sampler
-    without QR phase correction fails this at the 1% level.  Both sets go
-    through the sharded driver with the dense stream's QR shard body, so
-    the first set is qr_log_char_poly_stream(n, trials, seed); the second
-    starts at stream_index + trials, after every stream of the first.
+    Haar rotation invariance makes the two laws identical; QR draws
+    without the phase correction of `_haar_unitary_batch` fail this at the
+    1% level.  Both sets go through the sharded driver with the dense
+    stream's QR shard body, so the first set is
+    qr_log_char_poly_stream(n, trials, seed); the second starts at
+    stream_index + trials, after every stream of the first.
     """
     checked_size("n", n)
     checked_size("trials", trials, 10**3)
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
 
     def draws(start, theta):
         def shard(rng, take, _buffers):
-            return _haar_log_abs(rng, n, take, theta, phase_correction)
+            return _haar_log_abs(rng, n, take, theta)
 
         return _sharded(trials, start, shard, max(1, 2048 // n))
 

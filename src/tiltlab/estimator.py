@@ -1,7 +1,7 @@
 """Monte Carlo moments of log|Z| under the tilted measure |Z|^{2k} d_Haar.
 
-By default (sampler="split") samples come from the tilted law itself, via
-the splitting stream ``cue.log_char_poly_stream`` at tilt k; every
+With sampler="split" samples come from the tilted law itself, via the
+splitting stream ``cue.log_char_poly_stream`` at tilt k; every
 log-weight is then zero and k must be a nonnegative integer.  The
 importance-sampled routes draw from plain Haar ("cmv": the same stream at
 tilt 0; "qr": dense QR) and carry the tilt in self-normalized
@@ -151,17 +151,17 @@ def weighted_moments(values, log_weights, n_max):
     )
 
 
-def tilted_moments_mc(n, k, n_max, samples, seed: SeedSpec, sampler="split"):
+def tilted_moments_mc(n, k, n_max, samples, seed: SeedSpec, sampler):
     """Monte Carlo tilted moments of log|Z| at matrix size n, tilt k.
 
-    sampler="split" (the default) draws `samples` values v_i = log|Z_i|
-    exactly from the tilted law, with zero log-weights, so the effective
-    sample size is `samples` and mean_weight is 1; it needs k in N and
-    raises ValueError otherwise.  sampler="cmv" (the splitting stream at
-    k = 0, whose factors are deformed Verblunsky coefficients) or "qr"
-    (dense QR) draws Haar instances instead, sets log-weights 2k v_i for
-    any real k >= 0, and mean_weight then estimates the normalizer
-    M_N(2k).  Either way the estimates are reduced with delta-method
+    The caller names the sampler; there is no default.  sampler="split"
+    draws `samples` values v_i = log|Z_i| exactly from the tilted law,
+    with zero log-weights, so the effective sample size is `samples` and
+    mean_weight is 1; it needs k in N and raises ValueError otherwise.
+    sampler="cmv" (the splitting stream at k = 0, whose factors are
+    deformed Verblunsky coefficients) or "qr" (dense QR) draws Haar
+    instances instead, sets log-weights 2k v_i for any real k >= 0, and
+    mean_weight then estimates the normalizer M_N(2k).  Either way the estimates are reduced with delta-method
     (influence-function) errors by `weighted_moments`.
     """
     checked_size("samples", samples, 10**3)

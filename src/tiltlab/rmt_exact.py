@@ -6,13 +6,15 @@ Everything runs on the log-Gamma jet a_r(x) of `special.log_gamma_jet` and
 two identities: the polygamma j-sums telescope (`_telescoped`), and log M_N
 and the weighted mean are j-sums of midpoint differences of log Gamma whose
 expansions in a_{2r} telescope the same way, with a cancellation-free
-recurrence for the few small j (`_midpoint_sum`).
+recurrence for the few small j (`_midpoint_sum`).  The entry points take
+plain arguments, and `_validate_nk` is the one check of N and k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +22,6 @@ from . import jet
 from .special import log_gamma_jet
 
 __all__ = [
-    "TiltSpec",
     "ExactMomentReport",
     "log_moment_mn",
     "weighted_mean",
@@ -37,37 +38,13 @@ MAX_TILT = 10**4
 
 
 @dataclass(frozen=True)
-class TiltSpec:
-    """Parameters of one exact tilted-moment computation."""
-
-    N: int
-    k: float
-    n_max: int
-
-    def __post_init__(self):
-        for name in ("N", "k", "n_max"):
-            value = getattr(self, name)
-            if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not 1 <= self.N <= MAX_SIZE:
-            raise ValueError(f"matrix size N must be in [1, 2**53], got {self.N}")
-        if not 0 <= self.k <= MAX_TILT:
-            raise ValueError(f"tilt exponent k must be in [0, {MAX_TILT}], got {self.k}")
-        if not 0 <= self.n_max <= MAX_MOMENT_ORDER:
-            raise ValueError(
-                f"n_max must be in [0, {MAX_MOMENT_ORDER}] (factorial growth guard), got {self.n_max}"
-            )
-
-
-@dataclass(frozen=True)
 class ExactMomentReport:
-    """Exact weighted-moment summary for one TiltSpec."""
+    """Exact weighted-moment summary at one (N, k), to order n_max."""
 
-    spec: TiltSpec
     log_mn: float
     mu_weighted: float
-    central_moments: list[float] = field(default_factory=list)
-    cumulant_sums: list[float] = field(default_factory=list)
+    central_moments: list[float]
+    cumulant_sums: list[float]
 
 
 def _validate_nk(N, s_or_k, label, top=MAX_TILT):
@@ -143,18 +120,20 @@ def weighted_mean(N, k):
     return _midpoint_sum(N, 1.0 + 1.5 * k, 0.5 * k, slope=True)
 
 
-def weighted_central_moments(spec: TiltSpec) -> ExactMomentReport:
-    """Central moments <|Z|^{2k} (log|Z| - mu)^n> / M_{2k} for n <= n_max.
+def weighted_central_moments(N, k, n_max) -> ExactMomentReport:
+    """Central moments <|Z|^{2k} (log|Z| - mu)^n> / M_{2k} for n <= n_max, with log M_N(2k) and mu.
 
     n! times the coefficients of the jet of exp(-x mu + sum_j f_j(x)) at
     x = 0: g_1 = 0 by centering and g_i = (sum_j f_j^{(i)}(0))/i! for i >= 2.
+    N and k are checked as `weighted_mean` checks them; n_max <= MAX_MOMENT_ORDER
+    guards the factorial growth of the moments.
     """
-    N, k, n_max = spec.N, spec.k, spec.n_max
+    if not isinstance(n_max, numbers.Integral) or not 0 <= n_max <= MAX_MOMENT_ORDER:
+        raise ValueError(f"n_max must be an integer in [0, {MAX_MOMENT_ORDER}], got {n_max!r}")
     fj = _fj_sums(N, k, max(n_max, 1))
     g = ([0.0, 0.0] + [fj[i - 1] / math.factorial(i) for i in range(2, n_max + 1)])[: n_max + 1]
     central = [float(math.factorial(n) * c) for n, c in enumerate(jet.exp(g))]
     return ExactMomentReport(
-        spec=spec,
         log_mn=log_moment_mn(N, 2.0 * k),
         mu_weighted=fj[0],
         central_moments=central,

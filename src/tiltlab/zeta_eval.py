@@ -191,7 +191,8 @@ def _phi_even_taylor(n_nodes=512, keep=44):
 _PHI_EVEN = _phi_even_taylor()
 
 _PI2 = math.pi**2
-# C_k as combinations of Phi derivatives (Haselgrove/Gabcke coefficients)
+# C_0..C_4 as combinations of Phi derivatives (Haselgrove/Gabcke coefficients);
+# `_rs_jet` sums every entry, so a further C_k is one more entry
 _C_RELATIONS = (
     ((0, 1.0),),
     ((3, -1.0 / (96.0 * _PI2)),),
@@ -483,7 +484,7 @@ def _rs_main_sums(t, big_n, order):
     return sums
 
 
-def _rs_jet(t_arr, order, n_corr=4):
+def _rs_jet(t_arr, order):
     """Jet in eps of zeta(1/2 + i(t + eps)) = e^{-i theta} Z by Riemann-Siegel.
 
     Z(t) = 2 Re(e^{i theta} sum_{n<=N} n^{-1/2 - it})
@@ -492,7 +493,7 @@ def _rs_jet(t_arr, order, n_corr=4):
     At t + eps the main sum is 2 Re(e^{i theta} E sum_n n^{-1/2-it} e^{-i eps log n}),
     with E the jet of e^{i(theta(t + eps) - theta(t))}, so order r takes
     the sums S_j = sum_n n^{-1/2-it} (log n)^j for j <= r.  The remainder
-    keeps the correction terms C_0..C_{n_corr}, n_corr <= 4.
+    sums every correction term in _C_RELATIONS (C_0..C_4).
     """
     if not _LONGDOUBLE_OK:
         raise ValueError(
@@ -520,14 +521,11 @@ def _rs_jet(t_arr, order, n_corr=4):
     # remainder: a, p and each C_k(p) (its Phi-derivative series composed with p) are jets
     p_jet = [p] + [a * x for x in jet.exp([0.5 * x for x in log1p])[1:]]
     inv_a = [x / a for x in jet.exp([-0.5 * x for x in log1p])]
-    needed = {j + r for rel in _C_RELATIONS[: n_corr + 1] for j, _ in rel for r in range(order + 1)}
+    needed = {j + r for rel in _C_RELATIONS for j, _ in rel for r in range(order + 1)}
     phi = {q: _phi_derivative(p, q) for q in needed}
     acc = [0.0] * (order + 1)
-    for k in range(n_corr, -1, -1):
-        series = [
-            sum(coef * phi[j + r] for j, coef in _C_RELATIONS[k]) / math.factorial(r)
-            for r in range(order + 1)
-        ]
+    for rel in reversed(_C_RELATIONS):
+        series = [sum(coef * phi[j + r] for j, coef in rel) / math.factorial(r) for r in range(order + 1)]
         acc = [x + y for x, y in zip(jet.mul(acc, inv_a), jet.compose(series, p_jet))]
     omega = [x * a**-0.5 for x in jet.exp([-0.25 * x for x in log1p])]
     sign = np.where(big_n % 2 == 1, 1.0, -1.0)

@@ -278,6 +278,8 @@ class ScanSpec:
     seed: SeedSpec = SeedSpec(42)
 
     def __post_init__(self):
+        if np.ndim(self.alpha):
+            raise ValueError(f"alpha must be a scalar: a scan has one shift, got {self.alpha!r}")
         for name in ("T", "samples", "alpha"):
             value = getattr(self, name)
             if isinstance(value, (float, np.floating)) and not math.isfinite(value):

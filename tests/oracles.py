@@ -188,6 +188,17 @@ def log_abs_from_angles(angles, theta):
     return np.sum(np.log(2.0 * np.abs(np.sin(0.5 * (np.asarray(angles) - theta)))), axis=-1)
 
 
+def uncorrected_qr_unitary_batch(rng, n, count):
+    """count Q factors of complex Ginibre draws, without the phases of diag(R): not Haar (Mezzadri).
+
+    It draws from rng as the package's QR sampler does, so it can stand in
+    for that sampler as a known-biased negative control.
+    """
+    shape = (count, n, n)
+    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return np.linalg.qr(a)[0]
+
+
 def log_mn_mp(n_size, s):
     """log M_N(s) in mpmath, summed directly from loggamma (no telescoping)."""
     tot = mp.mpf(0)
@@ -403,10 +414,10 @@ def gaussian_conformance(report, values, log_weights, n, k):
     or 0 (odd orders); the KS statistic pits the reweighted empirical CDF
     of the draws against Normal(exact mean, exact variance).
     """
-    from tiltlab.rmt_exact import TiltSpec, weighted_central_moments
+    from tiltlab.rmt_exact import weighted_central_moments
 
     n_max = len(report.central_moments) - 1
-    exact = weighted_central_moments(TiltSpec(n, float(k), max(2, n_max)))
+    exact = weighted_central_moments(n, float(k), max(2, n_max))
     mu_e = exact.mu_weighted
     m2_e = exact.central_moments[2]
     std_devs = {}

@@ -24,7 +24,7 @@ import numpy as np
 from oracles import bootstrap_errors_loop
 from tiltlab.cue import SeedSpec, log_char_poly_stream
 from tiltlab.estimator import weighted_moments
-from tiltlab.rmt_exact import TiltSpec, weighted_central_moments
+from tiltlab.rmt_exact import weighted_central_moments
 
 # (label, sampler, N, k, draws): one exact tilted cell and one importance-sampled cell, each
 # drawn and weighted as `tilted_moments_mc(sampler=...)` draws it; the importance-sampled
@@ -40,7 +40,7 @@ def coverage(seeds):
     """{(cell, estimate, estimator): hits} and the smallest ESS of each cell."""
     hits, min_ess = {}, {}
     for label, sampler, n, k, draws in CELLS:
-        exact = weighted_central_moments(TiltSpec(n, float(k), 2))
+        exact = weighted_central_moments(n, float(k), 2)
         targets = (("mean", exact.mu_weighted), ("variance", exact.central_moments[2]))
         for seed in range(1, seeds + 1):
             with warnings.catch_warnings():

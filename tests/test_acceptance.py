@@ -40,12 +40,7 @@ from scipy.optimize import brentq
 
 from tiltlab.cue import SeedSpec, log_char_poly_stream
 from tiltlab.estimator import tilted_moments_mc, weighted_moments
-from tiltlab.rmt_exact import (
-    TiltSpec,
-    log_moment_mn,
-    weighted_central_moments,
-    weighted_mean,
-)
+from tiltlab.rmt_exact import log_moment_mn, weighted_central_moments, weighted_mean
 from tiltlab.shifts import (
     ShiftTuple,
     enumerate_selections,
@@ -108,12 +103,12 @@ def test_criterion_1_exact_formula_suite():
     checks.record("weighted_mean", worst < 1e-12, f"max abs err {worst:.2e} over N<=1e4")
 
     q1_ok = all(
-        weighted_central_moments(TiltSpec(n, 0.0, 1)).cumulant_sums[0] == 0.0 for n in (1, 17, 10**4)
+        weighted_central_moments(n, 0.0, 1).cumulant_sums[0] == 0.0 for n in (1, 17, 10**4)
     )
     checks.record("q1", q1_ok, "Q1 identically zero")
 
     gamma = euler_gamma_series()
-    q2 = weighted_central_moments(TiltSpec(10**4, 0.0, 2)).cumulant_sums[1]
+    q2 = weighted_central_moments(10**4, 0.0, 2).cumulant_sums[1]
     dev = abs(q2 - 0.5 * math.log(10**4) - (1 + gamma) / 2)
     checks.record("q2", dev < 0.01, f"|Q2 - log(N)/2 - (1+gamma)/2| = {dev:.2e}")
 
@@ -128,7 +123,7 @@ def test_criterion_2_two_route_moment_identity():
     worst = (0.0, None)
     for n_size in (20, 50, 200):
         for k in (0, 1, 2):
-            report = weighted_central_moments(TiltSpec(n_size, float(k), 6))
+            report = weighted_central_moments(n_size, float(k), 6)
             for order in (2, 3, 4, 5, 6):
                 fd = central_moment_fd(n_size, k, order)
                 rel = abs(report.central_moments[order] - fd) / abs(fd)
@@ -179,7 +174,7 @@ def test_criterion_3_theorem_rmt_at_desk_scale():
         "ks", conf.ks_statistic < 0.02, f"KS = {conf.ks_statistic:.4f} vs bound 0.02"
     )
 
-    big = weighted_central_moments(TiltSpec(10**4, 1.0, 2))
+    big = weighted_central_moments(10**4, 1.0, 2)
     ratio_mean = big.mu_weighted / math.log(10**4)
     ratio_var = big.central_moments[2] / (0.5 * math.log(10**4))
     checks.record("trend_mean", 0.9 <= ratio_mean <= 1.1, f"mu/log N = {ratio_mean:.4f}")

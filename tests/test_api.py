@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -14,6 +15,7 @@ from tiltlab.estimator import tilted_moments_mc
 from tiltlab.zeta_lab import ScanSpec
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tiltlab.__path__))
+BENCH_LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "layers.py")
 
 # small runs that together cover every subcommand; each writes its own --out file, one as CSV
 REACHABILITY_RUNS = (
@@ -89,9 +91,9 @@ def test_single_shard_stream_leaves_thread_pool_unimported():
     probe = (
         "import sys, tiltlab.cli\n"
         "from tiltlab.cue import SeedSpec, qr_log_char_poly_stream\n"
-        "from tiltlab.rmt_exact import TiltSpec, weighted_central_moments\n"
+        "from tiltlab.rmt_exact import weighted_central_moments\n"
         "qr_log_char_poly_stream(4, 10, SeedSpec(1))\n"
-        "weighted_central_moments(TiltSpec(30, 1.5, 6))\n"
+        "weighted_central_moments(30, 1.5, 6)\n"
         "print([m for m in ('concurrent.futures', 'scipy', 'mpmath') if m in sys.modules])\n"
     )
     done = subprocess.run(
@@ -155,11 +157,65 @@ def test_thread_setting_caps_blas_before_numpy_starts():
         ("count", lambda: qr_log_char_poly_stream(4, 10.0, SeedSpec(1))),
         ("n", lambda: rotation_invariance_check(16.5, 1000, SeedSpec(1))),
         ("trials", lambda: rotation_invariance_check(16, 1000.5, SeedSpec(1))),
-        ("n", lambda: tilted_moments_mc(10.5, 1, 4, 2000, SeedSpec(1))),
-        ("samples", lambda: tilted_moments_mc(10, 1, 4, 2000.5, SeedSpec(1))),
+        ("n", lambda: tilted_moments_mc(10.5, 1, 4, 2000, SeedSpec(1), sampler="split")),
+        ("samples", lambda: tilted_moments_mc(10, 1, 4, 2000.5, SeedSpec(1), sampler="split")),
         ("samples", lambda: ScanSpec(T=1e4, samples=100.5)),
     ],
 )
 def test_non_integer_sizes_rejected_up_front(name, call):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
+
+
+def _counter_arguments(tree):
+    """{function name: the parameter names its _arg(bound, name) calls read}, from a parsed module.
+
+    A name is a string literal, or the loop variable of a comprehension over a tuple of them.
+    """
+    out = {}
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        loops = {
+            gen.target.id: gen.iter.elts
+            for gen in ast.walk(fn)
+            if isinstance(gen, ast.comprehension) and isinstance(gen.target, ast.Name)
+        }
+        names = set()
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_arg":
+                key = call.args[1]
+                names |= {ast.literal_eval(k) for k in (loops[key.id] if isinstance(key, ast.Name) else [key])}
+        out[fn.name] = names
+    return out
+
+
+def test_bench_counters_read_parameters_the_package_keeps():
+    # the bench tracer binds the arguments of each entry point it counts and reads them by
+    # name: a parameter dropped or renamed here would crash every traced pass
+    with open(BENCH_LAYERS) as handle:
+        tree = ast.parse(handle.read())
+    counters = _counter_arguments(tree)
+    (rows,) = [
+        node.value.elts
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ENTRY_POINTS"
+    ]
+    checked = set()
+    for row in rows:
+        if isinstance(row, ast.Starred):  # generated rows: each must have no counter
+            assert ast.literal_eval(row.value.elt.elts[3]) is None
+            continue
+        module, attr, _span, counter = row.elts
+        fn = getattr(importlib.import_module(f"tiltlab.{module.value}"), attr.value, None)
+        if isinstance(counter, ast.Name) and fn is not None:  # the tracer skips a missing name
+            missing = counters[counter.id] - set(inspect.signature(fn).parameters)
+            assert not missing, f"{module.value}.{attr.value} lost {sorted(missing)}, read by {counter.id}"
+            checked.add(attr.value)
+    assert {
+        "zeta_em_many",
+        "zeta_rs_many",
+        "log_char_poly_stream",
+        "rotation_invariance_check",
+        "second_moment_quadrature_k1",
+    } <= checked

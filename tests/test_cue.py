@@ -19,7 +19,7 @@ from tiltlab.cue import (
     rotation_invariance_check,
 )
 
-from oracles import cmv_matrix, log_abs_from_angles, verblunsky
+from oracles import cmv_matrix, log_abs_from_angles, uncorrected_qr_unitary_batch, verblunsky
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,10 +95,22 @@ def test_rotation_invariance_passes():
     assert check.passed, f"KS={check.statistic:.4f} threshold={check.threshold:.4f}"
 
 
-def test_rotation_invariance_negative_control():
+def test_rotation_invariance_negative_control(monkeypatch):
     # QR without phase correction is the classic non-Haar sampler
-    check = rotation_invariance_check(16, 10**4, SeedSpec(11), phi=1.0, phase_correction=False)
+    monkeypatch.setattr(cue, "_haar_unitary_batch", uncorrected_qr_unitary_batch)
+    check = rotation_invariance_check(16, 10**4, SeedSpec(11), phi=1.0)
     assert not check.passed, f"KS={check.statistic:.4f} threshold={check.threshold:.4f}"
+
+
+def test_uncorrected_qr_oracle_draws_as_the_sampler():
+    # the negative control's draw is the sampler's Q before its column phases, from the same normals
+    rng_a, rng_b = SeedSpec(4).rng(), SeedSpec(4).rng()
+    q = uncorrected_qr_unitary_batch(rng_a, 6, 3)
+    u = _haar_unitary_batch(rng_b, 6, 3)
+    phases = u[:, :1, :] / q[:, :1, :]
+    assert np.allclose(np.abs(phases), 1.0)
+    assert np.allclose(u, q * phases)
+    assert rng_a.random() == rng_b.random()
 
 
 def test_rotation_check_sets_are_qr_stream_draws(monkeypatch):
@@ -155,6 +167,9 @@ def test_seed_and_angle_validation():
         rotation_invariance_check(4, 10, SeedSpec(1))
     with pytest.raises(ValueError):
         rotation_invariance_check(0, 1000, SeedSpec(1))
+    for phi in (math.nan, math.inf):  # refused before any draw, not a failed check
+        with pytest.raises(ValueError, match="^phi must be finite"):
+            rotation_invariance_check(16, 1000, SeedSpec(1), phi=phi)
 
 
 def test_streams_bit_identical_for_any_worker_count(monkeypatch):

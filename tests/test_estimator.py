@@ -7,7 +7,7 @@ import pytest
 
 from tiltlab.cue import SeedSpec
 from tiltlab.estimator import MomentReport, tilted_moments_mc, weighted_moments
-from tiltlab.rmt_exact import TiltSpec, weighted_central_moments, weighted_mean
+from tiltlab.rmt_exact import weighted_central_moments, weighted_mean
 
 from oracles import (
     bootstrap_errors_loop,
@@ -245,8 +245,8 @@ def test_se_scaling():
     # single-run ratios fluctuate, so average over seed families and orders
     ratios = []
     for n, k, seed in ((20, 0.0, 100), (20, 1.0, 101), (50, 0.0, 102)):
-        small = tilted_moments_mc(n, k, 4, 20000, SeedSpec(seed))
-        large = tilted_moments_mc(n, k, 4, 40000, SeedSpec(seed))
+        small = tilted_moments_mc(n, k, 4, 20000, SeedSpec(seed), sampler="split")
+        large = tilted_moments_mc(n, k, 4, 40000, SeedSpec(seed), sampler="split")
         for idx in (1, 2, 3):
             ratios.append(large.standard_errors[idx] / small.standard_errors[idx])
     mean_ratio = sum(ratios) / len(ratios)
@@ -254,14 +254,14 @@ def test_se_scaling():
 
 
 def test_mc_k0_matches_baseline_mean():
-    report = tilted_moments_mc(50, 0.0, 4, 10**5, SeedSpec(7))
+    report = tilted_moments_mc(50, 0.0, 4, 10**5, SeedSpec(7), sampler="split")
     assert abs(report.weighted_mean) < 3 * report.standard_errors[1]
-    exact = weighted_central_moments(TiltSpec(50, 0.0, 2)).central_moments[2]
+    exact = weighted_central_moments(50, 0.0, 2).central_moments[2]
     assert abs(report.central_moments[2] - exact) < 3 * report.standard_errors[2]
 
 
 def test_mc_weighted_mean_matches_telescoped_exact():
-    report = tilted_moments_mc(20, 1.0, 4, 2 * 10**5, SeedSpec(21))
+    report = tilted_moments_mc(20, 1.0, 4, 2 * 10**5, SeedSpec(21), sampler="split")
     target = harmonic(21) - 1.0
     assert abs(report.weighted_mean - target) < 3 * report.standard_errors[1]
 
@@ -274,7 +274,7 @@ def test_mc_normalizer_cross_check():
 def test_exact_mc_agreement_primary_invariant():
     """Exact/MC agreement within 3 SEs over {20, 50} x {0, 1, 2}.
 
-    Runs on the default exact tilted sampler.  Importance sampling from
+    Runs on the exact tilted sampler, "split".  Importance sampling from
     Haar (sampler="cmv") misses the (50, 2) cell by 17, 4.7 and 29 SE
     for orders 2, 3 and 4 at this seed: the tilted bulk there sits more
     than four Haar sigmas into the tail, the effective sample size is 37
@@ -289,8 +289,10 @@ def test_exact_mc_agreement_primary_invariant():
         for k in (0.0, 1.0, 2.0):
             with _warnings.catch_warnings():
                 _warnings.simplefilter("ignore", RuntimeWarning)
-                report = tilted_moments_mc(n, k, 4, samples_for[k], SeedSpec(1000 + n))
-            exact = weighted_central_moments(TiltSpec(n, k, 4))
+                report = tilted_moments_mc(
+                    n, k, 4, samples_for[k], SeedSpec(1000 + n), sampler="split"
+                )
+            exact = weighted_central_moments(n, k, 4)
             dev_mean = abs(report.weighted_mean - exact.mu_weighted)
             if not dev_mean < 3 * report.standard_errors[1]:
                 failures.append((n, k, "mean", dev_mean / report.standard_errors[1]))
@@ -308,7 +310,7 @@ def test_low_ess_flagged_not_raised():
 
 
 def test_conformance_null_case_synthetic_gaussian():
-    exact = weighted_central_moments(TiltSpec(30, 1.0, 4))
+    exact = weighted_central_moments(30, 1.0, 4)
     rng = np.random.default_rng(77)
     values = rng.normal(exact.mu_weighted, math.sqrt(exact.central_moments[2]), size=50000)
     log_weights = np.zeros_like(values)
@@ -329,19 +331,19 @@ def test_weighted_ks_against_wrong_law_is_large():
 
 def test_preconditions():
     with pytest.raises(ValueError):
-        tilted_moments_mc(10, 1.0, 4, 999, SeedSpec(1))
+        tilted_moments_mc(10, 1.0, 4, 999, SeedSpec(1), sampler="split")
     with pytest.raises(ValueError):
-        tilted_moments_mc(10, 1.0, 9, 2000, SeedSpec(1))
+        tilted_moments_mc(10, 1.0, 9, 2000, SeedSpec(1), sampler="split")
     with pytest.raises(ValueError):
-        tilted_moments_mc(10, -1.0, 4, 2000, SeedSpec(1))
+        tilted_moments_mc(10, -1.0, 4, 2000, SeedSpec(1), sampler="split")
     with pytest.raises(ValueError, match='sampler="cmv"'):
-        tilted_moments_mc(10, 0.5, 4, 2000, SeedSpec(1))
+        tilted_moments_mc(10, 0.5, 4, 2000, SeedSpec(1), sampler="split")
     with pytest.raises(ValueError):
         weighted_moments(np.ones(10), np.ones(11), 2)
     with pytest.raises(ValueError, match="n_max"):
         weighted_moments(np.ones(10), np.zeros(10), 2.5)
     with pytest.raises(ValueError, match="n_max"):
-        tilted_moments_mc(10, 1, 2.5, 2000, SeedSpec(1))
+        tilted_moments_mc(10, 1, 2.5, 2000, SeedSpec(1), sampler="split")
     for k in (math.nan, math.inf):
         for sampler in ("cmv", "qr"):
             with pytest.raises(ValueError, match="tilt k"):

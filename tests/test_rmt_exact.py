@@ -4,13 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tiltlab.rmt_exact import (
-    MAX_TILT,
-    TiltSpec,
-    log_moment_mn,
-    weighted_central_moments,
-    weighted_mean,
-)
+from tiltlab.rmt_exact import MAX_TILT, log_moment_mn, weighted_central_moments, weighted_mean
 
 from oracles import (
     asymptotic_mn,
@@ -26,7 +20,7 @@ from oracles import (
 
 def haar_cumulants(n, j_max):
     """Cumulants Q_1..Q_j_max of log|Z| under plain Haar: the exact report's cumulant sums at k = 0."""
-    return weighted_central_moments(TiltSpec(n, 0.0, j_max)).cumulant_sums
+    return weighted_central_moments(n, 0.0, j_max).cumulant_sums
 
 
 def test_log_moment_zero_tilt():
@@ -67,7 +61,7 @@ def test_log_moment_and_mean_against_barnes_g_closed_form(n):
 def test_exact_moments_allocate_nothing_sized_by_n():
     tracemalloc.start()
     try:
-        weighted_central_moments(TiltSpec(10**7, 0.5, 12))
+        weighted_central_moments(10**7, 0.5, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -143,7 +137,7 @@ def test_fj_third_derivative_bounded():
 
 
 def test_weighted_central_moments_normalization():
-    rep = weighted_central_moments(TiltSpec(50, 1.0, 6))
+    rep = weighted_central_moments(50, 1.0, 6)
     assert rep.central_moments[0] == 1.0
     assert rep.central_moments[1] == 0.0
     assert rep.central_moments[2] > 0
@@ -151,7 +145,7 @@ def test_weighted_central_moments_normalization():
 
 def test_weighted_variance_growth():
     vals = [
-        weighted_central_moments(TiltSpec(n, 1.0, 2)).central_moments[2] - 0.5 * math.log(n)
+        weighted_central_moments(n, 1.0, 2).central_moments[2] - 0.5 * math.log(n)
         for n in (100, 1000, 10**4)
     ]
     assert max(vals) - min(vals) < 0.02
@@ -160,7 +154,7 @@ def test_weighted_variance_growth():
 def test_kurtosis_trend_to_gaussian():
     ratios = []
     for n in (100, 1000, 10**4):
-        rep = weighted_central_moments(TiltSpec(n, 1.0, 4))
+        rep = weighted_central_moments(n, 1.0, 4)
         m = rep.central_moments
         ratios.append(m[4] / m[2] ** 2)
     assert abs(ratios[-1] - 3.0) < 0.05
@@ -170,7 +164,7 @@ def test_kurtosis_trend_to_gaussian():
 def test_two_route_identity_subset():
     # full grid is in the acceptance suite; spot-check here
     for n_size, k in ((20, 0), (50, 1), (20, 2)):
-        rep = weighted_central_moments(TiltSpec(n_size, float(k), 5))
+        rep = weighted_central_moments(n_size, float(k), 5)
         for order in (2, 3, 4, 5):
             fd = central_moment_fd(n_size, k, order)
             assert rep.central_moments[order] == pytest.approx(fd, rel=1e-6)
@@ -180,7 +174,7 @@ def test_moment_cumulant_duality_zero_tilt():
     for n_size in (5, 40, 300):
         kappas = haar_cumulants(n_size, 8)
         expected = cumulants_to_central_moments(kappas, 8)
-        rep = weighted_central_moments(TiltSpec(n_size, 0.0, 8))
+        rep = weighted_central_moments(n_size, 0.0, 8)
         for order in range(9):
             assert rep.central_moments[order] == pytest.approx(
                 expected[order], rel=1e-10, abs=1e-10
@@ -198,7 +192,7 @@ def test_log_convexity_in_tilt():
 def test_odd_standardized_moment_decay():
     prev = None
     for n_size in (100, 1000, 10**4, 10**5):
-        rep = weighted_central_moments(TiltSpec(n_size, 1.0, 3))
+        rep = weighted_central_moments(n_size, 1.0, 3)
         m = rep.central_moments
         skew = abs(m[3]) / m[2] ** 1.5
         if prev is not None:
@@ -216,24 +210,29 @@ def test_odd_standardized_moment_decay():
     ],
 )
 def test_tilt_spec_rejects_non_finite(field, args):
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
-        TiltSpec(*args)
+    # the spec (N, k, n_max) of weighted_central_moments; the error names the bad field
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        weighted_central_moments(*args)
 
 
 def test_tilt_spec_guards():
-    with pytest.raises(ValueError):
-        TiltSpec(0, 1.0, 4)
-    with pytest.raises(ValueError):
-        TiltSpec(10, -1.0, 4)
-    with pytest.raises(ValueError):
-        TiltSpec(10, 1.0, 13)
+    with pytest.raises(ValueError, match="^N must be"):
+        weighted_central_moments(0, 1.0, 4)
+    with pytest.raises(ValueError, match="^k must be"):
+        weighted_central_moments(10, -1.0, 4)
+    with pytest.raises(ValueError, match="^n_max must be an integer"):
+        weighted_central_moments(10, 1.0, 13)
+    # n_max is checked before any work, so the kernel's own order check never names it
+    for n_max in (4.5, math.nan):
+        with pytest.raises(ValueError, match="^n_max must be an integer"):
+            weighted_central_moments(10, 1.0, n_max)
     # N beyond 2^53 is no longer exact as a float; the small-c recurrence grows with k
-    with pytest.raises(ValueError, match="N must be in"):
-        TiltSpec(2**53 + 1, 1.0, 4)
-    with pytest.raises(ValueError, match="tilt exponent k must be in"):
-        TiltSpec(10, MAX_TILT * 1.5, 4)
+    with pytest.raises(ValueError, match="N must be an integer in"):
+        weighted_central_moments(2**53 + 1, 1.0, 4)
+    with pytest.raises(ValueError, match="k must be in"):
+        weighted_central_moments(10, MAX_TILT * 1.5, 4)
     with pytest.raises(ValueError, match="s = 2k must be in"):
         log_moment_mn(10, 3.0 * MAX_TILT)
-    assert math.isfinite(weighted_central_moments(TiltSpec(2**53, MAX_TILT, 12)).log_mn)
+    assert math.isfinite(weighted_central_moments(2**53, MAX_TILT, 12).log_mn)
     with pytest.raises(ValueError):
         fj_derivative_sum(10, 1.0, 0)

@@ -13,6 +13,7 @@ from tiltlab import zeta_eval
 from tiltlab.zeta_eval import (
     EM_AUTO_MAX_T,
     RS_MAX_T,
+    _C_RELATIONS,
     _PRIMES,
     _RS_MAX_N,
     _factor_levels,
@@ -122,13 +123,16 @@ def test_rs_vs_em_dual_route():
     assert np.abs(rs - em).max() < 1e-6
 
 
-def test_rs_correction_terms_tighten():
+def test_rs_correction_terms_tighten(monkeypatch):
     rng = np.random.default_rng(2)
     t = rng.uniform(60.0, 300.0, size=50)
     em = zeta_em_many(0.5 + 1j * t)[0]
-    err0 = np.abs(_rs_jet(t, 0, n_corr=0)[0] - em).max()
-    err2 = np.abs(_rs_jet(t, 0, n_corr=2)[0] - em).max()
-    err4 = np.abs(_rs_jet(t, 0, n_corr=4)[0] - em).max()
+
+    def error(terms):  # the remainder keeps C_0..C_{terms - 1}
+        monkeypatch.setattr(zeta_eval, "_C_RELATIONS", _C_RELATIONS[:terms])
+        return np.abs(_rs_jet(t, 0)[0] - em).max()
+
+    err0, err2, err4 = error(1), error(3), error(5)
     assert err2 < err0
     assert err4 < err2 < 1e-4
 

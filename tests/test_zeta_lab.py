@@ -488,6 +488,9 @@ def test_scan_spec_validation(monkeypatch):
         ScanSpec(T=100.0, samples=50)
     with pytest.raises(ValueError):
         ScanSpec(T=100.0, samples=500, alpha=1.5)
+    for alpha in ([0.1, 0.2], np.array([0.1])):  # mu_alpha takes many shifts; a scan has one
+        with pytest.raises(ValueError, match="^alpha must be a scalar"):
+            ScanSpec(T=1e4, samples=100, k=1, alpha=alpha)
     with pytest.raises(ValueError):
         ScanSpec(T=100.0, samples=500, m=5)
     # the scan's first pass finds the window empty before any zeta value is taken
