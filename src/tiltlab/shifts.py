@@ -11,8 +11,10 @@ moments use.
 For k = 1 the recipe's main term is evaluated in closed form and can be
 compared against direct Simpson quadrature of
 zeta(1/2 + a + it) zeta(1/2 + b - it); on the uniform Simpson grid each
-factor is one Euler-Maclaurin progression (`zeta_eval.zeta_em_progression`),
-whose main sums for all nodes are one complex matrix product.
+factor is one Euler-Maclaurin progression (`zeta_eval.zeta_em_progression`)
+in memory that grows with the node count alone.  Both run up the grid, the
+right one as the conjugate of zeta(1/2 + conj(b) + it), so equal shifts
+(conj(b) = a, the CLI default) take one progression.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 MAX_SELECTION_K = 8
+MAX_QUADRATURE_NODES = 1 << 20  # about 5x the 199,001 nodes of the widest window at the default step
 POLE_BAND = 1e-3  # |a + b| below it: the two poles of the k = 1 recipe combine in closed form
 # Stieltjes constants gamma_0..gamma_3: zeta(1 + c) = 1/c + sum_n (-1)^n gamma_n c^n / n!
 STIELTJES = (0.5772156649015329, -0.07281584548367673, -0.00969036319287232, 0.002053834420303346)
@@ -197,19 +200,26 @@ def second_moment_quadrature_k1(t_lo, t_hi, alpha, beta, step=0.05):
 
     This is the recipe's independent cross-check.  The Simpson nodes
     t_j = t_lo + j h are equally spaced, so both factors are Euler-Maclaurin
-    progressions (`zeta_em_progression`) with steps +ih and -ih.
+    progressions (`zeta_em_progression`) with step +ih: the right one is
+    taken as zeta(1/2 + b - it) = conj zeta(1/2 + conj(b) + it), and when
+    conj(b) = a it is the left progression itself.  The grid holds at most
+    MAX_QUADRATURE_NODES nodes, checked before any work.
     """
     if not (50 <= t_lo < t_hi <= 10**4):
         raise ValueError("quadrature window must sit inside the Euler-Maclaurin range")
-    if not step > 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    n_panels = int(math.ceil((t_hi - t_lo) / step / 2)) * 2
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    n_panels = 2 * math.ceil(min((t_hi - t_lo) / step / 2, MAX_QUADRATURE_NODES))
+    if n_panels + 1 > MAX_QUADRATURE_NODES:
+        raise ValueError(
+            f"step {step:g} puts more than {MAX_QUADRATURE_NODES} Simpson nodes on [{t_lo:g}, {t_hi:g}]"
+        )
     h = (t_hi - t_lo) / n_panels
     alpha = complex(alpha)
-    beta = complex(beta)
+    beta = complex(beta).conjugate()
     left = zeta_em_progression(0.5 + alpha + 1j * t_lo, 1j * h, n_panels + 1)
-    right = zeta_em_progression(0.5 + beta - 1j * t_lo, -1j * h, n_panels + 1)
-    integrand = (left * right).real
+    right = left if beta == alpha else zeta_em_progression(0.5 + beta + 1j * t_lo, 1j * h, n_panels + 1)
+    integrand = (left * right.conj()).real
     weights = np.ones(n_panels + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

@@ -7,8 +7,10 @@ correction terms C_0..C_4) above it up to t = 1e8.  Its two paths,
 `zeta_em_many` (valid for any complex s != 1, and used off the line
 too) and `zeta_rs_many`, each return every jet row at once.  On an
 arithmetic progression of s (a uniform quadrature grid) the
-Euler-Maclaurin main sums of all nodes are one complex matrix product
-(`zeta_em_progression`); both Euler-Maclaurin evaluators share one tail.
+Euler-Maclaurin main sums of all nodes are complex matrix products of
+anchor and step tables, one per chunk of terms in a reused 2 MiB buffer
+(`zeta_em_progression`), so memory grows with the node count alone;
+both Euler-Maclaurin evaluators share one tail.
 
 Derivatives are Taylor jets in eps (`tiltlab.jet`).  Euler-Maclaurin
 expands zeta(s + eps) term by term: the main sum gives
@@ -127,25 +129,41 @@ def zeta_em_many(s_values, terms=None, order=0):
 
 
 def zeta_em_progression(s0, ds, count):
-    """zeta(s0 + j ds) for j = 0..count-1 by Euler-Maclaurin, as one matrix product.
+    """zeta(s0 + j ds) for j = 0..count-1 by Euler-Maclaurin, in memory that grows with count alone.
 
     With B = isqrt(count) and j = a B + b, each main-sum term factors as
     n^{-s_j} = n^{-(s0 + a B ds)} n^{-b ds}, so the main sums of all
     nodes are anchors @ steps.T: about 2 sqrt(count) M complex exps
-    instead of count M.  The term count M is the one zeta_em_many picks
-    for the same nodes.
+    instead of count M.  The M terms go in chunks: each chunk's anchor
+    and step tables fill one reused buffer of _TABLE_ENTRIES, and their
+    product is added to the sums.  The tail is added over blocks of
+    nodes in the same budget.  The term count M is the one zeta_em_many
+    picks for the same nodes.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
     s0, ds = complex(s0), complex(ds)
-    s = s0 + np.arange(count) * ds
-    terms = _em_terms(max(abs(s[0].imag), abs(s[-1].imag)))
+    ends = s0 + np.array([0, count - 1]) * ds
+    terms = _em_terms(max(abs(ends.imag)))
     log_n = np.log(np.arange(1, terms, dtype=float))
     block = math.isqrt(count)
-    anchors = np.exp(-(s0 + np.arange(0, count, block) * ds)[:, None] * log_n)
-    steps = np.exp(-(np.arange(block) * ds)[:, None] * log_n)
-    out = (anchors @ steps.T).ravel()[:count]
-    return out + _em_tail(s, terms, 0)[0]
+    neg_s = -np.concatenate([s0 + np.arange(0, count, block) * ds, np.arange(block) * ds])
+    anchors = neg_s.size - block
+    width = max(1, _TABLE_ENTRIES // neg_s.size)
+    buffer = np.empty(neg_s.size * min(width, log_n.size), dtype=np.complex128)
+    sums = np.zeros((anchors, block), dtype=np.complex128)
+    product = np.empty_like(sums)
+    for lo in range(0, log_n.size, width):
+        chunk = log_n[lo : lo + width]
+        table = buffer[: neg_s.size * chunk.size].reshape(neg_s.size, chunk.size)
+        np.exp(np.multiply(neg_s[:, None], chunk, out=table), out=table)
+        sums += np.matmul(table[:anchors], table[anchors:].T, out=product)
+    del buffer, product
+    out = sums.ravel()[:count]
+    nodes = _TABLE_ENTRIES // 8  # _em_tail holds about eight complex arrays of its nodes
+    for lo in range(0, count, nodes):
+        out[lo : lo + nodes] += _em_tail(s0 + np.arange(lo, min(count, lo + nodes)) * ds, terms, 0)[0]
+    return out
 
 
 def _em_tail(s, terms, order):

@@ -3,12 +3,14 @@
 Everything here recomputes target values through routes that do not share
 code with the package: plain series, trial division, high-precision
 finite differences, alternating-series acceleration, dense CMV matrices
-and eigenphase sums.  Three helpers read tiltlab: `rs_main_sums_direct`
+and eigenphase sums.  Four helpers read tiltlab: `rs_main_sums_direct`
 starts from the package's prime rows, which are checked against mpmath
 on their own, `fj_derivative_sum` reads one order of the package's
-telescoped polygamma sums for the tests of their growth in N, and
+telescoped polygamma sums for the tests of their growth in N,
 `gaussian_conformance` measures a Monte Carlo run against the package's
-exact tilted moments.
+exact tilted moments, and `quadrature_k1_two_progressions` takes the k = 1
+quadrature's factors from the package's Euler-Maclaurin progression,
+which is checked against zeta_em_many and mpmath on its own.
 """
 
 import math
@@ -453,3 +455,21 @@ def recipe_k1_mp(t_lo, t_hi, c, dps=40):
         else:
             power = (2 * mp.pi) ** c * (hi ** (1 - c) - lo ** (1 - c)) / (1 - c)
         return float((hi - lo) * mp.zeta(1 + c) + mp.zeta(1 - c) * power)
+
+
+def quadrature_k1_two_progressions(t_lo, t_hi, alpha, beta, step=0.05):
+    """Simpson sum of zeta(1/2+a+it) zeta(1/2+b-it) with each factor its own progression.
+
+    The right factor runs down from 1/2 + b - i t_lo with step -ih, as it
+    is written, rather than as the conjugate of a +ih progression.
+    """
+    from tiltlab.zeta_eval import zeta_em_progression
+
+    n_panels = int(math.ceil((t_hi - t_lo) / step / 2)) * 2
+    h = (t_hi - t_lo) / n_panels
+    left = zeta_em_progression(0.5 + complex(alpha) + 1j * t_lo, 1j * h, n_panels + 1)
+    right = zeta_em_progression(0.5 + complex(beta) - 1j * t_lo, -1j * h, n_panels + 1)
+    weights = np.ones(n_panels + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float(h / 3.0 * np.sum(weights * (left * right).real))

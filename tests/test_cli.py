@@ -246,11 +246,13 @@ def test_cue_check_byte_identical_across_stream_workers(tmp_path):
 
 
 def test_recipe_k1_quadrature_byte_identical_across_blas_threads(tmp_path):
-    # the quadrature's main sums are one complex matrix product; TILTLAB_THREADS
-    # also sets the BLAS thread count, which must not change a byte
-    args = ["recipe-k1", "--t-lo", "500", "--t-hi", "600", "--quadrature"]
-    outputs = [_run_in_subprocess(args, tmp_path / f"recipe-{t}.json", t) for t in ("1", "2")]
-    assert outputs[0] == outputs[1]
+    # the quadrature's main sums are complex matrix products, one per chunk of terms,
+    # for one progression at equal shifts and two otherwise; TILTLAB_THREADS also
+    # sets the BLAS thread count, which must not change a byte
+    for shifts in ([], ["--alpha", "0.3", "--beta", "0.1"]):
+        args = ["recipe-k1", "--t-lo", "500", "--t-hi", "600", "--quadrature", *shifts]
+        outputs = [_run_in_subprocess(args, tmp_path / f"recipe-{len(shifts)}-{t}.json", t) for t in ("1", "2")]
+        assert outputs[0] == outputs[1]
 
 
 def test_zeta_scan_byte_identical_across_rs_threads(tmp_path):
@@ -273,6 +275,15 @@ def test_mu_alpha_byte_identical_across_sieve_threads(tmp_path, lo):
 def test_recipe_k1_rejects_non_positive_step(tmp_path, capsys, step):
     out = tmp_path / "recipe.json"
     args = ["recipe-k1", "--t-lo", "500", "--t-hi", "600", "--quadrature", f"--step={step}"]
+    assert run_cli(args + ["--out", str(out)]) == EXIT_PRECONDITION
+    assert "step" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_recipe_k1_rejects_step_over_the_node_cap(tmp_path, capsys):
+    # 9,950,001 nodes at --step 1e-6, refused before any table is built
+    out = tmp_path / "recipe.json"
+    args = ["recipe-k1", "--t-lo", "50", "--t-hi", "10000", "--quadrature", "--step", "1e-6"]
     assert run_cli(args + ["--out", str(out)]) == EXIT_PRECONDITION
     assert "step" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []

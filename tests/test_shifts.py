@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from tiltlab import shifts
 from tiltlab.shifts import (
     SelectionPair,
     ShiftTuple,
@@ -20,7 +21,7 @@ from tiltlab.shifts import (
 from tiltlab.zeta_eval import zeta_em_many
 from tiltlab.zeta_lab import mu_alpha
 
-from oracles import recipe_k1_mp, trial_division_primes
+from oracles import quadrature_k1_two_progressions, recipe_k1_mp, trial_division_primes
 
 
 def random_tuple(k, rng):
@@ -197,10 +198,35 @@ def test_quadrature_matches_pointwise_em_simpson(alpha, beta):
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
-@pytest.mark.parametrize("step", [0.0, -0.05])
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(0.0, 0.0), (0.05, 0.05), (0.5 / math.log(1000.0),) * 2, (0.3, 0.1), (0.3, -0.2), (0.1 + 0.05j, 0.1 - 0.05j)],
+)
+def test_quadrature_matches_two_progression_form(alpha, beta):
+    # the right factor as the conjugate of a +ih progression (the left one itself when
+    # conj(beta) = alpha) against the same Simpson sum with it run down with step -ih;
+    # the last pair is complex, which only the library takes
+    got = second_moment_quadrature_k1(1000.0, 2000.0, alpha, beta)
+    ref = quadrature_k1_two_progressions(1000.0, 2000.0, alpha, beta)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.05, math.inf, math.nan])
 def test_quadrature_rejects_non_positive_step(step):
     with pytest.raises(ValueError, match="step"):
         second_moment_quadrature_k1(500, 520, 0.0, 0.0, step=step)
+
+
+def test_quadrature_node_cap(monkeypatch):
+    # 1024 / step / 2 panels: 2^19 - 1 gives the largest grid under the cap, 2^19 one node over
+    counts = []
+    monkeypatch.setattr(shifts, "zeta_em_progression", lambda s0, ds, count: counts.append(count) or np.ones(count))
+    second_moment_quadrature_k1(1000.0, 2024.0, 0.0, 0.0, step=1024 / (2**20 - 2))
+    assert counts == [shifts.MAX_QUADRATURE_NODES - 1]
+    for step in (2.0**-10, 1e-6, 5e-324):
+        with pytest.raises(ValueError, match="step"):
+            second_moment_quadrature_k1(1000.0, 2024.0, 0.0, 0.0, step=step)
+    assert len(counts) == 1
 
 
 def test_recipe_guards():

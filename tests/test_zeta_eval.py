@@ -109,6 +109,20 @@ def test_em_progression_matches_em_many_property(sigma, height, step_re, step_im
     assert np.abs(got - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
 
 
+def test_em_progression_memory_is_bounded():
+    # the widest quadrature grid at the default step: [50, 1e4] with h = 0.05
+    zeta_em_progression(0.5 + 50j, 0.05j, 199_001)
+    tracemalloc.start()
+    try:
+        zeta_em_progression(0.5 + 50j, 0.05j, 199_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2 MiB chunk buffer, the 447 x 446 sums and one chunk's product, and a tail
+    # block; full anchor and step tables over all 6,007 terms would take ~120 MiB
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_em_progression_rejects_empty_counts():
     for count in (0, -3, 2.0):
         with pytest.raises(ValueError, match="count"):
