@@ -3,16 +3,22 @@
 The prime window X = (lo, hi] is an explicit input everywhere (the
 asymptotic choice x = T^eps is meaningless at reachable heights); the
 default window keeps the (log T, x] shape of the theory at x = T^0.3.
-A window is only ever its bounds.  Each sum over it (`mu_alpha`, and
-`dirichlet_poly` for the scan's proxy) sieves it in the same pass, one
-segment of (lo, hi] at a time, and takes its primes in fixed-size chunks
-through a buffer the sum owns; no window's primes are ever held, and
-memory does not grow with hi - lo.  Every pass stops at PRIME_COUNT_CAP
-primes and marks the window truncated.
+A window is only ever its bounds.  Each sum over it (`dirichlet_poly` for
+the scan's proxy, and `mu_alpha` save on the wide windows below) sieves it
+in the same pass, one segment of (lo, hi] at a time, and takes its primes
+in fixed-size chunks through a buffer the sum owns; no window's primes are
+ever held, and memory does not grow with hi - lo.  Every pass stops at
+PRIME_COUNT_CAP primes and marks the window truncated.
 Weighted scans sample t uniformly in [T, 2T], weigh by
 |zeta^(m)(1/2 + it + i alpha)|^{2k}, and reuse the self-normalized
 reduction of the Monte Carlo estimator.  One `zeta_line` call gives a
 scan's values and, unshifted, its weights; a shift takes one more.
+
+`mu_alpha` walks no prime of a window wider than RECURSION_WIDTH * hi^(3/4)
+that the Rosser-Schoenfeld bound pi(hi) < 1.25506 hi / log hi keeps below
+the cap: Legendre's recursion over the ~2 sqrt(x) values of floor(x/k) gives
+its prime sums at x = hi and lo in O(hi^(3/4)) time and O(sqrt(hi)) memory,
+within 1.3e-14 of the walk's up to (1, 1.4e8].
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 
 from .cue import SeedSpec, checked_size
 from .estimator import weighted_moments
+from .special import BERNOULLI_EVEN
 from .threads import one_ahead
 from .zeta_eval import MAX_DERIVATIVE, RS_MAX_T, zeta_line
 
@@ -46,6 +53,9 @@ SIEVE_LIMIT = 10**12  # keeps the base primes (78,498 up to 1e6) and each segmen
 MU_CHUNK = 1 << 16  # primes per mu_alpha chunk: three 512 KiB float buffers
 DIRICHLET_ENTRIES = 1 << 17  # complex entries per Dirichlet (heights x primes) block: 2 MiB
 DIRICHLET_CHUNK = 1 << 17  # primes per Dirichlet chunk, so that one height's block fits DIRICHLET_ENTRIES
+RECURSION_WIDTH = 64  # mu_alpha's two routes took equal time at widths of 40-75 hi^(3/4), hi in [1e7, 1e8], 2 cores
+EM_START = 16  # n^-s is summed directly up to here; every BERNOULLI_EVEN term beyond leaves < 1e-20
+EM_BLOCK = 1 << 10  # values per Euler-Maclaurin block: each temporary takes 16 KiB
 HISTOGRAM_BINS = 80
 HISTOGRAM_HALF_WIDTHS = 6.0  # in units of sqrt(L/2)
 
@@ -161,33 +171,107 @@ def default_window(T):
 def mu_alpha(window, alpha, extent=None):
     """Shifted mean density mu_alpha = sum_{p in X} cos(alpha log p)/p, for |alpha| < 1.
 
-    `window` is the bounds (lo, hi), checked after alpha and sieved in
-    this pass (`_prime_chunks`), so its primes are never held.  A dict
-    `extent` is filled with the window summed: lo, hi, count and
-    truncated.
+    `window` is the bounds (lo, hi), checked after alpha.  A dict `extent`
+    is filled with the window summed: lo, hi, count and truncated.  alpha
+    is a scalar (a float comes back) or a 1-d array (an array of one
+    value per alpha comes back).
 
-    alpha is a scalar (a float comes back) or a 1-d array (an array of one
-    value per alpha comes back).  The primes are summed in chunks of
-    MU_CHUNK; each chunk takes log p and 1/p once for every alpha, its
-    terms are summed pairwise and the chunk sums combined with math.fsum,
-    so a value depends neither on the other alphas, nor on the sieve's
-    segment size, nor on the thread count.
+    A window wider than RECURSION_WIDTH * hi^(3/4) whose Rosser-Schoenfeld
+    bound 1.25506 hi / log hi > pi(hi) is within PRIME_COUNT_CAP goes to
+    `_recursed_mu_alpha`: O(hi^(3/4)) time, O(sqrt(hi)) memory, within
+    1.3e-14 of the walk.  Any other is sieved in this pass (`_prime_chunks`),
+    its primes summed in chunks of MU_CHUNK; each chunk takes log p and 1/p
+    once for every alpha, its terms are summed pairwise and the chunk sums
+    combined with math.fsum.  Either way a value depends neither on the
+    other alphas, nor on the sieve's segment size, nor on the thread count.
     """
     alphas = checked_alphas(alpha)
     lo, hi = _checked_window(window)
-    inv_p, log_p, terms = np.empty((3, min(MU_CHUNK, math.floor(hi) - math.floor(lo))))
-    chunk_sums = [[] for _ in alphas.flat]
-    for size in _prime_chunks((lo, hi), inv_p, {} if extent is None else extent, ahead=True):
-        inv_c, log_c, terms_c = inv_p[:size], log_p[:size], terms[:size]
-        np.log(inv_c, out=log_c)
-        np.reciprocal(inv_c, out=inv_c)
-        for a, sums in zip(alphas.flat, chunk_sums):
-            np.multiply(a, log_c, out=terms_c)
-            np.cos(terms_c, out=terms_c)
-            terms_c *= inv_c
-            sums.append(float(terms_c.sum()))
-    values = np.array([math.fsum(sums) for sums in chunk_sums])
+    extent = {} if extent is None else extent
+    if hi - lo > RECURSION_WIDTH * hi**0.75 and 1.25506 * hi / math.log(hi) <= PRIME_COUNT_CAP:
+        values = _recursed_mu_alpha((lo, hi), alphas, extent)
+    else:
+        inv_p, log_p, terms = np.empty((3, min(MU_CHUNK, math.floor(hi) - math.floor(lo))))
+        chunk_sums = [[] for _ in alphas.flat]
+        for size in _prime_chunks((lo, hi), inv_p, extent, ahead=True):
+            inv_c, log_c, terms_c = inv_p[:size], log_p[:size], terms[:size]
+            np.log(inv_c, out=log_c)
+            np.reciprocal(inv_c, out=inv_c)
+            for a, sums in zip(alphas.flat, chunk_sums):
+                np.multiply(a, log_c, out=terms_c)
+                np.cos(terms_c, out=terms_c)
+                terms_c *= inv_c
+                sums.append(float(terms_c.sum()))
+        values = np.array([math.fsum(sums) for sums in chunk_sums])
     return float(values[0]) if alphas.ndim == 0 else values
+
+
+def _recursed_mu_alpha(window, alphas, extent):
+    """mu_alpha over the checked window, uncapped, from `_prime_power_sum` at floor(hi) less floor(lo)."""
+    lo, hi = window
+    base = np.concatenate([np.empty(0, dtype=np.int64), *_prime_segments(0, math.isqrt(math.floor(hi)))])
+
+    def window_sum(alpha):
+        return _prime_power_sum(math.floor(hi), alpha, base) - _prime_power_sum(math.floor(lo), alpha, base)
+
+    extent.update(lo=lo, hi=hi, count=int(window_sum(None)), truncated=False)
+    return np.array([window_sum(a).real for a in alphas.flat])
+
+
+def _prime_power_sum(x, alpha, base):
+    """sum_{p <= x} p^{-s}, s = 1 + i alpha, by Legendre's recursion; pi(x) when alpha is None.
+
+    S(v) starts as sum_{2 <= n <= v} n^{-s} (v - 1 for the count) at the
+    values of floor(x/k): small[v] for v <= r = isqrt(x), large[k - 1] for
+    v = x // k > r.  Each prime p <= r of the ascending `base`, in turn,
+    takes S(v) -= p^{-s} (S(v // p) - S(p - 1)) for all v >= p^2 at once.
+    """
+    r = math.isqrt(x)
+    n = x // (r + 1)  # the k with x // k > r
+    if alpha is None:
+        small, large, weights = np.maximum(np.arange(-1, r), 0), x // np.arange(1, n + 1) - 1, np.ones_like(base)
+    else:
+        small, large = _power_sums(np.arange(r + 1), alpha), _power_sums(x // np.arange(1, n + 1), alpha)
+        weights = np.exp(-(1.0 + 1j * alpha) * np.log(base))
+    for p, w in zip(base.tolist(), weights):
+        if p * p > x:
+            break
+        c, top = small[p - 1], min(n, x // (p * p))
+        mid = min(n // p, top)  # S(x // (k p)) is large[k p - 1] up to k = mid, in small beyond
+        pairs = [(large[:mid], large[p - 1 : p * mid : p].copy())]
+        pairs.append((large[mid:top], small[x // (np.arange(mid + 1, top + 1) * p)]))
+        if p * p <= r:
+            pairs.append((small[p * p :], np.repeat(small[p : r // p + 1], p)[: r - p * p + 1]))
+        for dst, src in pairs:  # every src is read before any dst is written
+            src -= c
+            src *= w
+            dst -= src
+    return large[0] if x > r else small[x]
+
+
+def _power_sums(v, alpha):
+    """sum_{2 <= n <= v} n^{-s}, s = 1 + i alpha, at each entry of the int array v, EM_BLOCK at a time.
+
+    Direct up to EM_START, Euler-Maclaurin beyond, where zeta(s) cancels.
+    The pole term -expm1(-i alpha log v)/(i alpha) is taken through sinc: it
+    is log v at alpha = 0 and does not overflow at a subnormal alpha, so no
+    alpha is a special case.
+    """
+    s = 1.0 + 1j * alpha
+    coeffs = [b / math.factorial(2 * j) * math.prod(s + np.arange(2 * j - 1)) for j, b in enumerate(BERNOULLI_EVEN, 1)]
+
+    def tail(x):  # sum_{n <= x} n^{-s} less a constant
+        log_x, squares, poly = np.log(x), x * x, 0.0
+        for coeff in reversed(coeffs):
+            poly = (poly + coeff) / squares
+        h = alpha * log_x / 2  # -expm1(-2ih)/(i alpha) = log x (sin 2h/2h - i sin h * sin h/h)
+        pole = log_x * (np.sinc(2 * h / np.pi) - 1j * np.sin(h) * np.sinc(h / np.pi))
+        return np.exp(-s * log_x) * (0.5 - x * poly) + pole
+
+    head = np.concatenate([[0.0, 0.0], np.cumsum(np.exp(-s * np.log(np.arange(2.0, EM_START + 1))))])
+    blocks = np.split(v, range(EM_BLOCK, v.size, EM_BLOCK))
+    start = tail(float(EM_START))
+    return np.concatenate([head[np.minimum(b, EM_START)] + (tail(np.maximum(b, EM_START) * 1.0) - start) for b in blocks])
 
 
 def checked_alphas(alpha):

@@ -50,9 +50,11 @@ from tiltlab.shifts import (
     second_moment_recipe_k1,
     swap_shifts,
 )
+from tiltlab import zeta_lab
 from tiltlab.zeta_eval import siegel_theta, zeta_em_many, zeta_rs_many
 from tiltlab.zeta_lab import (
     ScanSpec,
+    checked_alphas,
     mu_alpha,
     scan_stream,
 )
@@ -268,6 +270,12 @@ def test_criterion_7_mu_alpha_regimes():
     mu0 = mu_alpha(window, 0.0)
     offset = mu0 - math.log(math.log(10**6))
     checks.record("mu0", 0.0 <= offset <= 0.5, f"mu_0 - loglog(1e6) = {offset:.4f}")
+    # a window this narrow is walked; the prime-sum recursion is the second exact route
+    alphas = [0.0, 1e-2, 1e-3]
+    walked = mu_alpha(window, alphas)
+    recursed = zeta_lab._recursed_mu_alpha((1.0, 1e6), checked_alphas(alphas), {})
+    gap = float(np.abs(walked - recursed).max())
+    checks.record("two_routes", gap < 1e-13, f"recursion vs sieve walk: max abs diff {gap:.1e} < 1e-13")
     checks.finish()
 
 

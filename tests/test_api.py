@@ -27,6 +27,7 @@ REACHABILITY_RUNS = (
     ["zeta-scan", "--t", "700", "--samples", "200", "--k", "1", "--m", "1"],
     ["zeta-scan", "--t", "700", "--samples", "200", "--k", "1", "--alpha", "0.05"],
     ["mu-alpha", "--lo", "1", "--hi", "3e6", "--alpha", "0", "--alpha", "0.5"],  # two sieve segments
+    ["mu-alpha", "--lo", "1", "--hi", "2e7", "--alpha", "0", "--alpha", "0.5"],  # the prime-sum recursion
     ["shift-table", "--k", "2"],
     ["recipe-k1", "--t-lo", "1000", "--t-hi", "1100", "--quadrature"],
     ["recipe-k1", "--t-lo", "1000", "--t-hi", "1100", "--alpha", "0.3", "--beta", "0.1"],

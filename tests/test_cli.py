@@ -265,8 +265,9 @@ def test_zeta_scan_byte_identical_across_rs_threads(tmp_path):
 
 @pytest.mark.parametrize("lo", ["1", "123456.5"])
 def test_mu_alpha_byte_identical_across_sieve_threads(tmp_path, lo):
-    # 15 sieve segments: serial, then each sieved on a worker thread while the caller sums the one before
-    args = ["mu-alpha", "--lo", lo, "--hi", "3e7", "--alpha", "0.01", "--alpha", "-0.5", "--alpha", "0"]
+    # 8 sieve segments: serial, then each sieved on a worker thread while the caller sums the one before;
+    # below hi = RECURSION_WIDTH^4 (16,777,216) no window is wide enough to be recursed instead
+    args = ["mu-alpha", "--lo", lo, "--hi", "1.6e7", "--alpha", "0.01", "--alpha", "-0.5", "--alpha", "0"]
     outputs = [_run_in_subprocess(args, tmp_path / f"mu-{t}.json", t) for t in ("1", "2")]
     assert outputs[0] == outputs[1]
 

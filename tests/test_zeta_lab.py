@@ -14,6 +14,7 @@ from tiltlab.estimator import weighted_moments
 from tiltlab.zeta_lab import (
     ScanSpec,
     WeightedHistogram,
+    checked_alphas,
     default_window,
     dirichlet_poly,
     mu_alpha,
@@ -291,24 +292,31 @@ def test_mu_alpha_empty_window_is_zero():
     assert mu_alpha((8, 10), 0.3) == 0.0
 
 
-def _streamed_and_materialized(lo, hi, alphas):
-    """mu_alpha over the bounds, and the same sums over the window's primes held at once.
+def _materialized(lo, hi, alphas):
+    """The walk's sums over the window's primes held at once, and the extent it should fill.
 
     The held primes are cut at the same MU_CHUNK edges, and each chunk is
-    summed with the same numpy calls, so the two agree to the bit.
+    summed with the same numpy calls as the walk's, so the two agree to the bit.
     """
-    extent = {}
-    streamed = mu_alpha((lo, hi), alphas, extent=extent)
     every = sieved(hi, lo)
     primes = every[: zeta_lab.PRIME_COUNT_CAP].astype(float)
     truncated = every.size > primes.size
     want_hi = float(primes[-1]) if truncated else float(hi)
-    assert extent == {"lo": float(lo), "hi": want_hi, "count": primes.size, "truncated": truncated}
     materialized = []
     for a in np.asarray(alphas, dtype=float):
         chunks = (primes[i : i + zeta_lab.MU_CHUNK] for i in range(0, primes.size, zeta_lab.MU_CHUNK))
         materialized.append(math.fsum(float((np.cos(a * np.log(p)) * np.reciprocal(p)).sum()) for p in chunks))
-    return streamed, np.array(materialized)
+    extent = {"lo": float(lo), "hi": want_hi, "count": primes.size, "truncated": truncated}
+    return np.array(materialized), extent
+
+
+def _streamed_and_materialized(lo, hi, alphas):
+    """mu_alpha over the bounds, and the same sums over the window's primes held at once."""
+    extent = {}
+    streamed = mu_alpha((lo, hi), alphas, extent=extent)
+    materialized, want = _materialized(lo, hi, alphas)
+    assert extent == want
+    return streamed, materialized
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -363,6 +371,9 @@ def test_streamed_mu_alpha_never_holds_its_window():
     for threads in ("1", "2"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("TILTLAB_THREADS", threads)
+            # a cap of pi(5e7) clips nothing, but the prime-count bound no longer keeps
+            # the window below it, so the window is walked rather than recursed
+            mp.setattr(zeta_lab, "PRIME_COUNT_CAP", 3_001_134)
             tracemalloc.start()
             try:
                 values = mu_alpha((1, 5e7), [0.01, 0.001, 0.0])
@@ -373,6 +384,57 @@ def test_streamed_mu_alpha_never_holds_its_window():
         # two segments' primes, the chunk buffers and the base primes
         assert peak < 8 * 2**20, f"{threads} threads: peak {peak / 2**20:.2f} MiB"
         assert values[2] == pytest.approx(math.log(math.log(5e7)) + 0.2615, abs=1e-3)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 10), (1, 2e6), (5000, 3e5), (1e6 + 0.5, 3e6), (123456.5, 3e7)])
+def test_recursed_mu_alpha_is_the_walked_value(lo, hi):
+    # the prime-sum recursion against the walk's sums over the held primes: a second
+    # exact route, equal up to rounding, with the window's exact count; a subnormal
+    # shift must not overflow the pole term -expm1(-i alpha log v)/(i alpha)
+    alphas = [0.0, 0.01, -0.37, 0.99, -0.999, 5e-324]
+    extent = {}
+    recursed = zeta_lab._recursed_mu_alpha((float(lo), float(hi)), checked_alphas(alphas), extent)
+    materialized, want = _materialized(lo, hi, alphas)
+    assert extent == want
+    assert np.abs(recursed - materialized).max() < 1e-13
+    for a, value in zip(alphas, recursed):  # each alpha's value is the one it gets alone
+        assert zeta_lab._recursed_mu_alpha((float(lo), float(hi)), checked_alphas(a), {}).tobytes() == value.tobytes()
+
+
+def _never_walk(*args, **kwargs):
+    raise AssertionError("the window was walked")
+
+
+def test_recursed_mu_alpha_holds_no_window(monkeypatch):
+    monkeypatch.setattr(zeta_lab, "_prime_chunks", _never_walk)
+    mu_alpha((1, 2e7), 0.1)  # warm the path outside the traced region
+    tracemalloc.start()
+    try:
+        extent = {}
+        values = mu_alpha((1, 1e8), [0.01, 0.001, 0.0], extent)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the values of floor(1e8 / k) take 20,000 complex sums, 0.3 MiB, per recursion;
+    # the window's 5,761,455 primes would take 44 MiB
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert extent == {"lo": 1.0, "hi": 1e8, "count": 5_761_455, "truncated": False}
+    assert values[2] == pytest.approx(math.log(math.log(1e8)) + 0.2615, abs=1e-3)
+    assert [mu_alpha((1, 1e8), a) for a in (0.01, 0.001, 0.0)] == values.tolist()
+
+
+def test_mu_alpha_recurses_only_where_the_cap_cannot_clip(monkeypatch):
+    monkeypatch.setattr(zeta_lab, "_prime_chunks", _never_walk)
+    edge = 150_002_068  # the largest hi whose Rosser-Schoenfeld bound is within the cap
+    bound = [1.25506 * x / math.log(x) for x in (edge, edge + 1)]
+    assert bound[0] <= zeta_lab.PRIME_COUNT_CAP < bound[1]
+    extent = {}
+    mu_alpha((1, edge), 0.3, extent)
+    assert extent["count"] < zeta_lab.PRIME_COUNT_CAP and not extent["truncated"]
+    # one past the edge, or narrower than RECURSION_WIDTH hi^(3/4), the window is walked
+    for window in ((1, edge + 1), (edge / 2, edge)):
+        with pytest.raises(AssertionError, match="walked"):
+            mu_alpha(window, 0.3)
 
 
 def test_mu_alpha_pairwise_sum_matches_fsum():
