@@ -13,11 +13,11 @@ Every function here but the `shifts` recipe helpers is reached from the
 
 import os
 
-# honor the thread-count override before the first numpy import starts its BLAS pools
-_threads = os.environ.get("TILTLAB_THREADS")
-if _threads:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+# one BLAS thread unless set otherwise, before numpy starts its pools: the calls are small, an
+# idle BLAS worker spins beside tiltlab's own pools, and a split reduction changes its last
+# bits.  cli.main pins a pool numpy started before this ran (threads.py: Linux, OpenBLAS).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 __version__ = "0.1.0"
 

@@ -27,7 +27,7 @@ from .cue import SeedSpec, rotation_invariance_check
 from .estimator import tilted_moments_mc
 from .rmt_exact import weighted_central_moments
 from .shifts import enumerate_selections, second_moment_quadrature_k1, second_moment_recipe_k1
-from .threads import thread_count
+from .threads import pin_blas, thread_count
 from .zeta_lab import ScanSpec, mu_alpha, weighted_scan
 
 __all__ = ["RunConfig", "run", "main"]
@@ -393,6 +393,7 @@ def main(argv=None) -> int:
     subcommand, out, fmt, seed = (args.pop(key) for key in ("subcommand", "out", "format", "seed"))
     try:
         thread_count(1)  # a bad TILTLAB_THREADS fails every subcommand alike, before any work
+        pin_blas()  # one BLAS thread even where numpy loaded before tiltlab
         config = RunConfig(
             subcommand=subcommand,
             parameters=args,

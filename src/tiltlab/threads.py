@@ -1,10 +1,36 @@
-"""One worker-thread rule for every pool, and the one-ahead pipeline built on it."""
+"""One worker-thread rule for every pool, the one-ahead pipeline built on it, and one BLAS thread.
+
+tiltlab's BLAS calls are small and its parallelism is its own pools, while an idle
+OpenBLAS worker spins for CPU after each call it shared: so BLAS gets one thread.
+Importing tiltlab defaults the BLAS thread variables to 1, and `pin_blas` pins a
+pool that numpy started first (Linux and OpenBLAS only; a no-op elsewhere).
+"""
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 
-__all__ = ["one_ahead", "thread_count"]
+__all__ = ["one_ahead", "pin_blas", "thread_count"]
+
+# numpy 2.x wheels' prefixed 64-bit-integer build first, then the plain builds
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+@functools.cache
+def pin_blas():
+    """Set each OpenBLAS library mapped into this process to one thread, once per process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line.lower()}
+        libraries = [ctypes.CDLL(path, os.RTLD_NOLOAD) for path in paths]  # the loaded instances, never new ones
+    except OSError:
+        return
+    for library in libraries:
+        setter = next((getattr(library, name) for name in _BLAS_SETTERS if hasattr(library, name)), None)
+        if setter is not None:
+            setter(1)
 
 
 def thread_count(tasks):

@@ -130,8 +130,10 @@ def test_every_function_has_a_cli_caller(tmp_path):
     assert sorted(defined - set(result["entered"])) == sorted(UNREACHED_BY_CLI)
 
 
-def test_thread_setting_caps_blas_before_numpy_starts():
-    # OpenBLAS sizes its pool when numpy is first imported, which importing tiltlab does
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_thread_setting_caps_blas_before_numpy_starts(threads):
+    # OpenBLAS sizes its pool when numpy is first imported, which importing tiltlab does;
+    # BLAS gets one thread at any TILTLAB_THREADS, so no BLAS worker starts
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if not os.path.isdir("/proc/self/task") or cpus < 2:
         pytest.skip("needs /proc/self/task and at least two CPUs")
@@ -140,7 +142,7 @@ def test_thread_setting_caps_blas_before_numpy_starts():
     env = {k: v for k, v in os.environ.items() if k not in caps}
     done = subprocess.run(
         [sys.executable, "-c", "import os, tiltlab.cli; print(len(os.listdir('/proc/self/task')))"],
-        env=dict(env, PYTHONPATH=src, TILTLAB_THREADS="1"),
+        env=dict(env, PYTHONPATH=src, TILTLAB_THREADS=threads),
         capture_output=True,
         text=True,
         timeout=120,

@@ -218,11 +218,24 @@ def test_non_finite_csv_cell_exits_numerical_without_writing(tmp_path, monkeypat
     assert os.listdir(tmp_path) == []
 
 
-def _run_in_subprocess(args, out, threads):
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# bench/run.py's order: numpy, and with it a two-thread OpenBLAS pool, loads before tiltlab
+NUMPY_FIRST = "import sys, numpy; from tiltlab import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def _run_in_subprocess(args, out, threads, numpy_first=False):
+    # the BLAS thread variables are dropped (importing tiltlab in this process set them),
+    # so the child's BLAS pool is sized by tiltlab alone, or starts at two threads with numpy_first
     src = os.path.dirname(os.path.dirname(os.path.abspath(tiltlab.__file__)))
-    env = dict(os.environ, TILTLAB_THREADS=threads, PYTHONPATH=src)
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARIABLES}
+    env.update(TILTLAB_THREADS=threads, PYTHONPATH=src)
+    entry = ["-m", "tiltlab.cli"]
+    if numpy_first:
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        entry = ["-c", NUMPY_FIRST]
     done = subprocess.run(
-        [sys.executable, "-m", "tiltlab.cli", *args, "--out", str(out)],
+        [sys.executable, *entry, *args, "--out", str(out)],
         env=env,
         capture_output=True,
         timeout=300,
@@ -245,14 +258,34 @@ def test_cue_check_byte_identical_across_stream_workers(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_mc_tilt_ess_byte_identical_across_thread_settings_and_import_order(tmp_path):
+    # the ESS's sum of squared weights is a dot product of 50,000 doubles, which a
+    # two-thread BLAS pool splits; BLAS stays on one thread at any TILTLAB_THREADS,
+    # and also when numpy started a two-thread pool before tiltlab loaded
+    args = ["mc-tilt", "--n", "20", "--k", "1", "--samples", "50000", "--seed", "1"]
+    outputs = [_run_in_subprocess(args, tmp_path / f"mc-{t}.json", t) for t in ("1", "2")]
+    outputs.append(_run_in_subprocess(args, tmp_path / "mc-numpy-first.json", "2", numpy_first=True))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_recipe_k1_quadrature_byte_identical_across_blas_threads(tmp_path):
     # the quadrature's main sums are complex matrix products, one per chunk of terms,
-    # for one progression at equal shifts and two otherwise; TILTLAB_THREADS also
-    # sets the BLAS thread count, which must not change a byte
+    # for one progression at equal shifts and two otherwise; BLAS stays on one thread
+    # whatever TILTLAB_THREADS says, so the setting must not change a byte
     for shifts in ([], ["--alpha", "0.3", "--beta", "0.1"]):
         args = ["recipe-k1", "--t-lo", "500", "--t-hi", "600", "--quadrature", *shifts]
         outputs = [_run_in_subprocess(args, tmp_path / f"recipe-{len(shifts)}-{t}.json", t) for t in ("1", "2")]
         assert outputs[0] == outputs[1]
+
+
+def test_recipe_k1_quadrature_byte_identical_with_numpy_imported_first(tmp_path):
+    # the matrix products run on one BLAS thread also when numpy's pool started at two
+    args = ["recipe-k1", "--t-lo", "500", "--t-hi", "600", "--quadrature"]
+    outputs = [
+        _run_in_subprocess(args, tmp_path / "recipe-1.json", "1"),
+        _run_in_subprocess(args, tmp_path / "recipe-numpy-first.json", "2", numpy_first=True),
+    ]
+    assert outputs[0] == outputs[1]
 
 
 def test_zeta_scan_byte_identical_across_rs_threads(tmp_path):

@@ -1,9 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import tiltlab
 from tiltlab import threads, zeta_lab
 from tiltlab.cli import EXIT_NUMERICAL, EXIT_PRECONDITION, main
 
@@ -114,3 +119,52 @@ def test_a_worker_failure_in_mu_alpha_maps_to_the_cli_exit_code(tmp_path, monkey
     assert capsys.readouterr().err.startswith(text)
     assert raised_on and raised_on[0] is not threading.main_thread()
     assert list(tmp_path.iterdir()) == []
+
+
+# numpy first, as bench/run.py, pytest and notebooks load it; then one CLI call.
+# Prints the exit code and each mapped OpenBLAS library's pool size before and after
+# the call, read through the library's own get_num_threads symbol.
+_BLAS_POOL_PROBE = """
+import ctypes, json, sys
+import numpy
+from tiltlab import cli
+
+GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+def pool_sizes():
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line.lower()})
+    sizes = []
+    for path in paths:
+        library = ctypes.CDLL(path)
+        getter = next((getattr(library, name) for name in GETTERS if hasattr(library, name)), None)
+        if getter is not None:
+            sizes.append(getter())
+    return sizes
+
+before = pool_sizes()
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "before": before, "after": pool_sizes()}))
+"""
+
+
+def test_cli_pins_a_blas_pool_that_numpy_started_first(tmp_path):
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("needs /proc/self/maps")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tiltlab.__file__)))
+    argv = ["exact-moments", "--n", "10", "--k", "1", "--out", str(tmp_path / "exact.json")]
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_POOL_PROBE, *argv],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2", TILTLAB_THREADS="2"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    if not report["before"]:
+        pytest.skip("no OpenBLAS library with a get_num_threads symbol is mapped")
+    if max(report["before"]) < 2:
+        pytest.skip("OpenBLAS started with one thread: nothing to pin")
+    assert report["code"] == 0
+    assert report["after"] == [1] * len(report["before"])
