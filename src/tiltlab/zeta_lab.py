@@ -18,7 +18,9 @@ scan's values and, unshifted, its weights; a shift takes one more.
 that the Rosser-Schoenfeld bound pi(hi) < 1.25506 hi / log hi keeps below
 the cap: Legendre's recursion over the ~2 sqrt(x) values of floor(x/k) gives
 its prime sums at x = hi and lo in O(hi^(3/4)) time and O(sqrt(hi)) memory,
-within 1.3e-14 of the walk's up to (1, 1.4e8].
+within 1.3e-14 of the walk's up to (1, 1.4e8].  It takes the base primes
+with p^3 < x one numpy step each, and the rest, whose updates never read
+one another's, in one ordered scatter.
 """
 
 from __future__ import annotations
@@ -53,7 +55,10 @@ SIEVE_LIMIT = 10**12  # keeps the base primes (78,498 up to 1e6) and each segmen
 MU_CHUNK = 1 << 16  # primes per mu_alpha chunk: three 512 KiB float buffers
 DIRICHLET_ENTRIES = 1 << 17  # complex entries per Dirichlet (heights x primes) block: 2 MiB
 DIRICHLET_CHUNK = 1 << 17  # primes per Dirichlet chunk, so that one height's block fits DIRICHLET_ENTRIES
-RECURSION_WIDTH = 64  # mu_alpha's two routes took equal time at widths of 40-75 hi^(3/4), hi in [1e7, 1e8], 2 cores
+PRIME_TAIL_CHUNK = 1 << 11  # entries per ordered scatter of the prime-sum recursion's tail: about 0.3 MiB of temporaries
+# mu_alpha's two routes take equal time at widths of 30-40 hi^(3/4), hi in [1e7, 1e8], 2 cores;
+# 64 keeps every window with hi below 64^4 = 16,777,216 walked, which the CLI's sieve-thread test needs
+RECURSION_WIDTH = 64
 EM_START = 16  # n^-s is summed directly up to here; every BERNOULLI_EVEN term beyond leaves < 1e-20
 EM_BLOCK = 1 << 10  # values per Euler-Maclaurin block: each temporary takes 16 KiB
 HISTOGRAM_BINS = 80
@@ -224,7 +229,18 @@ def _prime_power_sum(x, alpha, base):
     S(v) starts as sum_{2 <= n <= v} n^{-s} (v - 1 for the count) at the
     values of floor(x/k): small[v] for v <= r = isqrt(x), large[k - 1] for
     v = x // k > r.  Each prime p <= r of the ascending `base`, in turn,
-    takes S(v) -= p^{-s} (S(v // p) - S(p - 1)) for all v >= p^2 at once.
+    takes S(v) -= p^{-s} (S(v // p) - S(p - 1)) for all v >= p^2.  The
+    primes with p^3 < x do so one per step.  The rest (the tail: 1,139 of
+    the 1,229 at x = 1e8) write only large[k - 1] for k <= x // p^2 <= p,
+    and read large only at k p - 1 >= p - 1, above every index a smaller
+    tail prime writes, and small, which only head primes write: no tail
+    prime reads what another writes.  So the tail's terms are gathered and
+    subtracted in one `np.subtract.at` per PRIME_TAIL_CHUNK of them, laid
+    out in ascending p, which applies each entry's subtractions in the
+    loop's order.  Every value is the loop's, bit for bit, on numpy builds
+    whose in-place multiply of a one-element complex array is unfused (no
+    fused multiply-add) while longer and out-of-place multiplies are fused,
+    as on AVX-512 builds of numpy 2.4: the tail mimics that split below.
     """
     r = math.isqrt(x)
     n = x // (r + 1)  # the k with x // k > r
@@ -233,20 +249,47 @@ def _prime_power_sum(x, alpha, base):
     else:
         small, large = _power_sums(np.arange(r + 1), alpha), _power_sums(x // np.arange(1, n + 1), alpha)
         weights = np.exp(-(1.0 + 1j * alpha) * np.log(base))
-    for p, w in zip(base.tolist(), weights):
-        if p * p > x:
-            break
+    head = np.searchsorted(base**3, x)  # the primes with p^3 < x
+    for p, w in zip(base[:head].tolist(), weights):
         c, top = small[p - 1], min(n, x // (p * p))
         mid = min(n // p, top)  # S(x // (k p)) is large[k p - 1] up to k = mid, in small beyond
-        pairs = [(large[:mid], large[p - 1 : p * mid : p].copy())]
-        pairs.append((large[mid:top], small[x // (np.arange(mid + 1, top + 1) * p)]))
+        # each run is gathered once the one before is written, which it does not read:
+        # the first two write only large, and only the first reads it
+        _subtract_run(large[:mid], large[p - 1 : p * mid : p].copy(), c, w)
+        _subtract_run(large[mid:top], small[x // (np.arange(mid + 1, top + 1) * p)], c, w)
         if p * p <= r:
-            pairs.append((small[p * p :], np.repeat(small[p : r // p + 1], p)[: r - p * p + 1]))
-        for dst, src in pairs:  # every src is read before any dst is written
-            src -= c
-            src *= w
-            dst -= src
+            _subtract_run(small[p * p :], np.repeat(small[p : r // p + 1], p)[: r - p * p + 1], c, w)
+    tail = base[head : np.searchsorted(base, r, side="right")]
+    tops = x // (tail * tail)
+    ends = np.cumsum(tops)  # tail prime i takes the entries k = 1..tops[i], up to ends[i]
+    for first in range(0, int(ends[-1]) if ends.size else 0, PRIME_TAIL_CHUNK):
+        entry = np.arange(first, min(first + PRIME_TAIL_CHUNK, ends[-1]))
+        i = np.searchsorted(ends, entry, side="right")
+        p, top = tail[i], tops[i]
+        k = entry - ends[i] + top + 1
+        kp = k * p
+        src = np.where(kp <= n, large[np.minimum(kp, n) - 1], small[np.minimum(x // kp, r)])
+        src -= small[p - 1]
+        if alpha is not None:  # the count's weights are 1
+            # the loop multiplies its runs (k <= n // p, then the rest) in place, and numpy
+            # multiplies a one-element array in place without its vector loop's fused
+            # multiply-add; out of place, src * w takes that vector loop at any length
+            mid = np.minimum(n // p, top)
+            one = np.flatnonzero(np.where(kp <= n, mid, top - mid) == 1)
+            w = weights[head + i]
+            a, b = src[one], w[one]
+            src = src * w
+            src.real[one] = a.real * b.real - a.imag * b.imag
+            src.imag[one] = a.real * b.imag + a.imag * b.real
+        np.subtract.at(large, k - 1, src)
     return large[0] if x > r else small[x]
+
+
+def _subtract_run(dst, src, c, w):
+    """dst -= w (src - c), one run of the prime-sum recursion, computed in place in src."""
+    src -= c
+    src *= w
+    dst -= src
 
 
 def _power_sums(v, alpha):

@@ -3,14 +3,17 @@
 Everything here recomputes target values through routes that do not share
 code with the package: plain series, trial division, high-precision
 finite differences, alternating-series acceleration, dense CMV matrices
-and eigenphase sums.  Four helpers read tiltlab: `rs_main_sums_direct`
+and eigenphase sums.  Five helpers read tiltlab: `rs_main_sums_direct`
 starts from the package's prime rows, which are checked against mpmath
 on their own, `fj_derivative_sum` reads one order of the package's
 telescoped polygamma sums for the tests of their growth in N,
 `gaussian_conformance` measures a Monte Carlo run against the package's
 exact tilted moments, and `quadrature_k1_two_progressions` takes the k = 1
 quadrature's factors from the package's Euler-Maclaurin progression,
-which is checked against zeta_em_many and mpmath on its own.
+which is checked against zeta_em_many and mpmath on its own, and
+`prime_power_sum_loop` starts Legendre's prime-sum recursion from the
+package's power sums and runs it one base prime at a time, the reference
+that the package's vectorized tail must match bit for bit.
 """
 
 import math
@@ -473,3 +476,37 @@ def quadrature_k1_two_progressions(t_lo, t_hi, alpha, beta, step=0.05):
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float(h / 3.0 * np.sum(weights * (left * right).real))
+
+
+def prime_power_sum_loop(x, alpha, base):
+    """sum_{p <= x} p^{-s}, s = 1 + i alpha (pi(x) when alpha is None), one base prime per step.
+
+    Legendre's recursion as `zeta_lab._prime_power_sum` ran it before its
+    tail was vectorized: S(v) starts from the package's `_power_sums` at
+    the values of floor(x/k), small[v] for v <= r = isqrt(x), large[k - 1]
+    for v = x // k > r, and each prime p <= r of the ascending `base`, in
+    turn, takes S(v) -= p^{-s} (S(v // p) - S(p - 1)) for all v >= p^2.
+    """
+    from tiltlab.zeta_lab import _power_sums
+
+    r = math.isqrt(x)
+    n = x // (r + 1)  # the k with x // k > r
+    if alpha is None:
+        small, large, weights = np.maximum(np.arange(-1, r), 0), x // np.arange(1, n + 1) - 1, np.ones_like(base)
+    else:
+        small, large = _power_sums(np.arange(r + 1), alpha), _power_sums(x // np.arange(1, n + 1), alpha)
+        weights = np.exp(-(1.0 + 1j * alpha) * np.log(base))
+    for p, w in zip(base.tolist(), weights):
+        if p * p > x:
+            break
+        c, top = small[p - 1], min(n, x // (p * p))
+        mid = min(n // p, top)  # S(x // (k p)) is large[k p - 1] up to k = mid, in small beyond
+        pairs = [(large[:mid], large[p - 1 : p * mid : p].copy())]
+        pairs.append((large[mid:top], small[x // (np.arange(mid + 1, top + 1) * p)]))
+        if p * p <= r:
+            pairs.append((small[p * p :], np.repeat(small[p : r // p + 1], p)[: r - p * p + 1]))
+        for dst, src in pairs:  # every src is read before any dst is written
+            src -= c
+            src *= w
+            dst -= src
+    return large[0] if x > r else small[x]

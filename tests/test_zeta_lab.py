@@ -22,7 +22,7 @@ from tiltlab.zeta_lab import (
     weighted_scan,
 )
 
-from oracles import odd_only_sieve, trial_division_primes
+from oracles import odd_only_sieve, prime_power_sum_loop, trial_division_primes
 
 
 def sieved(limit, lo=0):
@@ -421,6 +421,49 @@ def test_recursed_mu_alpha_holds_no_window(monkeypatch):
     assert extent == {"lo": 1.0, "hi": 1e8, "count": 5_761_455, "truncated": False}
     assert values[2] == pytest.approx(math.log(math.log(1e8)) + 0.2615, abs=1e-3)
     assert [mu_alpha((1, 1e8), a) for a in (0.01, 0.001, 0.0)] == values.tolist()
+
+
+def test_recursed_mu_alpha_holds_no_window_at_the_recursion_edge(monkeypatch):
+    monkeypatch.setattr(zeta_lab, "_prime_chunks", _never_walk)
+    mu_alpha((1, 2e7), 0.1)  # warm the path outside the traced region
+    tracemalloc.start()
+    try:
+        extent = {}
+        mu_alpha((1, 150_002_068), [0.01, 0.001, 0.0], extent)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the widest recursed window: the values of floor(hi / k) take 24,495 complex sums, 0.37 MiB,
+    # per recursion, and the 8,444,501 primes would take 64 MiB
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert extent["count"] == 8_444_501  # the sieve's count
+
+
+PRIME_SUM_ALPHAS = [None, 0.0, -0.0, 0.01, -0.37, 0.99, -0.999, 5e-324]
+
+
+@pytest.mark.parametrize(
+    "x",
+    [1, 7, 8, 9, 26, 27, 28, 999_999, 10**6, 10**6 + 1, 99_897_343, 464**3, 99_897_345, 10**8, 150_002_068],
+)
+def test_prime_power_sum_is_the_one_prime_loop(monkeypatch, x):
+    # the tail's ordered scatter against the loop it replaced, byte for byte; budgets of
+    # 1 and 7 entries put chunk edges between primes and inside one prime's run (a budget
+    # of 1 takes about 0.8 s a call at 1e8, so it runs on the small x alone)
+    base = sieved(math.isqrt(x))
+    want = {a: prime_power_sum_loop(x, a, base) for a in PRIME_SUM_ALPHAS}
+    runs = [(zeta_lab.PRIME_TAIL_CHUNK, PRIME_SUM_ALPHAS)]
+    runs += [(budget, [None, -0.37]) for budget in (1, 7) if budget > 1 or x <= 10**6 + 1]
+    for budget, alphas in runs:
+        monkeypatch.setattr(zeta_lab, "PRIME_TAIL_CHUNK", budget)
+        for a in alphas:
+            got = zeta_lab._prime_power_sum(x, a, base)
+            # the tail mimics numpy's unfused in-place multiply of one-element complex arrays;
+            # on a build that fuses it (or any array multiply differently) the last bits move
+            assert (type(got), got.tobytes()) == (type(want[a]), want[a].tobytes()), (
+                f"budget {budget}, alpha {a}: differs from the one-prime loop; if only in the last bits, "
+                "check how this numpy build fuses complex multiplies (one element in place vs longer arrays)"
+            )
 
 
 def test_mu_alpha_recurses_only_where_the_cap_cannot_clip(monkeypatch):
