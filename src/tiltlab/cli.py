@@ -1,8 +1,11 @@
 """Command-line front end: one subcommand per experiment, CSV/JSON output.
 
-Outputs are written atomically (temp file + rename) and contain a full
-config echo, so a result file always identifies the run that produced
-it.  Identical config + seed gives byte-identical files.  Exit codes:
+`main` checks the seed and every float argument, then hands the parsed
+arguments to the subcommand's handler, which calls the library directly;
+a subcommand with a report dataclass writes its fields as the results
+block.  Outputs are written atomically (temp file + rename) and contain a
+full config echo, so a result file always identifies the run that
+produced it.  Identical config + seed gives byte-identical files.  Exit codes:
 0 success (numerical warnings still exit 0), 2 precondition violation
 (including a NaN or infinite float argument, and a size whose arrays do
 not fit in memory), 3 numerical failure
@@ -18,7 +21,7 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,38 +33,11 @@ from .shifts import enumerate_selections, second_moment_quadrature_k1, second_mo
 from .threads import pin_blas, thread_count
 from .zeta_lab import ScanSpec, mu_alpha, weighted_scan
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully-validated run request."""
-
-    subcommand: str
-    parameters: dict
-    output_path: str | None
-    seed: int
-    fmt: str
-
-    def __post_init__(self):
-        if self.subcommand not in _HANDLERS:
-            raise ValueError(f"unknown subcommand {self.subcommand!r}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.fmt!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        for name, value in self.parameters.items():
-            for x in value if isinstance(value, list) else [value]:
-                if isinstance(x, float) and not math.isfinite(x):
-                    raise ValueError(f"{name} must be finite, got {x}")
-
-
-def _fmt_float(x):
-    return repr(float(x))
 
 
 def _atomic_write(path, data: str):
@@ -77,16 +53,9 @@ def _atomic_write(path, data: str):
         raise
 
 
-def _emit(config: RunConfig, results: dict, rows, warnings_list):
+def _emit(echo: dict, results: dict, rows, warnings_list, output_path):
     """rows: (column_names, list of value tuples) for CSV mode."""
-    echo = {
-        "subcommand": config.subcommand,
-        "seed": config.seed,
-        "format": config.fmt,
-        "version": __version__,
-        "parameters": config.parameters,
-    }
-    if config.fmt == "json":
+    if echo["format"] == "json":
         payload = {"config": echo, "results": results, "warnings": warnings_list}
         try:
             text = json.dumps(
@@ -96,10 +65,8 @@ def _emit(config: RunConfig, results: dict, rows, warnings_list):
             raise FloatingPointError(f"non-finite result: {exc}") from None
         text += "\n"
     else:
-        header_kv = " ".join(f"{k}={v}" for k, v in sorted(config.parameters.items()))
-        lines = [
-            f"# tiltlab v{__version__} {config.subcommand} seed={config.seed} {header_kv}".rstrip()
-        ]
+        header_kv = " ".join(f"{k}={v}" for k, v in sorted(echo["parameters"].items()))
+        lines = [f"# tiltlab v{__version__} {echo['subcommand']} seed={echo['seed']} {header_kv}".rstrip()]
         for w in warnings_list:
             lines.append(f"# warning: {w}")
         columns, data_rows = rows
@@ -107,18 +74,17 @@ def _emit(config: RunConfig, results: dict, rows, warnings_list):
         for row in data_rows:
             lines.append(",".join(_csv_cell(v) for v in row))
         text = "\n".join(lines) + "\n"
-    if config.output_path:
-        _atomic_write(config.output_path, text)
+    if output_path:
+        _atomic_write(output_path, text)
     else:
         sys.stdout.write(text)
-    return text
 
 
 def _csv_cell(v):
     if isinstance(v, float):
         if not math.isfinite(v):
             raise FloatingPointError(f"non-finite result: {v}")
-        return _fmt_float(v)
+        return repr(float(v))  # a numpy float's own repr names its type
     return str(v)
 
 
@@ -130,66 +96,22 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def run(config: RunConfig) -> int:
-    """Execute one run; returns the exit status and writes artifacts."""
-    handler = _HANDLERS[config.subcommand]
-    warnings_list: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        results, rows = handler(config)
-        warnings_list = [str(w.message) for w in caught]
-    _emit(config, results, rows, warnings_list)
-    target = config.output_path or "stdout"
-    summary = f"tiltlab v{__version__} {config.subcommand} seed={config.seed} -> {target}"
-    for w in warnings_list:
-        summary += f" [warning: {w}]"
-    print(summary, file=sys.stderr)
-    return EXIT_OK
-
-
 # --------------------------------------------------------------------------
 # handlers
 # --------------------------------------------------------------------------
 
 
-def _handle_exact_moments(config):
-    p = config.parameters
+def _handle_exact_moments(p, seed):
     report = weighted_central_moments(p["n"], p["k"], p["orders"])
-    results = {
-        "log_mn": report.log_mn,
-        "mu_weighted": report.mu_weighted,
-        "central_moments": report.central_moments,
-        "cumulant_sums": report.cumulant_sums,
-    }
     rows = (
         ("order", "central_moment"),
         [(n, m) for n, m in enumerate(report.central_moments)],
     )
-    return results, rows
+    return asdict(report), rows
 
 
-def _handle_mc_tilt(config):
-    p = config.parameters
-    report = tilted_moments_mc(
-        p["n"],
-        p["k"],
-        p["orders"],
-        p["samples"],
-        SeedSpec(config.seed),
-        sampler=p["sampler"],
-    )
-    results = {
-        "sample_count": report.sample_count,
-        "ess": report.ess,
-        "low_ess": report.low_ess,
-        "weighted_mean": report.weighted_mean,
-        "central_moments": report.central_moments,
-        "standard_errors": report.standard_errors,
-        "standardized": report.standardized,
-        "standardized_errors": report.standardized_errors,
-        "mean_weight": report.mean_weight,
-        "mean_weight_se": report.mean_weight_se,
-    }
+def _handle_mc_tilt(p, seed):
+    report = tilted_moments_mc(p["n"], p["k"], p["orders"], p["samples"], SeedSpec(seed), sampler=p["sampler"])
     rows = (
         ("order", "central_moment", "standard_error"),
         [
@@ -197,30 +119,19 @@ def _handle_mc_tilt(config):
             for n in range(len(report.central_moments))
         ],
     )
-    return results, rows
+    return asdict(report), rows
 
 
-def _handle_cue_check(config):
-    p = config.parameters
-    check = rotation_invariance_check(
-        p["n"], p["trials"], SeedSpec(config.seed), phi=p["phi"]
-    )
-    results = {
-        "statistic": check.statistic,
-        "threshold": check.threshold,
-        "passed": check.passed,
-        "trials": check.trials,
-        "phi": check.phi,
-    }
+def _handle_cue_check(p, seed):
+    check = rotation_invariance_check(p["n"], p["trials"], SeedSpec(seed), phi=p["phi"])
     rows = (
         ("statistic", "threshold", "passed"),
         [(check.statistic, check.threshold, int(check.passed))],
     )
-    return results, rows
+    return asdict(check), rows
 
 
-def _handle_zeta_scan(config):
-    p = config.parameters
+def _handle_zeta_scan(p, seed):
     bounds = (p["window_lo"], p["window_hi"])
     if bounds.count(None) == 1:
         raise ValueError("give both --window-lo and --window-hi, or neither for the default window")
@@ -231,17 +142,17 @@ def _handle_zeta_scan(config):
         m=p["m"],
         alpha=p["alpha"],
         window=None if None in bounds else bounds,
-        seed=SeedSpec(config.seed),
+        seed=SeedSpec(seed),
     )
     window = {}
-    hist, report = weighted_scan(spec, window)
+    hist, report, proxy_correlation = weighted_scan(spec, window)
     results = {
         "weighted_mean": report.weighted_mean,
         "central_moments": report.central_moments,
         "standard_errors": report.standard_errors,
         "ess": report.ess,
         "low_ess": report.low_ess,
-        "proxy_correlation": report.proxy_correlation,
+        "proxy_correlation": proxy_correlation,
         "total_weight": hist.total_weight,
         "raw_count": hist.raw_count,
         "underflow_weight": hist.underflow_weight,
@@ -260,8 +171,7 @@ def _handle_zeta_scan(config):
     return results, rows
 
 
-def _handle_mu_alpha(config):
-    p = config.parameters
+def _handle_mu_alpha(p, seed):
     window = {}
     values = list(zip(p["alphas"], mu_alpha((p["lo"], p["hi"]), p["alphas"], extent=window).tolist()))
     results = {
@@ -272,8 +182,7 @@ def _handle_mu_alpha(config):
     return results, rows
 
 
-def _handle_shift_table(config):
-    p = config.parameters
+def _handle_shift_table(p, seed):
     sels = enumerate_selections(p["k"])
     results = {
         "k": p["k"],
@@ -287,8 +196,7 @@ def _handle_shift_table(config):
     return results, rows
 
 
-def _handle_recipe_k1(config):
-    p = config.parameters
+def _handle_recipe_k1(p, seed):
     value = second_moment_recipe_k1(p["t_lo"], p["t_hi"], p["alpha"], p["beta"])
     results = {"recipe_main_term": value, "alpha": p["alpha"], "beta": p["beta"]}
     row = [p["t_lo"], p["t_hi"], p["alpha"], p["beta"], value]
@@ -394,14 +302,23 @@ def main(argv=None) -> int:
     try:
         thread_count(1)  # a bad TILTLAB_THREADS fails every subcommand alike, before any work
         pin_blas()  # one BLAS thread even where numpy loaded before tiltlab
-        config = RunConfig(
-            subcommand=subcommand,
-            parameters=args,
-            output_path=out,
-            seed=seed,
-            fmt=fmt,
-        )
-        return run(config)
+        if not 0 <= seed < 2**64:
+            raise ValueError("seed must be a 64-bit unsigned integer")
+        for name, value in args.items():
+            for x in value if isinstance(value, list) else [value]:
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ValueError(f"{name} must be finite, got {x}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results, rows = _HANDLERS[subcommand](args, seed)
+        warnings_list = [str(w.message) for w in caught]
+        echo = {"subcommand": subcommand, "seed": seed, "format": fmt, "version": __version__, "parameters": args}
+        _emit(echo, results, rows, warnings_list, out)
+        summary = f"tiltlab v{__version__} {subcommand} seed={seed} -> {out or 'stdout'}"
+        for w in warnings_list:
+            summary += f" [warning: {w}]"
+        print(summary, file=sys.stderr)
+        return EXIT_OK
     except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

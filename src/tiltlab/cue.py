@@ -21,9 +21,9 @@ splitting stream keeps its own scratch.  At k = 0 (Haar) that is a shard's
 radii (8 bytes x 4096 x N) plus three row blocks of about 256 KiB; under
 a tilt (k >= 1) the draw order needs whole-shard arrays, about
 8 bytes x 4096 x N x (k + 5).
-``rotation_invariance_check`` draws both its sets through the same
-driver, pool and QR shard body as the dense stream; its first set is
-that stream.
+``rotation_invariance_check`` draws both its sets from the dense stream:
+the first at theta = 0, the second at theta = phi from the stream indices
+after the first's.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ def log_char_poly_stream(n, count, seed: SeedSpec, k=0):
     return _sharded(count, seed, shard, scratch=scratch)
 
 
-def qr_log_char_poly_stream(n, count, seed: SeedSpec):
-    """count i.i.d. values of log|Z(U, 0)| under Haar, via dense QR and slogdet.
+def qr_log_char_poly_stream(n, count, seed: SeedSpec, theta=0.0):
+    """count i.i.d. values of log|Z(U, theta)| under Haar, via dense QR and slogdet.
 
     Sharded like log_char_poly_stream, in shards of 2048 // n draws.
     """
@@ -240,7 +240,7 @@ def qr_log_char_poly_stream(n, count, seed: SeedSpec):
     checked_size("count", count)
 
     def shard(rng, take, _buffers):
-        return _haar_log_abs(rng, n, take)
+        return _haar_log_abs(rng, n, take, theta)
 
     return _sharded(count, seed, shard, max(1, 2048 // n))
 
@@ -270,24 +270,16 @@ def rotation_invariance_check(n, trials, seed: SeedSpec, phi=1.0) -> RotationChe
 
     Haar rotation invariance makes the two laws identical; QR draws
     without the phase correction of `_haar_unitary_batch` fail this at the
-    1% level.  Both sets go through the sharded driver with the dense
-    stream's QR shard body, so the first set is
-    qr_log_char_poly_stream(n, trials, seed); the second starts at
+    1% level.  The first set is qr_log_char_poly_stream(n, trials, seed);
+    the second is that stream at theta = phi, starting at
     stream_index + trials, after every stream of the first.
     """
     checked_size("n", n)
     checked_size("trials", trials, 10**3)
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
-
-    def draws(start, theta):
-        def shard(rng, take, _buffers):
-            return _haar_log_abs(rng, n, take, theta)
-
-        return _sharded(trials, start, shard, max(1, 2048 // n))
-
-    set_a = draws(seed, 0.0)
-    set_b = draws(seed.shifted(trials), phi)
+    set_a = qr_log_char_poly_stream(n, trials, seed)
+    set_b = qr_log_char_poly_stream(n, trials, seed.shifted(trials), phi)
     stat = _two_sample_ks(set_a, set_b)
     threshold = float(_KS_COEFF_1PCT * np.sqrt(2.0 / trials))
     return RotationCheck(stat, threshold, bool(stat < threshold), trials, phi)

@@ -16,6 +16,8 @@ and from p = 3 the standardized moment and its error.  The effective
 sample size (sum w)^2 / sum w^2 is read off row 0, in linear space.
 Every reduction first sorts the (value, log-weight) pairs, so every
 reported field is invariant under permutations of the input stream.
+`MomentReport` holds just those fields, and `mc-tilt` writes them all as
+its results.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class MomentReport:
     mean_weight: float
     mean_weight_se: float
     low_ess: bool
-    proxy_correlation: float | None = None
 
     def __post_init__(self):
         if not 1.0 <= self.ess <= self.sample_count * (1.0 + 1e-9):

@@ -25,7 +25,6 @@ one another's, in one ordered scatter.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -460,7 +459,10 @@ def scan_stream(spec: ScanSpec) -> ScanStream:
 
 
 def weighted_scan(spec: ScanSpec, extent=None):
-    """Self-normalized weighted histogram and moment report (orders 0..4) for one scan.
+    """Self-normalized weighted histogram, moment report (orders 0..4) and proxy correlation for one scan.
+
+    The correlation is the unweighted one of the Dirichlet proxy with
+    log|zeta| over the finite samples.
 
     One `mu_alpha` pass over the window, before any zeta value, gives the
     histogram's width from L = sum 1/p, fills the dict `extent` as
@@ -481,7 +483,6 @@ def weighted_scan(spec: ScanSpec, extent=None):
     finite = np.isfinite(stream.values)
     report = weighted_moments(stream.values[finite], log_w[finite], 4)
     corr = float(np.corrcoef(stream.proxy[finite], stream.values[finite])[0, 1])
-    report = dataclasses.replace(report, proxy_correlation=corr)
 
     half_width = HISTOGRAM_HALF_WIDTHS * math.sqrt(0.5 * max(mertens, 1e-12))
     center = report.weighted_mean
@@ -500,4 +501,4 @@ def weighted_scan(spec: ScanSpec, extent=None):
         underflow_weight=under,
         overflow_weight=over,
     )
-    return hist, report
+    return hist, report, corr

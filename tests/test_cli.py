@@ -486,19 +486,19 @@ def test_zeta_scan_rejects_a_bad_thread_setting(tmp_path, capsys, monkeypatch, s
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["exact-moments", "--n", "10", "--k", "1"],
-        ["mc-tilt", "--n", "10", "--k", "1", "--samples", "1000"],
-        ["cue-check", "--n", "4", "--trials", "1000"],
-        ["zeta-scan", "--t", "1e4", "--samples", "200"],
-        ["mu-alpha", "--lo", "1", "--hi", "100", "--alpha", "0"],
-        ["shift-table", "--k", "2"],
-        ["recipe-k1", "--t-lo", "1000", "--t-hi", "1100"],
-    ],
-    ids=lambda args: args[0],
-)
+# one small run of each subcommand
+ONE_RUN_EACH = [
+    ["exact-moments", "--n", "10", "--k", "1"],
+    ["mc-tilt", "--n", "10", "--k", "1", "--samples", "1000"],
+    ["cue-check", "--n", "4", "--trials", "1000"],
+    ["zeta-scan", "--t", "1e4", "--samples", "200"],
+    ["mu-alpha", "--lo", "1", "--hi", "100", "--alpha", "0"],
+    ["shift-table", "--k", "2"],
+    ["recipe-k1", "--t-lo", "1000", "--t-hi", "1100"],
+]
+
+
+@pytest.mark.parametrize("args", ONE_RUN_EACH, ids=lambda args: args[0])
 def test_every_subcommand_rejects_a_bad_thread_setting(tmp_path, capsys, monkeypatch, args):
     # the thread rule is read once, before dispatch, also by subcommands that start no pool
     for setting in ("0", "abc"):
@@ -506,6 +506,55 @@ def test_every_subcommand_rejects_a_bad_thread_setting(tmp_path, capsys, monkeyp
         assert run_cli(args + ["--out", str(tmp_path / "result.json")]) == EXIT_PRECONDITION
         assert f"TILTLAB_THREADS must be a positive integer, got {setting!r}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args", ONE_RUN_EACH, ids=lambda args: args[0])
+def test_every_subcommand_rejects_an_out_of_range_seed(tmp_path, capsys, args):
+    # the seed is checked before dispatch, also for subcommands that draw no random number
+    for seed in ("-1", str(2**64)):
+        assert run_cli(args + ["--seed", seed, "--out", str(tmp_path / "result.json")]) == EXIT_PRECONDITION
+        assert "seed must be a 64-bit unsigned integer" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
+# subcommand -> (JSON results keys, CSV column header), as each subcommand wrote them
+# when its handler still copied the report fields one by one; the handlers that now
+# write a report dataclass whole would show a field added or dropped here
+OUTPUT_SCHEMA = {
+    "exact-moments": ("central_moments cumulant_sums log_mn mu_weighted", "order,central_moment"),
+    "mc-tilt": (
+        "central_moments ess low_ess mean_weight mean_weight_se sample_count standard_errors"
+        " standardized standardized_errors weighted_mean",
+        "order,central_moment,standard_error",
+    ),
+    "cue-check": ("passed phi statistic threshold trials", "statistic,threshold,passed"),
+    "zeta-scan": (
+        "bin_edges central_moments ess low_ess overflow_weight proxy_correlation raw_count"
+        " standard_errors total_weight underflow_weight weighted_counts weighted_mean window",
+        "bin_lo,bin_hi,weighted_count",
+    ),
+    "mu-alpha": ("values window", "alpha,mu_alpha"),
+    "shift-table": ("count k selections", "j,S,T"),
+    "recipe-k1": ("alpha beta recipe_main_term", "t_lo,t_hi,alpha,beta,recipe_main_term"),
+    "recipe-k1 --quadrature": (
+        "alpha beta quadrature recipe_main_term relative_difference",
+        "t_lo,t_hi,alpha,beta,recipe_main_term,quadrature,relative_difference",
+    ),
+}
+
+
+def _schema_key(args):
+    return args[0] + " --quadrature" * ("--quadrature" in args)
+
+
+@pytest.mark.parametrize("args", ONE_RUN_EACH + [ONE_RUN_EACH[-1] + ["--quadrature"]], ids=_schema_key)
+def test_output_schema_is_pinned(tmp_path, args):
+    keys, columns = OUTPUT_SCHEMA[_schema_key(args)]
+    assert run_cli(args + ["--out", str(tmp_path / "result.json")]) == EXIT_OK
+    assert sorted(json.loads((tmp_path / "result.json").read_text())["results"]) == keys.split()
+    assert run_cli(args + ["--format", "csv", "--out", str(tmp_path / "result.csv")]) == EXIT_OK
+    header = [line for line in (tmp_path / "result.csv").read_text().splitlines() if line.startswith("# ")]
+    assert header[-1] == "# " + columns
 
 
 def _sized_exit_code_contract(args):

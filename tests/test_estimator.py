@@ -363,6 +363,5 @@ def test_report_invariants_enforced():
         mean_weight_se=0.0,
         low_ess=False,
     )
-    assert MomentReport(**fields).proxy_correlation is None
     with pytest.raises(ValueError, match="ess 20.0"):
         MomentReport(**{**fields, "ess": 20.0})

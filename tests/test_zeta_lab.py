@@ -568,7 +568,7 @@ def test_histogram_mass_invariant_enforced():
 
 def test_overflow_weight_is_the_weight_above_the_top_edge():
     spec = ScanSpec(T=300.0, samples=2000, k=1, m=0, window=(1, 100), seed=SeedSpec(5))
-    hist, _ = weighted_scan(spec)
+    hist, _, _ = weighted_scan(spec)
     stream = scan_stream(spec)
     log_w = stream.log_weights
     weights = np.exp(log_w - log_w.max())
@@ -631,7 +631,7 @@ def test_scan_stream_determinism_and_range():
 
 
 def test_selberg_baseline_smoke():
-    hist, report = weighted_scan(ScanSpec(T=5e3, samples=500, k=0, seed=SeedSpec(8)))
+    hist, report, _ = weighted_scan(ScanSpec(T=5e3, samples=500, k=0, seed=SeedSpec(8)))
     # Selberg CLT: mean near 0 on the scale of the spread
     assert abs(report.weighted_mean) < 3.0 * math.sqrt(report.central_moments[2])
     mass = hist.weighted_counts.sum() + hist.underflow_weight + hist.overflow_weight
@@ -640,9 +640,9 @@ def test_selberg_baseline_smoke():
 
 
 def test_proxy_positively_correlated():
-    _, report = weighted_scan(ScanSpec(T=1e5, samples=1000, k=0, seed=SeedSpec(15)))
-    assert report.proxy_correlation is not None
-    assert report.proxy_correlation > 0.0
+    _, _, proxy_correlation = weighted_scan(ScanSpec(T=1e5, samples=1000, k=0, seed=SeedSpec(15)))
+    assert proxy_correlation is not None
+    assert proxy_correlation > 0.0
 
 
 def test_scan_log_weights_zero_tilt_and_shift_reuse():
@@ -674,7 +674,7 @@ def test_unshifted_scan_evaluates_zeta_once(monkeypatch):
                 spec = dataclasses.replace(base, m=m)
                 stream = scan_stream(spec)
                 calls.clear()
-                hist, report = weighted_scan(spec)
+                hist, report, _ = weighted_scan(spec)
                 assert calls == ([(spec.samples, 0), (spec.samples, m)] if alpha else [(spec.samples, m)])
                 finite = np.isfinite(stream.values)
                 scale = np.abs(values_m0[finite])
@@ -693,6 +693,6 @@ def test_unshifted_scan_evaluates_zeta_once(monkeypatch):
 
 
 def test_weighted_scan_with_derivative_weight_smoke():
-    hist, report = weighted_scan(ScanSpec(T=4e3, samples=200, k=1, m=1, seed=SeedSpec(77)))
+    hist, report, _ = weighted_scan(ScanSpec(T=4e3, samples=200, k=1, m=1, seed=SeedSpec(77)))
     assert np.isfinite(report.weighted_mean)
     assert report.ess >= 1.0
