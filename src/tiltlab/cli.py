@@ -7,7 +7,8 @@ block.  Outputs are written atomically (temp file + rename) and contain a
 full config echo, so a result file always identifies the run that
 produced it.  Identical config + seed gives byte-identical files.  Exit codes:
 0 success (numerical warnings still exit 0), 2 precondition violation
-(including a NaN or infinite float argument, and a size whose arrays do
+(including an argument argparse rejects, a NaN or infinite float
+argument, an --out that cannot be written, and a size whose arrays do
 not fit in memory), 3 numerical failure
 (including a non-finite value in a result, which is never written).
 """
@@ -41,16 +42,28 @@ EXIT_NUMERICAL = 3
 
 
 def _atomic_write(path, data: str):
+    """Write data to path by a temp file and a rename; an OSError leaves no temp file and raises ValueError."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tiltlab-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tiltlab-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc}") from None
+
+
+def _check_out(path):
+    """Refuse, before any work, an --out path whose directory is missing or which is a directory."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"--out {path}: its directory does not exist")
 
 
 def _emit(echo: dict, results: dict, rows, warnings_list, output_path):
@@ -144,31 +157,10 @@ def _handle_zeta_scan(p, seed):
         window=None if None in bounds else bounds,
         seed=SeedSpec(seed),
     )
-    window = {}
-    hist, report, proxy_correlation = weighted_scan(spec, window)
-    results = {
-        "weighted_mean": report.weighted_mean,
-        "central_moments": report.central_moments,
-        "standard_errors": report.standard_errors,
-        "ess": report.ess,
-        "low_ess": report.low_ess,
-        "proxy_correlation": proxy_correlation,
-        "total_weight": hist.total_weight,
-        "raw_count": hist.raw_count,
-        "underflow_weight": hist.underflow_weight,
-        "overflow_weight": hist.overflow_weight,
-        "bin_edges": list(hist.bin_edges),
-        "weighted_counts": list(hist.weighted_counts),
-        "window": window,
-    }
-    rows = (
-        ("bin_lo", "bin_hi", "weighted_count"),
-        [
-            (hist.bin_edges[i], hist.bin_edges[i + 1], hist.weighted_counts[i])
-            for i in range(len(hist.weighted_counts))
-        ],
-    )
-    return results, rows
+    report = weighted_scan(spec)
+    edges = report.bin_edges
+    rows = (("bin_lo", "bin_hi", "weighted_count"), list(zip(edges, edges[1:], report.weighted_counts)))
+    return asdict(report), rows
 
 
 def _handle_mu_alpha(p, seed):
@@ -297,9 +289,14 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = vars(_build_parser().parse_args(argv))
+    try:
+        args = vars(_build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse has printed its message: 2 for a rejection, 0 for --help or --version
+        return exc.code
     subcommand, out, fmt, seed = (args.pop(key) for key in ("subcommand", "out", "format", "seed"))
     try:
+        if out:
+            _check_out(out)
         thread_count(1)  # a bad TILTLAB_THREADS fails every subcommand alike, before any work
         pin_blas()  # one BLAS thread even where numpy loaded before tiltlab
         if not 0 <= seed < 2**64:

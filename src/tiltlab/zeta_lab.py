@@ -13,6 +13,7 @@ Weighted scans sample t uniformly in [T, 2T], weigh by
 |zeta^(m)(1/2 + it + i alpha)|^{2k}, and reuse the self-normalized
 reduction of the Monte Carlo estimator.  One `zeta_line` call gives a
 scan's values and, unshifted, its weights; a shift takes one more.
+`weighted_scan` returns one `ScanReport`, which `zeta-scan` writes whole.
 
 `mu_alpha` walks no prime of a window wider than RECURSION_WIDTH * hi^(3/4)
 that the Rosser-Schoenfeld bound pi(hi) < 1.25506 hi / log hi keeps below
@@ -37,7 +38,7 @@ from .threads import one_ahead
 from .zeta_eval import MAX_DERIVATIVE, RS_MAX_T, zeta_line
 
 __all__ = [
-    "WeightedHistogram",
+    "ScanReport",
     "ScanSpec",
     "ScanStream",
     "default_window",
@@ -361,30 +362,36 @@ def dirichlet_poly(t_arr, window):
 
 
 @dataclass(frozen=True)
-class WeightedHistogram:
-    """Weighted empirical distribution with explicit under/overflow mass."""
+class ScanReport:
+    """One weighted scan's results, each a plain value; `zeta-scan` writes them all.
 
-    bin_edges: np.ndarray
-    weighted_counts: np.ndarray
+    The moments (orders 0..4) and their errors are the self-normalized ones
+    of the samples with a finite log|zeta|, and proxy_correlation is the
+    unweighted correlation of Re P(t) with log|zeta| over them.  The
+    histogram's weights are exp(log-weight - the largest), total_weight
+    their sum over all raw_count samples; `window` is the window summed, as
+    `mu_alpha` fills `extent`.  Bins, underflow and overflow that do not add
+    up to total_weight (a NaN value lands in none) raise FloatingPointError.
+    """
+
+    weighted_mean: float
+    central_moments: list[float]
+    standard_errors: list[float]  # [1] = SE of the mean, [n>=2] = SE of m_n
+    ess: float
+    low_ess: bool
+    proxy_correlation: float
     total_weight: float
     raw_count: int
-    underflow_weight: float = 0.0
-    overflow_weight: float = 0.0
+    underflow_weight: float
+    overflow_weight: float
+    bin_edges: list[float]
+    weighted_counts: list[float]
+    window: dict
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.weighted_counts, dtype=float)
-        if len(counts) != len(edges) - 1:
-            raise ValueError("need len(weighted_counts) == len(bin_edges) - 1")
-        if np.any(counts < 0) or min(self.underflow_weight, self.overflow_weight) < 0:
-            raise ValueError("weights must be nonnegative")
-        if self.total_weight <= 0:
-            raise ValueError("total_weight must be positive")
-        mass = counts.sum() + self.underflow_weight + self.overflow_weight
-        if abs(mass - self.total_weight) > 1e-9 * self.total_weight:
-            raise ValueError("histogram mass does not add up to total_weight")
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "weighted_counts", counts)
+        mass = math.fsum(self.weighted_counts) + self.underflow_weight + self.overflow_weight
+        if not abs(mass - self.total_weight) <= 1e-9 * self.total_weight:
+            raise FloatingPointError(f"histogram mass {mass!r} does not add up to total_weight {self.total_weight!r}")
 
 
 @dataclass(frozen=True)
@@ -458,47 +465,44 @@ def scan_stream(spec: ScanSpec) -> ScanStream:
     return ScanStream(t=t, values=values, log_weights=log_w, proxy=proxy)
 
 
-def weighted_scan(spec: ScanSpec, extent=None):
-    """Self-normalized weighted histogram, moment report (orders 0..4) and proxy correlation for one scan.
-
-    The correlation is the unweighted one of the Dirichlet proxy with
-    log|zeta| over the finite samples.
+def weighted_scan(spec: ScanSpec) -> ScanReport:
+    """The `ScanReport` of one scan: weighted moments, proxy correlation and histogram.
 
     One `mu_alpha` pass over the window, before any zeta value, gives the
-    histogram's width from L = sum 1/p, fills the dict `extent` as
-    `mu_alpha` does, and raises ValueError for a window that holds no
-    prime.  Near-zero |zeta| samples drive log to -inf; they land in the
-    underflow bin with their (vanishing, at k >= 1) weight rather than
-    being dropped.
+    histogram's width from L = sum 1/p and the report's `window`, and
+    raises ValueError for a window that holds no prime.  The histogram has
+    HISTOGRAM_BINS bins of HISTOGRAM_HALF_WIDTHS sqrt(L/2) on each side of
+    the weighted mean.  Near-zero |zeta| samples drive log to -inf; they
+    land in the underflow bin with their (vanishing, at k >= 1) weight
+    rather than being dropped.
     """
-    extent = {} if extent is None else extent
-    mertens = mu_alpha(spec.window, 0.0, extent)
-    if not extent["count"]:
+    window = {}
+    mertens = mu_alpha(spec.window, 0.0, window)
+    if not window["count"]:
         raise ValueError(
-            f"the prime window ({extent['lo']:g}, {extent['hi']:g}] holds no prime; "
+            f"the prime window ({window['lo']:g}, {window['hi']:g}] holds no prime; "
             "the scan's prime proxy needs at least one"
         )
     stream = scan_stream(spec)
     log_w = stream.log_weights
     finite = np.isfinite(stream.values)
-    report = weighted_moments(stream.values[finite], log_w[finite], 4)
-    corr = float(np.corrcoef(stream.proxy[finite], stream.values[finite])[0, 1])
-
+    moments = weighted_moments(stream.values[finite], log_w[finite], 4)
     half_width = HISTOGRAM_HALF_WIDTHS * math.sqrt(0.5 * max(mertens, 1e-12))
-    center = report.weighted_mean
+    center = moments.weighted_mean
     edges = np.linspace(center - half_width, center + half_width, HISTOGRAM_BINS + 1)
-    shift = np.max(log_w)
-    weights = np.exp(log_w - shift)
-    total = float(weights.sum())
-    inside = np.histogram(stream.values, bins=edges, weights=weights)[0]
-    under = float(weights[stream.values < edges[0]].sum())
-    over = float(weights[stream.values > edges[-1]].sum())
-    hist = WeightedHistogram(
-        bin_edges=edges,
-        weighted_counts=inside,
-        total_weight=total,
+    weights = np.exp(log_w - np.max(log_w))
+    return ScanReport(
+        weighted_mean=moments.weighted_mean,
+        central_moments=moments.central_moments,
+        standard_errors=moments.standard_errors,
+        ess=moments.ess,
+        low_ess=moments.low_ess,
+        proxy_correlation=float(np.corrcoef(stream.proxy[finite], stream.values[finite])[0, 1]),
+        total_weight=float(weights.sum()),
         raw_count=int(spec.samples),
-        underflow_weight=under,
-        overflow_weight=over,
+        underflow_weight=float(weights[stream.values < edges[0]].sum()),
+        overflow_weight=float(weights[stream.values > edges[-1]].sum()),
+        bin_edges=edges.tolist(),
+        weighted_counts=np.histogram(stream.values, bins=edges, weights=weights)[0].tolist(),
+        window=window,
     )
-    return hist, report, corr

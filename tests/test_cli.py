@@ -5,7 +5,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 import tiltlab
 from tiltlab import cli, zeta_lab
 from tiltlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
+from tiltlab.cue import SeedSpec
+from tiltlab.zeta_lab import ScanSpec, weighted_scan
 
 from oracles import harmonic
 
@@ -109,6 +113,21 @@ def test_zeta_scan_json_mass(tmp_path):
     assert mass == pytest.approx(res["total_weight"], rel=1e-9)
 
 
+@pytest.mark.parametrize("window", [None, (1.0, 500.0)], ids=["default", "explicit"])
+def test_zeta_scan_results_are_the_report(tmp_path, window):
+    spec = ScanSpec(T=1e4, samples=300, k=1, m=1, window=window, seed=SeedSpec(9))
+    args = ["zeta-scan", "--t", "1e4", "--samples", "300", "--k", "1", "--m", "1", "--seed", "9"]
+    if window:
+        args += ["--window-lo", "1", "--window-hi", "500"]
+    out = tmp_path / "scan.json"
+    assert run_cli(args + ["--out", str(out)]) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    report = asdict(weighted_scan(spec))
+    assert list(results) == sorted(report)
+    for key, value in report.items():
+        assert results[key] == value, key
+
+
 def test_mu_alpha_csv(tmp_path):
     out = tmp_path / "mu.csv"
     code = run_cli(
@@ -175,6 +194,52 @@ def test_low_ess_warning_exits_zero(tmp_path):
     assert any("effective sample size" in w for w in payload["warnings"])
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["exact-moments", "--n", "2.5", "--k", "1"],
+        ["exact-moments", "--n", "2", "--k", "1", "--format", "xml"],
+        ["exact-moments", "--k", "1"],
+        ["no-such-subcommand"],
+    ],
+    ids=["unparsable", "bad-choice", "missing", "unknown-subcommand"],
+)
+def test_argparse_rejections_return_precondition(tmp_path, capsys, args):
+    assert run_cli(args + ["--out", str(tmp_path / "result.json")]) == EXIT_PRECONDITION
+    assert "error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_version_returns_ok(capsys):
+    assert run_cli(["--version"]) == EXIT_OK
+    assert capsys.readouterr().out == f"tiltlab {tiltlab.__version__}\n"
+
+
+def _never_compute(*args, **kwargs):
+    raise AssertionError("the run started before --out was checked")
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-directory", "a-directory"])
+def test_unwritable_out_exits_precondition_before_any_work(tmp_path, capsys, monkeypatch, target):
+    monkeypatch.setattr(cli, "weighted_central_moments", _never_compute)
+    out = str(tmp_path / target)
+    assert run_cli(["exact-moments", "--n", "10", "--k", "1", "--out", out]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: --out ") and out in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_write_exits_precondition_without_temp_file(tmp_path, capsys, monkeypatch):
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", full_disk)
+    out = tmp_path / "x.json"
+    assert run_cli(["exact-moments", "--n", "5", "--k", "1", "--out", str(out)]) == EXIT_PRECONDITION
+    assert f"cannot write --out {out}: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     out = tmp_path / "x.json"
     run_cli(["exact-moments", "--n", "5", "--k", "1", "--out", str(out)])
@@ -215,6 +280,24 @@ def test_non_finite_csv_cell_exits_numerical_without_writing(tmp_path, monkeypat
     out = tmp_path / "recipe.csv"
     args = ["recipe-k1", "--t-lo", "1000", "--t-hi", "2000", "--format", "csv", "--out", str(out)]
     assert run_cli(args) == EXIT_NUMERICAL
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_zeta_value_exits_numerical_without_writing(tmp_path, capsys, monkeypatch, k, fmt):
+    # at k = 0 the NaN value drops out of every bin; at k >= 1 it is also a NaN weight
+    line = zeta_lab.zeta_line
+
+    def one_nan_height(t, m=0):
+        rows = line(t, m)
+        rows[:, 7] = np.nan
+        return rows
+
+    monkeypatch.setattr(zeta_lab, "zeta_line", one_nan_height)
+    args = ["zeta-scan", "--t", "1e4", "--samples", "200", "--k", k, "--format", fmt]
+    assert run_cli(args + ["--out", str(tmp_path / "scan.out")]) == EXIT_NUMERICAL
+    assert "numerical failure: histogram mass" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
@@ -558,13 +641,10 @@ def test_output_schema_is_pinned(tmp_path, args):
 
 
 def _sized_exit_code_contract(args):
-    """_exit_code_contract with exit 3 allowed, one worker thread, and argparse's exit 2 for an unparsable value."""
+    """_exit_code_contract with exit 3 allowed and one worker thread; argparse's rejections return 2 too."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("TILTLAB_THREADS", "1")
-        try:
-            _exit_code_contract(args, allowed=(EXIT_OK, EXIT_PRECONDITION, EXIT_NUMERICAL))
-        except SystemExit as exc:  # argparse rejects the value before any run starts
-            assert exc.code == EXIT_PRECONDITION
+        _exit_code_contract(args, allowed=(EXIT_OK, EXIT_PRECONDITION, EXIT_NUMERICAL))
 
 
 _BAD_SIZES = st.sampled_from(["0", "-3", "nan", "inf", "-inf", "2.5", "0.0", "1e3"])

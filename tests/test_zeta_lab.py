@@ -12,8 +12,8 @@ from tiltlab import zeta_eval, zeta_lab
 from tiltlab.cue import SeedSpec
 from tiltlab.estimator import weighted_moments
 from tiltlab.zeta_lab import (
+    ScanReport,
     ScanSpec,
-    WeightedHistogram,
     checked_alphas,
     default_window,
     dirichlet_poly,
@@ -539,41 +539,29 @@ def test_dirichlet_poly_conjugate_symmetry():
 
 
 def test_histogram_mass_invariant_enforced():
-    with pytest.raises(ValueError):
-        WeightedHistogram(
-            bin_edges=np.array([0.0, 1.0, 2.0]),
-            weighted_counts=np.array([1.0, 1.0]),
-            total_weight=5.0,
-            raw_count=3,
-        )
-    hist = WeightedHistogram(
-        bin_edges=np.array([0.0, 1.0, 2.0]),
-        weighted_counts=np.array([1.0, 1.0]),
-        total_weight=2.5,
-        raw_count=3,
-        underflow_weight=0.25,
-        overflow_weight=0.25,
+    report = weighted_scan(ScanSpec(T=300.0, samples=200, window=(1, 100), seed=SeedSpec(6)))
+    assert isinstance(report, ScanReport)
+    # a value in no bin (a NaN drops out of every one), or a NaN weight
+    for total in (report.total_weight + 1.0, math.nan):
+        with pytest.raises(FloatingPointError, match="histogram mass"):
+            dataclasses.replace(report, total_weight=total)
+    moved = dataclasses.replace(
+        report,
+        weighted_counts=[0.0] * len(report.weighted_counts),
+        underflow_weight=0.25 * report.total_weight,
+        overflow_weight=0.75 * report.total_weight,
     )
-    assert hist.total_weight == 2.5
-    for side in ("underflow_weight", "overflow_weight"):
-        with pytest.raises(ValueError):
-            WeightedHistogram(
-                bin_edges=np.array([0.0, 1.0]),
-                weighted_counts=np.array([1.0]),
-                total_weight=1.0,
-                raw_count=1,
-                **{side: -1e-13},
-            )
+    assert moved.total_weight == report.total_weight
 
 
 def test_overflow_weight_is_the_weight_above_the_top_edge():
     spec = ScanSpec(T=300.0, samples=2000, k=1, m=0, window=(1, 100), seed=SeedSpec(5))
-    hist, _, _ = weighted_scan(spec)
+    report = weighted_scan(spec)
     stream = scan_stream(spec)
     log_w = stream.log_weights
     weights = np.exp(log_w - log_w.max())
-    assert hist.overflow_weight >= 0.0
-    assert hist.overflow_weight == float(weights[stream.values > hist.bin_edges[-1]].sum())
+    assert report.overflow_weight >= 0.0
+    assert report.overflow_weight == float(weights[stream.values > report.bin_edges[-1]].sum())
 
 
 def test_default_window_rejects_heights_without_primes():
@@ -631,18 +619,16 @@ def test_scan_stream_determinism_and_range():
 
 
 def test_selberg_baseline_smoke():
-    hist, report, _ = weighted_scan(ScanSpec(T=5e3, samples=500, k=0, seed=SeedSpec(8)))
+    report = weighted_scan(ScanSpec(T=5e3, samples=500, k=0, seed=SeedSpec(8)))
     # Selberg CLT: mean near 0 on the scale of the spread
     assert abs(report.weighted_mean) < 3.0 * math.sqrt(report.central_moments[2])
-    mass = hist.weighted_counts.sum() + hist.underflow_weight + hist.overflow_weight
-    assert mass == pytest.approx(hist.total_weight, rel=1e-9)
+    mass = sum(report.weighted_counts) + report.underflow_weight + report.overflow_weight
+    assert mass == pytest.approx(report.total_weight, rel=1e-9)
     assert report.ess == pytest.approx(500.0)
 
 
 def test_proxy_positively_correlated():
-    _, _, proxy_correlation = weighted_scan(ScanSpec(T=1e5, samples=1000, k=0, seed=SeedSpec(15)))
-    assert proxy_correlation is not None
-    assert proxy_correlation > 0.0
+    assert weighted_scan(ScanSpec(T=1e5, samples=1000, k=0, seed=SeedSpec(15))).proxy_correlation > 0.0
 
 
 def test_scan_log_weights_zero_tilt_and_shift_reuse():
@@ -674,25 +660,24 @@ def test_unshifted_scan_evaluates_zeta_once(monkeypatch):
                 spec = dataclasses.replace(base, m=m)
                 stream = scan_stream(spec)
                 calls.clear()
-                hist, report, _ = weighted_scan(spec)
+                report = weighted_scan(spec)
                 assert calls == ([(spec.samples, 0), (spec.samples, m)] if alpha else [(spec.samples, m)])
                 finite = np.isfinite(stream.values)
                 scale = np.abs(values_m0[finite])
                 assert np.all(np.abs(stream.values[finite] - values_m0[finite]) <= 1e-12 * scale)
                 log_w = stream.log_weights
                 ref = weighted_moments(stream.values[finite], log_w[finite], 4)
-                fields = ("ess", "weighted_mean", "central_moments", "standard_errors", "standardized", "mean_weight")
-                for name in fields:
+                for name in ("ess", "weighted_mean", "central_moments", "standard_errors"):
                     assert getattr(report, name) == getattr(ref, name)
                 weights = np.exp(log_w - log_w.max())
-                counts = np.histogram(stream.values, hist.bin_edges, weights=weights)[0]
-                assert np.array_equal(hist.weighted_counts, counts)
+                counts = np.histogram(stream.values, report.bin_edges, weights=weights)[0]
+                assert np.array_equal(report.weighted_counts, counts)
             calls.clear()
             scan_stream(dataclasses.replace(base, k=0, m=2))
             assert calls == [(base.samples, 0)]
 
 
 def test_weighted_scan_with_derivative_weight_smoke():
-    hist, report, _ = weighted_scan(ScanSpec(T=4e3, samples=200, k=1, m=1, seed=SeedSpec(77)))
+    report = weighted_scan(ScanSpec(T=4e3, samples=200, k=1, m=1, seed=SeedSpec(77)))
     assert np.isfinite(report.weighted_mean)
     assert report.ess >= 1.0
