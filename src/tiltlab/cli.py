@@ -16,6 +16,7 @@ not fit in memory), 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -218,7 +219,9 @@ _HANDLERS = {
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process: parse_args starts every run from its defaults, so `main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="tiltlab",
         description="Tilted CUE statistics and weighted zeta value-distribution experiments",

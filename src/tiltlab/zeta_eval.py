@@ -9,8 +9,11 @@ too) and `zeta_rs_many`, each return every jet row at once.  On an
 arithmetic progression of s (a uniform quadrature grid) the
 Euler-Maclaurin main sums of all nodes are complex matrix products of
 anchor and step tables, one per chunk of terms in a reused 2 MiB buffer
-(`zeta_em_progression`), so memory grows with the node count alone;
-both Euler-Maclaurin evaluators share one tail.
+(`zeta_em_progression`), so memory grows with the node count alone.
+Each table is the product of a coarse and a fine table of powers, so a
+term takes about 4 count^(1/4) complex exps rather than 2 sqrt(count).
+Both Euler-Maclaurin evaluators share one tail, which takes M^{-s} from
+one exp and M^{1-s}, M^{-s-1} from it.
 
 Derivatives are Taylor jets in eps (`tiltlab.jet`).  Euler-Maclaurin
 expands zeta(s + eps) term by term: the main sum gives
@@ -133,10 +136,15 @@ def zeta_em_progression(s0, ds, count):
 
     With B = isqrt(count) and j = a B + b, each main-sum term factors as
     n^{-s_j} = n^{-(s0 + a B ds)} n^{-b ds}, so the main sums of all
-    nodes are anchors @ steps.T: about 2 sqrt(count) M complex exps
-    instead of count M.  The M terms go in chunks: each chunk's anchor
-    and step tables fill one reused buffer of _TABLE_ENTRIES, and their
-    product is added to the sums.  The tail is added over blocks of
+    nodes are anchors @ steps.T.  Each of those tables is in turn a
+    coarse x fine product (`_coarse_fine`): with A = isqrt(anchors) and
+    a = a1 A + a2, n^{-(s0 + a B ds)} = n^{-(s0 + a1 A B ds)} n^{-a2 B ds},
+    and b splits the same way over isqrt(B).  So the M terms take about
+    4 count^(1/4) M complex exps (48 per term at 20,001 nodes) and one
+    complex product per table entry, not one exp per entry, which would
+    be 2 sqrt(count) M.  The M terms go in chunks: each chunk's
+    anchor and step tables fill one reused buffer of _TABLE_ENTRIES, and
+    their product is added to the sums.  The tail is added over blocks of
     nodes in the same budget.  The term count M is the one zeta_em_many
     picks for the same nodes.
     """
@@ -147,23 +155,44 @@ def zeta_em_progression(s0, ds, count):
     terms = _em_terms(max(abs(ends.imag)))
     log_n = np.log(np.arange(1, terms, dtype=float))
     block = math.isqrt(count)
-    neg_s = -np.concatenate([s0 + np.arange(0, count, block) * ds, np.arange(block) * ds])
-    anchors = neg_s.size - block
-    width = max(1, _TABLE_ENTRIES // neg_s.size)
-    buffer = np.empty(neg_s.size * min(width, log_n.size), dtype=np.complex128)
+    anchors = -(-count // block)
+    exponents = [*_coarse_fine(s0, block, anchors, ds), *_coarse_fine(0.0, 1, block, ds)]
+    neg_s, cuts = np.concatenate(exponents), np.cumsum([x.size for x in exponents])[:-1]
+    # the anchor and step tables' rows, each padded to whole coarse rows
+    rows = exponents[0].size * exponents[1].size, exponents[2].size * exponents[3].size
+    width = max(1, _TABLE_ENTRIES // sum(rows))
+    powers_buffer = np.empty(neg_s.size * min(width, log_n.size), dtype=np.complex128)
+    buffer = np.empty(sum(rows) * min(width, log_n.size), dtype=np.complex128)
     sums = np.zeros((anchors, block), dtype=np.complex128)
     product = np.empty_like(sums)
     for lo in range(0, log_n.size, width):
         chunk = log_n[lo : lo + width]
-        table = buffer[: neg_s.size * chunk.size].reshape(neg_s.size, chunk.size)
-        np.exp(np.multiply(neg_s[:, None], chunk, out=table), out=table)
-        sums += np.matmul(table[:anchors], table[anchors:].T, out=product)
-    del buffer, product
+        powers = powers_buffer[: neg_s.size * chunk.size].reshape(neg_s.size, chunk.size)
+        np.exp(np.multiply(neg_s[:, None], chunk, out=powers), out=powers)
+        coarse_a, fine_a, coarse_b, fine_b = np.split(powers, cuts)
+        table = buffer[: sum(rows) * chunk.size].reshape(sum(rows), chunk.size)
+        anchor_rows, step_rows = table[: rows[0]], table[rows[0] :]
+        np.multiply(coarse_a[:, None], fine_a, out=anchor_rows.reshape(coarse_a.shape[0], fine_a.shape[0], -1))
+        np.multiply(coarse_b[:, None], fine_b, out=step_rows.reshape(coarse_b.shape[0], fine_b.shape[0], -1))
+        sums += np.matmul(anchor_rows[:anchors], step_rows[:block].T, out=product)
+    del powers_buffer, buffer, product
     out = sums.ravel()[:count]
     nodes = _TABLE_ENTRIES // 8  # _em_tail holds about eight complex arrays of its nodes
     for lo in range(0, count, nodes):
         out[lo : lo + nodes] += _em_tail(s0 + np.arange(lo, min(count, lo + nodes)) * ds, terms, 0)[0]
     return out
+
+
+def _coarse_fine(first, unit, rows, ds):
+    """Exponents -(first + i unit ds) for i < rows, as a coarse and a fine set with F = isqrt(rows).
+
+    The coarse set takes i = i1 F and the fine set i = i2 < F, so the
+    power n^{-(first + i unit ds)} is the product of the i1-th coarse and
+    the i2-th fine power for i = i1 F + i2; the last coarse row's products
+    may run past rows.
+    """
+    fine = math.isqrt(rows)
+    return -(first + np.arange(0, rows, fine) * unit * ds), -np.arange(fine) * unit * ds
 
 
 def _em_tail(s, terms, order):
@@ -173,18 +202,19 @@ def _em_tail(s, terms, order):
     with (s)_r the rising factorial, is a jet in eps at s + eps; its
     coefficients times r! are returned as rows.
     """
-    pole = terms ** (1.0 - s) / (s - 1.0)
+    log_m = math.log(terms)
+    m_s = np.exp(-s * log_m)  # M^{-s}; M^{1-s} and M^{-s-1} follow by a real multiply
+    pole = m_s * float(terms) / (s - 1.0)
     bracket = [pole * (-1.0 / (s - 1.0)) ** r for r in range(order + 1)]
-    bracket[0] = bracket[0] + 0.5 * terms ** (-s)
+    bracket[0] = bracket[0] + 0.5 * m_s
     rising = _linear(s, order)
-    power = terms ** (-s - 1.0)
+    power = m_s * (1.0 / terms)
     m2 = float(terms) ** -2.0
     for j in range(1, _EM_J + 1):
         c = _B2N[j - 1] / math.factorial(2 * j) * power
         bracket = [b + c * x for b, x in zip(bracket, rising)]
         rising = jet.mul(jet.mul(rising, _linear(s + 2 * j - 1, order)), _linear(s + 2 * j, order))
         power = power * m2
-    log_m = math.log(terms)
     m_power = [(-log_m) ** r / math.factorial(r) for r in range(order + 1)]  # M^{-eps}
     return np.array([math.factorial(r) * x for r, x in enumerate(jet.mul(m_power, bracket))])
 

@@ -123,6 +123,20 @@ def odd_only_sieve(limit):
     return [2] + [2 * i + 3 for i in range(size) if mask[i]]
 
 
+def hurwitz_zeta(s, a):
+    """zeta(s, a) = sum_{n >= 0} (n + a)^{-s} at an integer a >= 1, in mpmath at its working precision.
+
+    mpmath's zeta(s, a) sieves every integer below an integer a, so past
+    a = 1e5 Hermite's integral takes its place:
+    a^{-s}/2 + a^{1-s}/(s-1) + 2 int_0^inf sin(s atan(t/a)) (a^2 + t^2)^{-s/2} / (e^{2 pi t} - 1) dt.
+    """
+    if a <= 10**5:
+        return mp.zeta(s, a)
+    a = mp.mpf(a)
+    integrand = lambda t: mp.sin(s * mp.atan(t / a)) * (a * a + t * t) ** (-s / 2) / mp.expm1(2 * mp.pi * t)
+    return a**-s / 2 + a ** (1 - s) / (s - 1) + 2 * mp.quad(integrand, [0, 1, mp.inf])
+
+
 def eta_zeta(s, terms=60):
     """zeta(s) from the alternating eta series with Cohen-Villegas-Zagier acceleration."""
     s = complex(s)

@@ -215,6 +215,34 @@ def test_version_returns_ok(capsys):
     assert capsys.readouterr().out == f"tiltlab {tiltlab.__version__}\n"
 
 
+def test_one_parser_serves_every_run_of_the_process(tmp_path):
+    # main builds its parser once per process; no run may carry an option over to the
+    # next, so each file is the one its argv writes as the first run of a process
+    runs = [
+        ["mu-alpha", "--lo", "1", "--hi", "1000", "--alpha", "0.01", "--alpha", "0.5"],
+        ["mu-alpha", "--lo", "1", "--hi", "1000", "--alpha", "0.25"],
+        ["zeta-scan", "--t", "1000", "--samples", "100", "--k", "1"],
+    ]
+
+    def written(tag, fresh):
+        files = []
+        for i, args in enumerate(runs):
+            if fresh:
+                cli._build_parser.cache_clear()
+            out = tmp_path / f"{tag}{i}.json"
+            assert run_cli(args + ["--out", str(out)]) == EXIT_OK
+            files.append(out.read_bytes())
+        return files
+
+    first = written("first", fresh=True)
+    builds = cli._build_parser.cache_info().misses
+    assert written("reused", fresh=False) == first
+    assert cli._build_parser.cache_info().misses == builds
+    payload = json.loads(first[1])
+    assert payload["config"]["parameters"]["alphas"] == [0.25]
+    assert [v["alpha"] for v in payload["results"]["values"]] == [0.25]
+
+
 def _never_compute(*args, **kwargs):
     raise AssertionError("the run started before --out was checked")
 

@@ -15,6 +15,8 @@ from tiltlab.zeta_eval import (
     RS_MAX_T,
     _C_RELATIONS,
     _PRIMES,
+    _em_tail,
+    _em_terms,
     _RS_MAX_N,
     _factor_levels,
     _phi_derivative,
@@ -80,6 +82,39 @@ def test_em_progression_matches_em_many(count, sign, sigma):
     idx = np.unique(np.r_[np.arange(0, count, max(1, count // 200)), count - 1])
     direct = zeta_em_many(s0 + idx * ds)[0]
     assert np.abs(got[idx] - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_em_progression_matches_em_many_on_the_widest_grid(sign):
+    # the widest default quadrature grid, recipe-k1 --t-lo 50 --t-hi 1e4 --quadrature:
+    # 199,001 nodes from 0.5 + 50i at step 0.05i, where the coarse x fine rows reach
+    # their largest anchors, against the same strided reference.  Near t = 1e4 either
+    # route rounds a term's phase t log n (up to 9e4 rad) to about spacing(t) log n in
+    # float64: that, not 1e-12, is the resolution there, and both routes are about
+    # 2e-11 off mpmath at t = 1e4 (they differ by 2.1e-12 of max |zeta|)
+    s0, ds, count = complex(0.5, sign * 50.0), sign * 0.05j, 199_001
+    got = zeta_em_progression(s0, ds, count)
+    idx = np.unique(np.r_[np.arange(0, count, count // 200), count - 1])
+    direct = zeta_em_many(s0 + idx * ds)[0]
+    resolution = np.spacing(1e4) * math.log(_em_terms(1e4))
+    assert np.abs(got[idx] - direct).max() <= resolution * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("t", [50.0, 1000.0, 1e4])
+@pytest.mark.parametrize("sigma", [0.5, 0.5724, 1.3])
+def test_em_tail_is_the_hurwitz_zeta(sigma, t):
+    # the tail both EM evaluators add is sum_{n >= M} n^{-s}, mpmath's Hurwitz zeta(s, M),
+    # and its rows r <= 4 are that sum's s-derivatives; M is the count _em_terms picks.
+    # Past 1e-13, any float64 route to M^{-s} carries the rounding of its argument s log M
+    import mpmath as mp
+
+    s, terms = complex(sigma, t), _em_terms(t)
+    got = _em_tail(np.array([s]), terms, 4)[:, 0]
+    bound = 1e-13 + abs(s) * math.log(terms) * 2.0**-52
+    with mp.workdps(30):
+        for r, value in enumerate(got):
+            ref = complex(mp.zeta(mp.mpc(sigma, t), terms, r))
+            assert abs(value - ref) <= bound * abs(ref), f"row {r}"
 
 
 def test_em_progression_against_mpmath():

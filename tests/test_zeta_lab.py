@@ -22,7 +22,7 @@ from tiltlab.zeta_lab import (
     weighted_scan,
 )
 
-from oracles import odd_only_sieve, prime_power_sum_loop, trial_division_primes
+from oracles import hurwitz_zeta, odd_only_sieve, prime_power_sum_loop, trial_division_primes
 
 
 def sieved(limit, lo=0):
@@ -437,6 +437,31 @@ def test_recursed_mu_alpha_holds_no_window_at_the_recursion_edge(monkeypatch):
     # per recursion, and the 8,444,501 primes would take 64 MiB
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
     assert extent["count"] == 8_444_501  # the sieve's count
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.5, 0.99, 5e-324])
+def test_power_sums_against_mpmath(alpha):
+    # sum_{2 <= n <= v} n^{-s}, s = 1 + i alpha, by a route apart from the recursion's
+    # walk: zeta(s) - 1 - zeta(s, v + 1), or H_v - 1 where alpha is 0 or subnormal.  Each v
+    # alone is a block whose smallest x is v, which keeps the fewest Bernoulli terms
+    # (1 at 1e8); together they are one block summed with the 9 terms that x = 16 needs;
+    # in arange(1026), as the recursion lays out its small values, 1024 opens a block
+    import mpmath as mp
+
+    v = [0, 1, 2, 16, 17, 1023, 1024, 1025, 10**4, 10**8, 10**10]
+    alone = np.concatenate([zeta_lab._power_sums(np.array([x]), alpha) for x in v])
+    together = zeta_lab._power_sums(np.array(v), alpha)
+    ranged = zeta_lab._power_sums(np.arange(1026), alpha)
+    assert alone[:2].tolist() == together[:2].tolist() == ranged[:2].tolist() == [0, 0]  # empty sums
+    with mp.workdps(30):
+        s = mp.mpc(1, alpha)
+        for x, *got in zip(v[2:], alone[2:], together[2:]):
+            if alpha in (0.0, 5e-324):
+                ref = complex(mp.harmonic(x) - 1)
+            else:
+                ref = complex(mp.zeta(s) - 1 - hurwitz_zeta(s, x + 1))
+            got += [ranged[x]] if x < ranged.size else []
+            assert max(abs(value - ref) for value in got) <= 1e-14 * abs(ref), f"v = {x}"
 
 
 PRIME_SUM_ALPHAS = [None, 0.0, -0.0, 0.01, -0.37, 0.99, -0.999, 5e-324]
