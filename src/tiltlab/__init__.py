@@ -7,8 +7,9 @@ and dense QR Haar draws; Haar draws are reweighted by self-normalized
 importance sampling), reduced to weighted moments with delta-method
 errors.  Zeta side: critical-line evaluators, prime-window Dirichlet
 polynomials, weighted scans, and the shifted-moment recipe combinatorics.
-Every function here but the `shifts` recipe helpers is reached from the
-`tiltlab` command line; `tests/test_api.py` traces the runs that show it.
+Every function here but `shifts.swap_shifts` and the `ShiftTuple` check
+is reached from the `tiltlab` command line; `tests/test_api.py` traces
+the runs that show it.
 """
 
 import os
@@ -33,7 +34,6 @@ from .shifts import (
     SelectionPair,
     ShiftTuple,
     enumerate_selections,
-    g_p_factor,
     second_moment_recipe_k1,
     swap_shifts,
 )
@@ -52,7 +52,6 @@ __all__ = [
     "SelectionPair",
     "ShiftTuple",
     "enumerate_selections",
-    "g_p_factor",
     "second_moment_recipe_k1",
     "swap_shifts",
     "zeta_line",

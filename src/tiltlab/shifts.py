@@ -2,11 +2,7 @@
 
 A shifted 2k-th moment expands over pairs of equal-size subsets (S, T) of
 the alpha- and beta-shifts; each selection swaps its chosen shifts by
-alpha_i -> -beta_l, beta_l -> -alpha_i (in sorted index order) and
-contributes a per-prime factor g_p(S, T).  The Gaussian main term
-exp(z^2 L / 4 - k z mu + (z/2) sum_p g_p/p) is differentiated at z = 0
-through the Taylor-jet exponential (`tiltlab.jet`) that the exact RMT
-moments use.
+alpha_i -> -beta_l, beta_l -> -alpha_i (in sorted index order).
 
 For k = 1 the recipe's main term is evaluated in closed form and can be
 compared against direct Simpson quadrature of
@@ -19,14 +15,12 @@ right one as the conjugate of zeta(1/2 + conj(b) + it), so equal shifts
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from . import jet
 from .zeta_eval import RS_MAX_T, zeta_em_many, zeta_em_progression
 
 __all__ = [
@@ -34,9 +28,6 @@ __all__ = [
     "SelectionPair",
     "enumerate_selections",
     "swap_shifts",
-    "g_p_factor",
-    "gaussian_exponent",
-    "gaussian_exponent_derivatives",
     "second_moment_recipe_k1",
     "second_moment_quadrature_k1",
 ]
@@ -117,38 +108,6 @@ def swap_shifts(shift_tuple: ShiftTuple, sel: SelectionPair) -> ShiftTuple:
         alphas[i_r - 1] = -shift_tuple.betas[l_r - 1]
         betas[l_r - 1] = -shift_tuple.alphas[i_r - 1]
     return ShiftTuple(k=k, alphas=tuple(alphas), betas=tuple(betas))
-
-
-def g_p_factor(p, sel: SelectionPair, shift_tuple: ShiftTuple) -> complex:
-    """g_p(S,T) = sum_{a not in S} p^-a + sum_{b not in T} p^-b
-                 + sum_{a in S} p^a + sum_{b in T} p^b."""
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
-    log_p = math.log(p)
-    s_set, t_set = set(sel.S), set(sel.T)
-    total = 0.0 + 0.0j
-    for idx, a in enumerate(shift_tuple.alphas, start=1):
-        total += cmath.exp((a if idx in s_set else -a) * log_p)
-    for idx, b in enumerate(shift_tuple.betas, start=1):
-        total += cmath.exp((b if idx in t_set else -b) * log_p)
-    return total
-
-
-def gaussian_exponent(z, L, mu, k, g_sum):
-    """E(z) = z^2 L / 4 - k z mu + (z/2) g_sum."""
-    return z * z * L / 4 - k * z * mu + z * g_sum / 2
-
-
-def gaussian_exponent_derivatives(L, mu, k, g_sum, n_max):
-    """d^n/dz^n exp(E(z)) at z = 0 for n = 0..n_max, from the jet of exp(E).
-
-    Exact for exact (Fraction/integer) inputs, which is how the odd/even
-    Gaussian coefficient identity is checked without rounding.
-    """
-    c1 = -k * mu + g_sum / 2  # wants to vanish under the matched centering
-    c2 = L / 4
-    coeffs = ([0, c1, c2] + [0] * n_max)[: n_max + 1]
-    return [math.factorial(n) * f for n, f in enumerate(jet.exp(coeffs))]
 
 
 def _expm1_ratio(x):

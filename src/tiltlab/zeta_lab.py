@@ -3,25 +3,24 @@
 The prime window X = (lo, hi] is an explicit input everywhere (the
 asymptotic choice x = T^eps is meaningless at reachable heights); the
 default window keeps the (log T, x] shape of the theory at x = T^0.3.
-A window is only ever its bounds.  Each sum over it (`dirichlet_poly` for
-the scan's proxy, and `mu_alpha` save on the wide windows below) sieves it
-in the same pass, one segment of (lo, hi] at a time, and takes its primes
-in fixed-size chunks through a buffer the sum owns; no window's primes are
-ever held, and memory does not grow with hi - lo.  Every pass stops at
-PRIME_COUNT_CAP primes and marks the window truncated.
+A window is only ever its bounds.  Each sum that walks it (`dirichlet_poly`
+for the scan's proxy, and `mu_alpha` on all but the wide windows below)
+sieves it in the same pass, one segment of (lo, hi] at a time, and takes its
+primes in fixed-size chunks through a buffer the sum owns; no window's
+primes are ever held, and memory does not grow with hi - lo.  A walk that
+passes PRIME_COUNT_CAP primes raises ValueError; no window is clipped.
 Weighted scans sample t uniformly in [T, 2T], weigh by
 |zeta^(m)(1/2 + it + i alpha)|^{2k}, and reuse the self-normalized
 reduction of the Monte Carlo estimator.  One `zeta_line` call gives a
 scan's values and, unshifted, its weights; a shift takes one more.
 `weighted_scan` returns one `ScanReport`, which `zeta-scan` writes whole.
 
-`mu_alpha` walks no prime of a window wider than RECURSION_WIDTH * hi^(3/4)
-that the Rosser-Schoenfeld bound pi(hi) < 1.25506 hi / log hi keeps below
-the cap: Legendre's recursion over the ~2 sqrt(x) values of floor(x/k) gives
-its prime sums at x = hi and lo in O(hi^(3/4)) time and O(sqrt(hi)) memory,
-within 1.3e-14 of the walk's up to (1, 1.4e8].  It takes the base primes
-with p^3 < x one numpy step each, and the rest, whose updates never read
-one another's, in one ordered scatter.
+`mu_alpha` walks no prime of a window wider than RECURSION_WIDTH * hi^(3/4),
+at any hi up to SIEVE_LIMIT: Legendre's recursion over the ~2 sqrt(x) values
+of floor(x/k) gives its prime sums and count at x = hi and lo in
+O(hi^(3/4)) time and O(sqrt(hi)) memory, within 1.3e-14 of the walk's up to
+(1, 1.4e8].  It takes the base primes with p^3 < x one numpy step each, and
+the rest, whose updates never read one another's, in one ordered scatter.
 """
 
 from __future__ import annotations
@@ -120,25 +119,28 @@ def _checked_window(window):
     return float(lo), float(hi)
 
 
-def _prime_chunks(window, buffer, extent, ahead):
+def _prime_chunks(window, buffer, ahead):
     """Walk the primes of the checked window (lo, hi] through the caller's `buffer`, in order.
 
     Each segment of `_prime_segments` (with `ahead`, sieved a segment
     ahead on the one-ahead worker) is copied into `buffer`, cast to its
     dtype; the count filled is yielded each time the buffer is full, and
     once more for a partly filled last chunk, and the caller uses
-    buffer[:count] before drawing the next.  The pass stops at
-    PRIME_COUNT_CAP primes.  Once it is exhausted, the dict `extent` holds
-    the window walked: lo, hi (the last prime kept when the cap clipped
-    the window), count and truncated.
+    buffer[:count] before drawing the next.  A segment that takes the walk
+    past PRIME_COUNT_CAP primes raises ValueError naming the window and the
+    cap, before any of its primes is copied.
     """
     lo, hi = window
-    truncated, count, filled, last = False, 0, 0, None
+    count, filled = 0, 0
+    # the segments are bound to no name, so a raise lets the one-ahead pipeline go, which
+    # joins its worker, even while the error's traceback keeps this frame
     for primes in _prime_segments(lo, math.floor(hi), ahead):
-        clipped = primes.size > PRIME_COUNT_CAP - count
-        primes = primes[: PRIME_COUNT_CAP - count]
         count += primes.size
-        last = primes[-1] if primes.size else last
+        if count > PRIME_COUNT_CAP:
+            raise ValueError(
+                f"the prime window ({lo:g}, {hi:g}] holds more than {PRIME_COUNT_CAP:,} primes "
+                "(PRIME_COUNT_CAP), the most a sum walks one prime at a time"
+            )
         while primes.size:
             take = min(buffer.size - filled, primes.size)
             buffer[filled : filled + take] = primes[:take]
@@ -147,12 +149,8 @@ def _prime_chunks(window, buffer, extent, ahead):
                 yield filled
                 filled = 0
         del primes  # before the next segment's primes are made
-        if clipped:
-            truncated, hi = True, float(last)
-            break
     if filled:
         yield filled
-    extent.update(lo=lo, hi=hi, count=count, truncated=truncated)
 
 
 def default_window(T):
@@ -177,28 +175,30 @@ def mu_alpha(window, alpha, extent=None):
     """Shifted mean density mu_alpha = sum_{p in X} cos(alpha log p)/p, for |alpha| < 1.
 
     `window` is the bounds (lo, hi), checked after alpha.  A dict `extent`
-    is filled with the window summed: lo, hi, count and truncated.  alpha
+    is filled with the window summed: lo, hi and its prime count.  alpha
     is a scalar (a float comes back) or a 1-d array (an array of one
     value per alpha comes back).
 
-    A window wider than RECURSION_WIDTH * hi^(3/4) whose Rosser-Schoenfeld
-    bound 1.25506 hi / log hi > pi(hi) is within PRIME_COUNT_CAP goes to
-    `_recursed_mu_alpha`: O(hi^(3/4)) time, O(sqrt(hi)) memory, within
-    1.3e-14 of the walk.  Any other is sieved in this pass (`_prime_chunks`),
-    its primes summed in chunks of MU_CHUNK; each chunk takes log p and 1/p
-    once for every alpha, its terms are summed pairwise and the chunk sums
-    combined with math.fsum.  Either way a value depends neither on the
-    other alphas, nor on the sieve's segment size, nor on the thread count.
+    A window wider than RECURSION_WIDTH * hi^(3/4) goes to
+    `_recursed_mu_alpha`, at any hi up to SIEVE_LIMIT: O(hi^(3/4)) time,
+    O(sqrt(hi)) memory, within 1.3e-14 of the walk.  Any other is sieved
+    in this pass (`_prime_chunks`, which refuses a window of more than
+    PRIME_COUNT_CAP primes), its primes summed in chunks of MU_CHUNK; each
+    chunk takes log p and 1/p once for every alpha, its terms are summed
+    pairwise and the chunk sums combined with math.fsum.  Either way a
+    value depends neither on the other alphas, nor on the sieve's segment
+    size, nor on the thread count.
     """
     alphas = checked_alphas(alpha)
     lo, hi = _checked_window(window)
     extent = {} if extent is None else extent
-    if hi - lo > RECURSION_WIDTH * hi**0.75 and 1.25506 * hi / math.log(hi) <= PRIME_COUNT_CAP:
+    if hi - lo > RECURSION_WIDTH * hi**0.75:
         values = _recursed_mu_alpha((lo, hi), alphas, extent)
     else:
         inv_p, log_p, terms = np.empty((3, min(MU_CHUNK, math.floor(hi) - math.floor(lo))))
-        chunk_sums = [[] for _ in alphas.flat]
-        for size in _prime_chunks((lo, hi), inv_p, extent, ahead=True):
+        count, chunk_sums = 0, [[] for _ in alphas.flat]
+        for size in _prime_chunks((lo, hi), inv_p, ahead=True):
+            count += size
             inv_c, log_c, terms_c = inv_p[:size], log_p[:size], terms[:size]
             np.log(inv_c, out=log_c)
             np.reciprocal(inv_c, out=inv_c)
@@ -208,18 +208,19 @@ def mu_alpha(window, alpha, extent=None):
                 terms_c *= inv_c
                 sums.append(float(terms_c.sum()))
         values = np.array([math.fsum(sums) for sums in chunk_sums])
+        extent.update(lo=lo, hi=hi, count=count)
     return float(values[0]) if alphas.ndim == 0 else values
 
 
 def _recursed_mu_alpha(window, alphas, extent):
-    """mu_alpha over the checked window, uncapped, from `_prime_power_sum` at floor(hi) less floor(lo)."""
+    """mu_alpha over the checked window, from `_prime_power_sum` at floor(hi) less floor(lo)."""
     lo, hi = window
     base = np.concatenate([np.empty(0, dtype=np.int64), *_prime_segments(0, math.isqrt(math.floor(hi)))])
 
     def window_sum(alpha):
         return _prime_power_sum(math.floor(hi), alpha, base) - _prime_power_sum(math.floor(lo), alpha, base)
 
-    extent.update(lo=lo, hi=hi, count=int(window_sum(None)), truncated=False)
+    extent.update(lo=lo, hi=hi, count=int(window_sum(None)))
     return np.array([window_sum(a).real for a in alphas.flat])
 
 
@@ -339,19 +340,19 @@ def dirichlet_poly(t_arr, window):
     """P(t) = sum_{p in X} p^{-1/2 - it} for an array of heights t, over the bounds (lo, hi) of X.
 
     The window is sieved in this pass, inline (beside these sums the sieve
-    costs little, and a worker would hold a second segment), and stops at
-    the same capped prime as `mu_alpha`.  Its primes come in chunks of
-    DIRICHLET_CHUNK and the heights in blocks of DIRICHLET_ENTRIES //
-    (primes in the chunk), at least one, so no (heights x primes) block
-    outgrows DIRICHLET_ENTRIES; each chunk's sums are added to the
-    heights' totals in turn.
+    costs little, and a worker would hold a second segment), and refused
+    past PRIME_COUNT_CAP primes as in `mu_alpha`'s walk.  Its primes come
+    in chunks of DIRICHLET_CHUNK and the heights in blocks of
+    DIRICHLET_ENTRIES // (primes in the chunk), at least one, so no
+    (heights x primes) block outgrows DIRICHLET_ENTRIES; each chunk's sums
+    are added to the heights' totals in turn.
     """
     t_arr = np.asarray(t_arr, dtype=float)
     lo, hi = _checked_window(window)
     out = np.zeros(t_arr.shape, dtype=np.complex128)
     flat, res = t_arr.ravel(), out.ravel()
     amp, log_p = np.empty((2, min(DIRICHLET_CHUNK, math.floor(hi) - math.floor(lo))))
-    for size in _prime_chunks((lo, hi), amp, {}, ahead=False):
+    for size in _prime_chunks((lo, hi), amp, ahead=False):
         p, log_c = amp[:size], log_p[:size]
         np.log(p, out=log_c)
         np.divide(1.0, np.sqrt(p, out=p), out=p)
@@ -478,18 +479,23 @@ def weighted_scan(spec: ScanSpec) -> ScanReport:
 
     One `mu_alpha` pass over the window, before any zeta value, gives the
     histogram's width from L = sum 1/p and the report's `window`, and
-    raises ValueError for a window that holds no prime.  The histogram has
-    HISTOGRAM_BINS bins of HISTOGRAM_HALF_WIDTHS sqrt(L/2) on each side of
-    the weighted mean.  Near-zero |zeta| samples drive log to -inf; they
-    land in the underflow bin with their (vanishing, at k >= 1) weight
-    rather than being dropped.
+    raises ValueError for a window that holds no prime, or more than
+    PRIME_COUNT_CAP: `mu_alpha` counts a wide window without walking it,
+    and the Dirichlet polynomial would walk each of its primes.  The
+    histogram has HISTOGRAM_BINS bins of HISTOGRAM_HALF_WIDTHS sqrt(L/2)
+    on each side of the weighted mean.  Near-zero |zeta| samples drive log
+    to -inf; they land in the underflow bin with their (vanishing, at
+    k >= 1) weight rather than being dropped.
     """
     window = {}
     mertens = mu_alpha(spec.window, 0.0, window)
+    bounds = f"the prime window ({window['lo']:g}, {window['hi']:g}]"
     if not window["count"]:
+        raise ValueError(f"{bounds} holds no prime; the scan's prime proxy needs at least one")
+    if window["count"] > PRIME_COUNT_CAP:
         raise ValueError(
-            f"the prime window ({window['lo']:g}, {window['hi']:g}] holds no prime; "
-            "the scan's prime proxy needs at least one"
+            f"{bounds} holds {window['count']:,} primes, more than {PRIME_COUNT_CAP:,} "
+            "(PRIME_COUNT_CAP), the most the scan's prime proxy walks one prime at a time"
         )
     stream = scan_stream(spec)
     log_w = stream.log_weights

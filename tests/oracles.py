@@ -14,14 +14,23 @@ which is checked against zeta_em_many and mpmath on its own, and
 `prime_power_sum_loop` starts Legendre's prime-sum recursion from the
 package's power sums and runs it one base prime at a time, the reference
 that the package's vectorized tail must match bit for bit.
+
+The recipe's per-prime factor g_p(S, T) and its Gaussian main term
+exp(z^2 L / 4 - k z mu + (z/2) sum_p g_p/p), differentiated at z = 0
+through the package's jet exponential, live here too: no package code
+calls them, and criterion 9 and the `shifts` tests check them on the
+package's selections and shift tuples.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 from scipy.special import ndtr
+
+from tiltlab import jet
 
 
 def euler_gamma_series(n=10**4):
@@ -524,3 +533,35 @@ def prime_power_sum_loop(x, alpha, base):
             src *= w
             dst -= src
     return large[0] if x > r else small[x]
+
+
+def g_p_factor(p, sel, shift_tuple):
+    """g_p(S,T) = sum_{a not in S} p^-a + sum_{b not in T} p^-b
+                 + sum_{a in S} p^a + sum_{b in T} p^b."""
+    if p < 2:
+        raise ValueError("p must be a prime >= 2")
+    log_p = math.log(p)
+    s_set, t_set = set(sel.S), set(sel.T)
+    total = 0.0 + 0.0j
+    for idx, a in enumerate(shift_tuple.alphas, start=1):
+        total += cmath.exp((a if idx in s_set else -a) * log_p)
+    for idx, b in enumerate(shift_tuple.betas, start=1):
+        total += cmath.exp((b if idx in t_set else -b) * log_p)
+    return total
+
+
+def gaussian_exponent(z, L, mu, k, g_sum):
+    """E(z) = z^2 L / 4 - k z mu + (z/2) g_sum."""
+    return z * z * L / 4 - k * z * mu + z * g_sum / 2
+
+
+def gaussian_exponent_derivatives(L, mu, k, g_sum, n_max):
+    """d^n/dz^n exp(E(z)) at z = 0 for n = 0..n_max, from the jet of exp(E).
+
+    Exact for exact (Fraction/integer) inputs, which is how the odd/even
+    Gaussian coefficient identity is checked without rounding.
+    """
+    c1 = -k * mu + g_sum / 2  # wants to vanish under the matched centering
+    c2 = L / 4
+    coeffs = ([0, c1, c2] + [0] * n_max)[: n_max + 1]
+    return [math.factorial(n) * f for n, f in enumerate(jet.exp(coeffs))]

@@ -44,8 +44,6 @@ from tiltlab.rmt_exact import log_moment_mn, weighted_central_moments, weighted_
 from tiltlab.shifts import (
     ShiftTuple,
     enumerate_selections,
-    g_p_factor,
-    gaussian_exponent_derivatives,
     second_moment_quadrature_k1,
     second_moment_recipe_k1,
     swap_shifts,
@@ -64,7 +62,9 @@ from oracles import (
     cue_derivative_weight_shift,
     eta_zeta,
     euler_gamma_series,
+    g_p_factor,
     gaussian_conformance,
+    gaussian_exponent_derivatives,
     harmonic,
     paired_bootstrap_diff,
     selberg_variance,

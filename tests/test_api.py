@@ -35,11 +35,8 @@ REACHABILITY_RUNS = (
 # module.qualname -> why no CLI run enters it
 UNREACHED_BY_CLI = {
     "cli._json_default": "a guard: json.dumps calls it only for numpy values; every handler passes plain ones",
-    "shifts.ShiftTuple.__post_init__": "no subcommand builds a ShiftTuple; only the recipe helpers below use one",
-    "shifts.swap_shifts": "kept for the twisted fourth moment (ROADMAP item 4, stage 2)",
-    "shifts.g_p_factor": "kept for the twisted fourth moment (ROADMAP item 4, stage 2)",
-    "shifts.gaussian_exponent": "kept for the twisted fourth moment (ROADMAP item 4, stage 2)",
-    "shifts.gaussian_exponent_derivatives": "kept for the twisted fourth moment (ROADMAP item 4, stage 2)",
+    "shifts.ShiftTuple.__post_init__": "no subcommand builds a ShiftTuple yet; the k = 2 recipe will (ROADMAP item 14)",
+    "shifts.swap_shifts": "kept for the k = 2 recipe main term (ROADMAP item 14)",
 }
 # profiles every thread from before the package is imported, so the tables built at import count
 _REACHABILITY_PROBE = """

@@ -458,13 +458,39 @@ def test_zeta_scan_prime_free_window_exits_precondition(tmp_path, capsys, k):
     assert os.listdir(tmp_path) == []
 
 
-def test_mu_alpha_reports_the_prime_count_cap(tmp_path):
+def test_mu_alpha_recurses_past_the_prime_count_cap(tmp_path):
+    # (1, 1e10] holds 455,052,511 primes, 45 times the walk's cap: the recursion counts them all
     out = tmp_path / "mu.json"
     assert run_cli(["mu-alpha", "--lo", "1", "--hi", "1e10", "--alpha", "0", "--out", str(out)]) == EXIT_OK
-    window = json.loads(out.read_text())["results"]["window"]
-    assert window == {"lo": 1.0, "hi": 179424673.0, "count": 10**7, "truncated": True}
-    assert run_cli(["mu-alpha", "--lo", "1", "--hi", "1000", "--alpha", "0", "--out", str(out)]) == EXIT_OK
-    assert json.loads(out.read_text())["results"]["window"]["truncated"] is False
+    assert json.loads(out.read_text())["results"]["window"] == {"lo": 1.0, "hi": 1e10, "count": 455052511}
+
+
+def test_mu_alpha_refuses_a_walk_past_the_prime_count_cap(tmp_path, monkeypatch, capsys):
+    # (1e6, 2e6] holds 70,435 primes and is too narrow to be recursed
+    monkeypatch.setattr(zeta_lab, "PRIME_COUNT_CAP", 70_434)
+    out = tmp_path / "mu.json"
+    assert run_cli(["mu-alpha", "--lo", "1e6", "--hi", "2e6", "--alpha", "0", "--out", str(out)]) == EXIT_PRECONDITION
+    assert "(1e+06, 2e+06] holds more than 70,434 primes (PRIME_COUNT_CAP)" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    monkeypatch.setattr(zeta_lab, "PRIME_COUNT_CAP", 70_435)
+    assert run_cli(["mu-alpha", "--lo", "1e6", "--hi", "2e6", "--alpha", "0", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["results"]["window"]["count"] == 70_435
+
+
+def test_zeta_scan_refuses_a_recursed_window_past_the_prime_count_cap(tmp_path, monkeypatch, capsys):
+    # (1, 2e7] is wide enough to be counted by the recursion (1,270,607 primes), not walked:
+    # the scan refuses it after that count, before any zeta value or Dirichlet sum
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the scan's window check")
+
+    monkeypatch.setattr(zeta_lab, "PRIME_COUNT_CAP", 10**6)
+    for name in ("zeta_line", "_prime_chunks", "dirichlet_poly"):
+        monkeypatch.setattr(zeta_lab, name, never)
+    out = tmp_path / "scan.json"
+    args = ["zeta-scan", "--t", "1e4", "--samples", "200", "--window-lo", "1", "--window-hi", "2e7"]
+    assert run_cli(args + ["--out", str(out)]) == EXIT_PRECONDITION
+    assert "(1, 2e+07] holds 1,270,607 primes, more than 1,000,000 (PRIME_COUNT_CAP)" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("hi", ["1e13", "1e300"])

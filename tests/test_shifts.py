@@ -11,9 +11,6 @@ from tiltlab.shifts import (
     SelectionPair,
     ShiftTuple,
     enumerate_selections,
-    g_p_factor,
-    gaussian_exponent,
-    gaussian_exponent_derivatives,
     second_moment_quadrature_k1,
     second_moment_recipe_k1,
     swap_shifts,
@@ -21,7 +18,14 @@ from tiltlab.shifts import (
 from tiltlab.zeta_eval import zeta_em_many
 from tiltlab.zeta_lab import mu_alpha
 
-from oracles import quadrature_k1_two_progressions, recipe_k1_mp, trial_division_primes
+from oracles import (
+    g_p_factor,
+    gaussian_exponent,
+    gaussian_exponent_derivatives,
+    quadrature_k1_two_progressions,
+    recipe_k1_mp,
+    trial_division_primes,
+)
 
 
 def random_tuple(k, rng):

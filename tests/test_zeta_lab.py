@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from tiltlab import zeta_eval, zeta_lab
 from tiltlab.cue import SeedSpec
 from tiltlab.estimator import weighted_moments
+from tiltlab.threads import one_ahead
 from tiltlab.zeta_lab import (
     ScanReport,
     ScanSpec,
@@ -31,11 +33,16 @@ def sieved(limit, lo=0):
 
 
 def walked(window, chunk, ahead=False):
-    """The primes `_prime_chunks` walks through a buffer of `chunk` entries, joined, and the extent it fills."""
-    buffer, extent = np.empty(chunk, dtype=np.int64), {}
-    chunks = [buffer[:size].copy() for size in zeta_lab._prime_chunks(window, buffer, extent, ahead)]
+    """The primes `_prime_chunks` walks through a buffer of `chunk` entries, joined."""
+    buffer = np.empty(chunk, dtype=np.int64)
+    chunks = [buffer[:size].copy() for size in zeta_lab._prime_chunks(window, buffer, ahead)]
     assert all(piece.size == chunk for piece in chunks[:-1])
-    return np.concatenate([np.empty(0, dtype=np.int64), *chunks]), extent
+    return np.concatenate([np.empty(0, dtype=np.int64), *chunks])
+
+
+def refused(lo, hi, cap):
+    """The pattern of the ValueError that refuses a walk over (lo, hi] past a cap of `cap` primes."""
+    return re.escape(f"the prime window ({float(lo):g}, {float(hi):g}] holds more than {cap:,} primes (PRIME_COUNT_CAP)")
 
 
 def test_sieve_small():
@@ -73,12 +80,13 @@ def test_sieve_window_matches_trial_division(limit, lo, cap, segment, chunk, ahe
         assert sieved(limit, lo).tolist() == every
         if cap is not None:
             mp.setattr(zeta_lab, "PRIME_COUNT_CAP", cap)
-        got, extent = walked((lo, limit), chunk, ahead)
-    want = every[:cap]
+        if cap is not None and len(every) > cap:  # refused once a segment passes the cap, never clipped
+            with pytest.raises(ValueError, match=re.escape(f"holds more than {cap:,} primes (PRIME_COUNT_CAP)")):
+                walked((lo, limit), chunk, ahead)
+            return
+        got = walked((lo, limit), chunk, ahead)
     assert got.dtype == np.int64
-    assert got.tolist() == want
-    truncated = len(every) > len(want)
-    assert extent == {"lo": lo, "hi": want[-1] if truncated else limit, "count": len(want), "truncated": truncated}
+    assert got.tolist() == every
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,7 +188,7 @@ def test_scan_prime_passes_hold_no_per_prime_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert extent == {"lo": 1.0, "hi": 1e7, "count": 664_579, "truncated": False}
+    assert extent == {"lo": 1.0, "hi": 1e7, "count": 664_579}
     # the Dirichlet pass sets the peak: its chunk buffers (amplitudes and logs, a float
     # each per prime), one complex (heights x primes) block, one sieve mask and one
     # segment's primes (155,611 int64 in the first), sieved inline
@@ -215,7 +223,6 @@ def test_high_window_sieves_in_bounded_memory():
     # one 1 MiB segment mask, its 43k primes, the chunk buffers and the base primes;
     # a mask over (0, hi] would be 10 GB
     assert peak < 4 * 2**20
-    assert not extent["truncated"]
     # both ends of the window against trial division by the primes up to sqrt(hi)
     primes = sieved(hi, lo)
     assert primes.size == extent["count"]
@@ -235,19 +242,28 @@ def test_sieve_rejects_limits_above_the_base_prime_bound():
 
 
 def test_from_bounds_stops_at_the_prime_count_cap():
-    # a window past the 10^7-th prime stops there, with the sums of the window that ends there
-    extent, below = {}, {}
-    capped = mu_alpha((1, 1e10), [0.0, 0.5], extent=extent)
-    assert extent == {"lo": 1.0, "hi": 179_424_673.0, "count": 10**7, "truncated": True}
-    assert mu_alpha((1, 179_424_673), [0.0, 0.5], extent=below).tobytes() == capped.tobytes()
-    assert below == dict(extent, truncated=False)
+    # a walked window of 14,380,799 primes is refused once its walk passes the 10^7-th,
+    # naming the window and the cap, rather than summed over the primes up to there
+    with pytest.raises(ValueError, match=refused(1e9, 1.3e9, 10**7)):
+        mu_alpha((1e9, 1.3e9), [0.0, 0.5])
+
+
+@pytest.mark.parametrize("x, count", [(1e9, 50_847_534), (1e10, 455_052_511)])
+def test_recursed_mu_alpha_past_the_cap_is_exact_and_in_the_proven_band(x, count):
+    # pi(x) exactly, and mu_0 within Rosser and Schoenfeld's unconditional band
+    # |sum_{p <= x} 1/p - log log x - B| < 1/(2 log^2 x) (Illinois J. Math. 1962, Thm 5)
+    extent = {}
+    value = mu_alpha((1, x), 0.0, extent)
+    assert extent == {"lo": 1.0, "hi": x, "count": count}
+    assert abs(value - math.log(math.log(x)) - 0.2614972128476428) < 1 / (2 * math.log(x) ** 2)
 
 
 def test_prime_window_membership():
     assert list(sieved(60, 10)) == [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-    got, extent = walked((10.0, 60.0), 4)
-    assert got.tolist() == sieved(60, 10).tolist()
-    assert extent == {"lo": 10.0, "hi": 60.0, "count": 13, "truncated": False}
+    assert walked((10.0, 60.0), 4).tolist() == sieved(60, 10).tolist()
+    extent = {}
+    mu_alpha((10.0, 60.0), 0.0, extent)
+    assert extent == {"lo": 10.0, "hi": 60.0, "count": 13}
 
 
 def test_mertens_small_window():
@@ -298,16 +314,12 @@ def _materialized(lo, hi, alphas):
     The held primes are cut at the same MU_CHUNK edges, and each chunk is
     summed with the same numpy calls as the walk's, so the two agree to the bit.
     """
-    every = sieved(hi, lo)
-    primes = every[: zeta_lab.PRIME_COUNT_CAP].astype(float)
-    truncated = every.size > primes.size
-    want_hi = float(primes[-1]) if truncated else float(hi)
+    primes = sieved(hi, lo).astype(float)
     materialized = []
     for a in np.asarray(alphas, dtype=float):
         chunks = (primes[i : i + zeta_lab.MU_CHUNK] for i in range(0, primes.size, zeta_lab.MU_CHUNK))
         materialized.append(math.fsum(float((np.cos(a * np.log(p)) * np.reciprocal(p)).sum()) for p in chunks))
-    extent = {"lo": float(lo), "hi": want_hi, "count": primes.size, "truncated": truncated}
-    return np.array(materialized), extent
+    return np.array(materialized), {"lo": float(lo), "hi": float(hi), "count": primes.size}
 
 
 def _streamed_and_materialized(lo, hi, alphas):
@@ -345,25 +357,49 @@ def test_streamed_mu_alpha_is_the_materialized_value(monkeypatch, threads, lo, h
 
 @pytest.mark.parametrize("extra", [0, 1, 57])
 def test_streamed_mu_alpha_stops_at_the_prime_count_cap(monkeypatch, extra):
-    # 12 segments of 500 odd numbers hold the 1,438 primes up to 11,999: a cap of that
-    # many clips the window at a segment edge, one more or 57 more inside the next segment
+    # 12 segments of 500 odd numbers hold the 1,438 primes up to 11,999: at a cap of that
+    # many a wider window is refused at a segment edge, at one more or 57 more inside the
+    # next segment; a window of exactly `cap` primes is summed whole by both walks
     monkeypatch.setattr(zeta_lab, "SIEVE_SEGMENT", 500)
     monkeypatch.setattr(zeta_lab, "MU_CHUNK", 300)
     cap = sieved(11_999).size + extra
     monkeypatch.setattr(zeta_lab, "PRIME_COUNT_CAP", cap)
-    for lo, hi in ((1, 2e4), (1, 11_999), (1, 10**6)):
-        streamed, materialized = _streamed_and_materialized(lo, hi, [0.2, 0.0])
-        assert streamed.tobytes() == materialized.tobytes()
-    extent = {}
-    mu_alpha((1, 10**6), 0.5, extent=extent)
-    assert extent["count"] == cap and extent["truncated"]
-    assert extent["hi"] == sieved(10**6)[cap - 1]
-    # the Dirichlet pass stops at the same prime: its sums are those of the window that ends there
+    every = sieved(10**6)
     t = np.array([30.0, 1e3 + 0.5])
-    assert dirichlet_poly(t, (1, 10**6)).tobytes() == dirichlet_poly(t, (1, extent["hi"])).tobytes()
-    p = sieved(10**6)[:cap].astype(float)
+    full = int(every[cap]) - 1  # the widest window from 1 that holds cap primes
+    streamed, materialized = _streamed_and_materialized(1, full, [0.2, 0.0])
+    assert streamed.tobytes() == materialized.tobytes()
+    p = every[:cap].astype(float)
     want = [math.fsum(np.cos(ti * np.log(p)) / np.sqrt(p)) for ti in t]
-    assert np.abs(dirichlet_poly(t, (1, 10**6)).real - want).max() < 1e-12
+    assert np.abs(dirichlet_poly(t, (1, full)).real - want).max() < 1e-12
+    for hi in (full + 1, 2e4, 10**6):
+        for call in (lambda: mu_alpha((1, hi), [0.2, 0.0]), lambda: dirichlet_poly(t, (1, hi))):
+            with pytest.raises(ValueError, match=refused(1, hi, cap)):
+                call()
+
+
+def test_a_refused_walk_leaves_no_worker_thread(monkeypatch):
+    # the one-ahead sieve worker is sieving the segment after the one that passes the cap;
+    # the refusal lets the pipeline go, which joins its worker before the error reaches here
+    monkeypatch.setenv("TILTLAB_THREADS", "2")
+    monkeypatch.setattr(zeta_lab, "SIEVE_SEGMENT", 500)
+    monkeypatch.setattr(zeta_lab, "PRIME_COUNT_CAP", 1000)
+    pipelines = []
+
+    def recorded(stage, items):
+        pipeline = one_ahead(stage, items)
+        pipelines.append(pipeline.__name__)  # the name only: holding the pipeline would keep it open
+        return pipeline
+
+    monkeypatch.setattr(zeta_lab, "one_ahead", recorded)
+    before, error = set(threading.enumerate()), None
+    try:
+        mu_alpha((1, 1e5), 0.3)
+    except ValueError as exc:
+        error = exc  # its traceback holds the walk's frames while the threads are listed
+    assert re.fullmatch(refused(1, 1e5, 1000) + ".*", str(error))
+    assert pipelines == ["_pipelined"]
+    assert set(threading.enumerate()) == before
 
 
 def test_streamed_mu_alpha_never_holds_its_window():
@@ -371,9 +407,9 @@ def test_streamed_mu_alpha_never_holds_its_window():
     for threads in ("1", "2"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("TILTLAB_THREADS", threads)
-            # a cap of pi(5e7) clips nothing, but the prime-count bound no longer keeps
-            # the window below it, so the window is walked rather than recursed
-            mp.setattr(zeta_lab, "PRIME_COUNT_CAP", 3_001_134)
+            # (1, 5e7] is wider than 64 hi^(3/4) but narrower than 100 hi^(3/4),
+            # so it is walked rather than recursed
+            mp.setattr(zeta_lab, "RECURSION_WIDTH", 100)
             tracemalloc.start()
             try:
                 values = mu_alpha((1, 5e7), [0.01, 0.001, 0.0])
@@ -418,7 +454,7 @@ def test_recursed_mu_alpha_holds_no_window(monkeypatch):
     # the values of floor(1e8 / k) take 20,000 complex sums, 0.3 MiB, per recursion;
     # the window's 5,761,455 primes would take 44 MiB
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
-    assert extent == {"lo": 1.0, "hi": 1e8, "count": 5_761_455, "truncated": False}
+    assert extent == {"lo": 1.0, "hi": 1e8, "count": 5_761_455}
     assert values[2] == pytest.approx(math.log(math.log(1e8)) + 0.2615, abs=1e-3)
     assert [mu_alpha((1, 1e8), a) for a in (0.01, 0.001, 0.0)] == values.tolist()
 
@@ -433,8 +469,8 @@ def test_recursed_mu_alpha_holds_no_window_at_the_recursion_edge(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the widest recursed window: the values of floor(hi / k) take 24,495 complex sums, 0.37 MiB,
-    # per recursion, and the 8,444,501 primes would take 64 MiB
+    # the values of floor(hi / k) take 24,495 complex sums, 0.37 MiB, per recursion, and the
+    # 8,444,501 primes would take 64 MiB
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
     assert extent["count"] == 8_444_501  # the sieve's count
 
@@ -491,18 +527,17 @@ def test_prime_power_sum_is_the_one_prime_loop(monkeypatch, x):
             )
 
 
-def test_mu_alpha_recurses_only_where_the_cap_cannot_clip(monkeypatch):
+def test_mu_alpha_recurses_by_the_window_shape_alone(monkeypatch):
     monkeypatch.setattr(zeta_lab, "_prime_chunks", _never_walk)
-    edge = 150_002_068  # the largest hi whose Rosser-Schoenfeld bound is within the cap
-    bound = [1.25506 * x / math.log(x) for x in (edge, edge + 1)]
-    assert bound[0] <= zeta_lab.PRIME_COUNT_CAP < bound[1]
+    # the width alone picks the route, also past 150,002,068, above which a Rosser-Schoenfeld
+    # bound on pi(hi) no longer stays under the cap: narrower than RECURSION_WIDTH hi^(3/4),
+    # the window is walked
+    edge = 150_002_068
     extent = {}
-    mu_alpha((1, edge), 0.3, extent)
-    assert extent["count"] < zeta_lab.PRIME_COUNT_CAP and not extent["truncated"]
-    # one past the edge, or narrower than RECURSION_WIDTH hi^(3/4), the window is walked
-    for window in ((1, edge + 1), (edge / 2, edge)):
-        with pytest.raises(AssertionError, match="walked"):
-            mu_alpha(window, 0.3)
+    mu_alpha((1, edge + 1), 0.3, extent)
+    assert extent == {"lo": 1.0, "hi": edge + 1.0, "count": 8_444_501}
+    with pytest.raises(AssertionError, match="walked"):
+        mu_alpha((edge / 2, edge), 0.3)
 
 
 def test_mu_alpha_pairwise_sum_matches_fsum():
