@@ -10,7 +10,8 @@ zeta(1/2 + a + it) zeta(1/2 + b - it); on the uniform Simpson grid each
 factor is one Euler-Maclaurin progression (`zeta_eval.zeta_em_progression`)
 in memory that grows with the node count alone.  Both run up the grid, the
 right one as the conjugate of zeta(1/2 + conj(b) + it), so equal shifts
-(conj(b) = a, the CLI default) take one progression.
+(conj(b) = a, the CLI default) take one progression.  Near the pole the
+main term takes zeta(1 + c) - 1/c from zeta_eval's Euler-Maclaurin remainder.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .zeta_eval import RS_MAX_T, zeta_em_many, zeta_em_progression
+from .zeta_eval import RS_MAX_T, exprel, zeta_em_many, zeta_em_progression, zeta_regular_part
 
 __all__ = [
     "ShiftTuple",
@@ -35,8 +36,6 @@ __all__ = [
 MAX_SELECTION_K = 8
 MAX_QUADRATURE_NODES = 1 << 20  # about 5x the 199,001 nodes of the widest window at the default step
 POLE_BAND = 1e-3  # |a + b| below it: the two poles of the k = 1 recipe combine in closed form
-# Stieltjes constants gamma_0..gamma_3: zeta(1 + c) = 1/c + sum_n (-1)^n gamma_n c^n / n!
-STIELTJES = (0.5772156649015329, -0.07281584548367673, -0.00969036319287232, 0.002053834420303346)
 
 
 @dataclass(frozen=True)
@@ -110,29 +109,19 @@ def swap_shifts(shift_tuple: ShiftTuple, sel: SelectionPair) -> ShiftTuple:
     return ShiftTuple(k=k, alphas=tuple(alphas), betas=tuple(betas))
 
 
-def _expm1_ratio(x):
-    """expm1(x) / x, which is 1 at x = 0."""
-    return np.expm1(x) / x if x else 1.0
-
-
-def _zeta_regular_part(c):
-    """zeta(1 + c) - 1/c to O(c^4), from the Stieltjes constants."""
-    return sum(g * (-c) ** n / math.factorial(n) for n, g in enumerate(STIELTJES))
-
-
 def second_moment_recipe_k1(t_lo, t_hi, alpha, beta):
     """Main term of int_{t_lo}^{t_hi} zeta(1/2+a+it) zeta(1/2+b-it) dt at k = 1, for |a|, |b| < 1.
 
     With c = a + b the two selections give (t_hi - t_lo) zeta(1 + c) plus
     zeta(1 - c) P(c), P(c) = int (t/2pi)^{-c} dt, and P is taken through
-    expm1((1 - c) log(t_hi/t_lo)), finite at c = 1.  For |c| < POLE_BAND,
-    zeta(1 +- c) = +-1/c + R(+-c) with R from the Stieltjes constants, and
-    the poles combine into (t_hi - t_lo - P(c))/c, which is
-    t (u E(-cu) - 1) / (1 - c), u = log(t/2pi), E(x) = expm1(x)/x, between
-    the window's ends.  That difference is taken as
-    (t_hi - t_lo)(u_hi E(-c u_hi) - 1) + t_lo (t_lo/2pi)^{-c} d E(-cd), with
-    d = log1p((t_hi - t_lo)/t_lo): no two large terms cancel, even in a
-    narrow window, and c = 0 is no special case.
+    E((1 - c) log(t_hi/t_lo)), E(x) = expm1(x)/x (`zeta_eval.exprel`), finite at
+    c = 1.  For |c| < POLE_BAND, zeta(1 +- c) = +-1/c + R(+-c) with R the
+    regular part (`zeta_eval.zeta_regular_part`), and the poles combine into
+    (t_hi - t_lo - P(c))/c, which is t (u E(-cu) - 1) / (1 - c), u = log(t/2pi),
+    between the window's ends, taken as (t_hi - t_lo)(u_hi E(-c u_hi) - 1) +
+    t_lo (t_lo/2pi)^{-c} d E(-cd), d = log1p((t_hi - t_lo)/t_lo): no two large
+    terms cancel, even in a narrow window, and a zero or subnormal c is no
+    special case.
     """
     if not (50 <= t_lo < t_hi <= RS_MAX_T):
         raise ValueError("need 50 <= t_lo < t_hi within the evaluator ceiling")
@@ -142,10 +131,11 @@ def second_moment_recipe_k1(t_lo, t_hi, alpha, beta):
     u_lo, u_hi = (math.log(t / (2 * math.pi)) for t in (t_lo, t_hi))
     span = math.log1p((t_hi - t_lo) / t_lo)
     lo_span = t_lo * np.exp(-c * u_lo) * span
-    power_integral = lo_span * _expm1_ratio((1 - c) * span)
+    power_integral = lo_span * exprel((1 - c) * span)
     if abs(c) < POLE_BAND:
-        ends = (t_hi - t_lo) * (u_hi * _expm1_ratio(-c * u_hi) - 1) + lo_span * _expm1_ratio(-c * span)
-        res = ends / (1 - c) + (t_hi - t_lo) * _zeta_regular_part(c) + _zeta_regular_part(-c) * power_integral
+        ends = (t_hi - t_lo) * (u_hi * exprel(-c * u_hi) - 1) + lo_span * exprel(-c * span)
+        regular, regular_minus = zeta_regular_part(np.array([c, -c]))
+        res = ends / (1 - c) + (t_hi - t_lo) * regular + regular_minus * power_integral
     else:
         zc, zmc = zeta_em_many(np.array([1 + c, 1 - c]))[0]
         res = (t_hi - t_lo) * zc + zmc * power_integral

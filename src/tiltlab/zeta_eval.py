@@ -12,8 +12,8 @@ anchor and step tables, one per chunk of terms in a reused 2 MiB buffer
 (`zeta_em_progression`), so memory grows with the node count alone.
 Each table is the product of a coarse and a fine table of powers, so a
 term takes about 4 count^(1/4) complex exps rather than 2 sqrt(count).
-Both Euler-Maclaurin evaluators share one tail, which takes M^{-s} from
-one exp and M^{1-s}, M^{-s-1} from it.
+Both add the one Euler-Maclaurin remainder (`em_remainder`), which also
+serves the prime sums and the recipe's zeta(1 + c) - 1/c (`zeta_regular_part`).
 
 Derivatives are Taylor jets in eps (`tiltlab.jet`).  Euler-Maclaurin
 expands zeta(s + eps) term by term: the main sum gives
@@ -56,7 +56,7 @@ import math
 import numpy as np
 
 from . import jet
-from .special import BERNOULLI_EVEN as _B2N
+from .special import BERNOULLI_EVEN
 from .threads import one_ahead
 
 __all__ = [
@@ -83,13 +83,6 @@ RS_MAX_T = 1.0e8
 MAX_DERIVATIVE = 4
 _TABLE_ENTRIES = 1 << 17  # complex entries per EM or RS block table: 2 MiB
 _LOOKUP_ENTRIES = 1 << 13  # quarter-turn factors gathered at a time for the prime rows: 128 KiB
-
-_EM_J = 14
-
-
-def _linear(c, order):
-    """Jet of c + eps to the given order."""
-    return [c, 1.0] + [0.0] * (order - 1) if order else [c]
 
 
 # ---------------------------------------------------------------------------
@@ -196,27 +189,61 @@ def _coarse_fine(first, unit, rows, ds):
 
 
 def _em_tail(s, terms, order):
-    """Derivatives r = 0..order of the Euler-Maclaurin tail at the array s, with M = terms.
+    """Derivatives r = 0..order of sum_{n >= M} n^{-s}, M = terms, at the array s: the remainder and 1/(s - 1)."""
+    pole = [math.factorial(r) * (1.0 - s) ** -r / (s - 1.0) for r in range(order + 1)]
+    return em_remainder(s, float(terms), order) + np.array(pole)
 
-    The tail M^{-s} [M/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} M^{1-2j}],
-    with (s)_r the rising factorial, is a jet in eps at s + eps; its
-    coefficients times r! are returned as rows.
+
+def em_remainder(s, x, order=0):
+    """Rows r = 0..order of the s-derivatives of sum_{n >= x} n^{-s} - 1/(s - 1), for complex s and real x.
+
+    That is (x^{1-s} - 1)/(s - 1) + x^{-s} [1/2 + sum_j b_j (s)_{2j-1} x^{1-2j}],
+    b_j = B_2j/(2j)!: a Horner series in x^{-2}, s/x (b_1 + (s+1)(s+2) x^{-2} (b_2 + ...)),
+    to the last j whose bound |b_j| (|s|)_{2j-1} x^{1-2j} reaches 1e-20 at the
+    largest |s| and smallest x.  The pole part's row 0 is -log x E((1 - s) log x)
+    (`exprel`), finite at s = 1 and at a subnormal s - 1; rows past 0 divide by s - 1.
+    Row r is r! times the eps^r coefficient at s + eps.  A value does not depend on the
+    call's size: no complex product is in place (numpy's is unfused on one element).
     """
-    log_m = math.log(terms)
-    m_s = np.exp(-s * log_m)  # M^{-s}; M^{1-s} and M^{-s-1} follow by a real multiply
-    pole = m_s * float(terms) / (s - 1.0)
-    bracket = [pole * (-1.0 / (s - 1.0)) ** r for r in range(order + 1)]
-    bracket[0] = bracket[0] + 0.5 * m_s
-    rising = _linear(s, order)
-    power = m_s * (1.0 / terms)
-    m2 = float(terms) ** -2.0
-    for j in range(1, _EM_J + 1):
-        c = _B2N[j - 1] / math.factorial(2 * j) * power
-        bracket = [b + c * x for b, x in zip(bracket, rising)]
-        rising = jet.mul(jet.mul(rising, _linear(s + 2 * j - 1, order)), _linear(s + 2 * j, order))
-        power = power * m2
-    m_power = [(-log_m) ** r / math.factorial(r) for r in range(order + 1)]  # M^{-eps}
-    return np.array([math.factorial(r) * x for r, x in enumerate(jet.mul(m_power, bracket))])
+    x = np.asarray(x, dtype=float)
+    log_x, inv_x, y = np.log(x), 1.0 / x, 1.0 / (x * x)
+    s_max, x_min = float(np.abs(s).max(initial=0.0)), float(x.min(initial=np.inf))
+    coeffs, kept, rising = [], 0, s_max  # b_j, and (|s|)_{2j-1}
+    for j, b in enumerate(BERNOULLI_EVEN, 1):
+        coeffs.append(b / math.factorial(2 * j))
+        if abs(coeffs[-1]) * rising * x_min ** (1 - 2 * j) >= 1e-20:
+            kept = j
+        rising *= (s_max + 2 * j - 1) * (s_max + 2 * j)
+    acc = [coeffs[kept - 1] if kept else 0.0] + [0.0] * order
+    for j in range(kept - 1, 0, -1):
+        acc = [y * a for a in _times_linear(_times_linear(acc, s + (2 * j - 1)), s + 2 * j)]
+        acc[0] += coeffs[j - 1]
+    bracket = [a * inv_x for a in _times_linear(acc, s)]
+    bracket[0] += 0.5
+    z = (1.0 - s) * log_x
+    ratio = exprel(z)
+    power, pole = [(1.0 + z * ratio) * inv_x], [-log_x * ratio]  # x^{-s} to eps/x from the pole part's expm1
+    for r in range(1, order + 1):  # the jets of x^{-s-eps} and of (x^{1-s-eps} - 1)/(s - 1 + eps)
+        power.append(power[-1] * (-log_x / r))
+        pole.append((x * power[r] - pole[-1]) / (s - 1.0))
+    return np.array([math.factorial(r) * (a + b) for r, (a, b) in enumerate(zip(pole, jet.mul(power, bracket)))])
+
+
+def _times_linear(f, c):
+    """Jet of (c + eps) f."""
+    return [c * f[0]] + [c * a + b for a, b in zip(f[1:], f)]
+
+
+def exprel(z):
+    """E(z) = expm1(z)/z over an array of complex z; 1 + z/2 below |z| = 2^-26, so no z is a special case."""
+    z = np.asarray(z, dtype=np.complex128)  # below 2^-26 z^2/6 is under the rounding of 1; z / z overflows if subnormal
+    return np.divide(np.expm1(z), z, out=np.array(1.0 + 0.5 * z), where=np.abs(z) >= 2.0**-26)
+
+
+def zeta_regular_part(c):
+    """zeta(1 + c) - 1/c for |c| < 1 over an array of complex c: sum_{n <= 16} n^{-1-c} plus the remainder from 17."""
+    s = 1.0 + np.asarray(c, dtype=np.complex128)
+    return np.exp(np.multiply.outer(-s, np.log(np.arange(1.0, 17.0)))).sum(axis=-1) + em_remainder(s, 17.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +333,7 @@ def _theta_jet(t, log1p):
     Phases take their order-0 term from siegel_theta instead.
     """
     order = len(log1p) - 1
-    out = jet.mul([x / 2 for x in _linear(t, order)], [np.log(t / TWO_PI) - 1.0] + log1p[1:])
+    out = _times_linear([x / 2 for x in [np.log(t / TWO_PI) - 1.0] + log1p[1:]], t)
     out[0] = out[0] - math.pi / 8
     for q, c in ((1, 1 / 48), (3, 7 / 5760), (5, 31 / 80640)):
         power = jet.exp([-q * x for x in log1p])

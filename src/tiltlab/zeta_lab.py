@@ -7,8 +7,8 @@ A window is only ever its bounds.  Each sum that walks it (`dirichlet_poly`
 for the scan's proxy, and `mu_alpha` on all but the wide windows below)
 sieves it in the same pass, one segment of (lo, hi] at a time, and takes its
 primes in fixed-size chunks through a buffer the sum owns; no window's
-primes are ever held, and memory does not grow with hi - lo.  A walk that
-passes PRIME_COUNT_CAP primes raises ValueError; no window is clipped.
+primes are ever held, and memory does not grow with hi - lo.  A window over
+PRIME_COUNT_CAP primes is refused, from the recursion's count; none is clipped.
 Weighted scans sample t uniformly in [T, 2T], weigh by
 |zeta^(m)(1/2 + it + i alpha)|^{2k}, and reuse the self-normalized
 reduction of the Monte Carlo estimator.  One `zeta_line` call gives a
@@ -32,9 +32,8 @@ import numpy as np
 
 from .cue import SeedSpec, checked_size
 from .estimator import weighted_moments
-from .special import BERNOULLI_EVEN
 from .threads import one_ahead
-from .zeta_eval import MAX_DERIVATIVE, RS_MAX_T, zeta_line
+from .zeta_eval import MAX_DERIVATIVE, RS_MAX_T, em_remainder, zeta_line
 
 __all__ = [
     "ScanReport",
@@ -58,7 +57,7 @@ PRIME_TAIL_CHUNK = 1 << 11  # entries per ordered scatter of the prime-sum recur
 # mu_alpha's two routes take equal time at widths of 30-40 hi^(3/4), hi in [1e7, 1e8], 2 cores;
 # 64 keeps every window with hi below 64^4 = 16,777,216 walked, which the CLI's sieve-thread test needs
 RECURSION_WIDTH = 64
-EM_START = 16  # n^-s is summed directly up to here; every BERNOULLI_EVEN term beyond leaves < 1e-20
+EM_START = 16  # n^-s is summed directly up to here, by Euler-Maclaurin beyond
 EM_BLOCK = 1 << 10  # values per Euler-Maclaurin block: each temporary takes 16 KiB
 HISTOGRAM_BINS = 80
 HISTOGRAM_HALF_WIDTHS = 6.0  # in units of sqrt(L/2)
@@ -126,21 +125,20 @@ def _prime_chunks(window, buffer, ahead):
     ahead on the one-ahead worker) is copied into `buffer`, cast to its
     dtype; the count filled is yielded each time the buffer is full, and
     once more for a partly filled last chunk, and the caller uses
-    buffer[:count] before drawing the next.  A segment that takes the walk
-    past PRIME_COUNT_CAP primes raises ValueError naming the window and the
-    cap, before any of its primes is copied.
+    buffer[:count] before drawing the next.  A window of more than
+    PRIME_COUNT_CAP integers is counted first (`_prime_window_sums`): one of
+    more than PRIME_COUNT_CAP primes raises ValueError, sieving no segment.
     """
     lo, hi = window
-    count, filled = 0, 0
+    if math.floor(hi) - math.floor(lo) > PRIME_COUNT_CAP and _prime_window_sums(window, [None])[0] > PRIME_COUNT_CAP:
+        raise ValueError(
+            f"the prime window ({lo:g}, {hi:g}] holds more than {PRIME_COUNT_CAP:,} primes "
+            "(PRIME_COUNT_CAP), the most a sum walks one prime at a time"
+        )
+    filled = 0
     # the segments are bound to no name, so a raise lets the one-ahead pipeline go, which
     # joins its worker, even while the error's traceback keeps this frame
     for primes in _prime_segments(lo, math.floor(hi), ahead):
-        count += primes.size
-        if count > PRIME_COUNT_CAP:
-            raise ValueError(
-                f"the prime window ({lo:g}, {hi:g}] holds more than {PRIME_COUNT_CAP:,} primes "
-                "(PRIME_COUNT_CAP), the most a sum walks one prime at a time"
-            )
         while primes.size:
             take = min(buffer.size - filled, primes.size)
             buffer[filled : filled + take] = primes[:take]
@@ -213,15 +211,17 @@ def mu_alpha(window, alpha, extent=None):
 
 
 def _recursed_mu_alpha(window, alphas, extent):
-    """mu_alpha over the checked window, from `_prime_power_sum` at floor(hi) less floor(lo)."""
-    lo, hi = window
-    base = np.concatenate([np.empty(0, dtype=np.int64), *_prime_segments(0, math.isqrt(math.floor(hi)))])
+    """mu_alpha over the checked window, from `_prime_window_sums`."""
+    count, *sums = _prime_window_sums(window, [None, *alphas.flat])
+    extent.update(lo=window[0], hi=window[1], count=int(count))
+    return np.array([value.real for value in sums])
 
-    def window_sum(alpha):
-        return _prime_power_sum(math.floor(hi), alpha, base) - _prime_power_sum(math.floor(lo), alpha, base)
 
-    extent.update(lo=lo, hi=hi, count=int(window_sum(None)))
-    return np.array([window_sum(a).real for a in alphas.flat])
+def _prime_window_sums(window, alphas):
+    """sum_{lo < p <= hi} p^{-1-i alpha} per alpha, the count for None: `_prime_power_sum`, hi less lo."""
+    lo, hi = math.floor(max(window[0], 0)), math.floor(window[1])
+    base = np.concatenate([np.empty(0, dtype=np.int64), *_prime_segments(0, math.isqrt(hi))])
+    return [_prime_power_sum(hi, a, base) - _prime_power_sum(lo, a, base) for a in alphas]
 
 
 def _prime_power_sum(x, alpha, base):
@@ -296,34 +296,17 @@ def _subtract_run(dst, src, c, w):
 def _power_sums(v, alpha):
     """sum_{2 <= n <= v} n^{-s}, s = 1 + i alpha, at each entry of the int array v, EM_BLOCK at a time.
 
-    Direct up to EM_START, Euler-Maclaurin beyond, where zeta(s) cancels.
-    The tail at x is x^{-s} (1/2 - sum_j c_j x^{1-2j}) with
-    c_j = B_2j/(2j)! (s)_{2j-1}, and each block sums only the terms j up to
-    the last with |c_j| x^{1-2j} >= 1e-20 at its smallest x: the
-    rest sit below the float64 resolution of the leading 1/2 at every x
-    of the block, so the value is the full series' to rounding.  That is
-    9 of the 16 terms at x = 16, 2 at x = 1e4 and 1 at 1e8.  The pole term
-    -expm1(-i alpha log v)/(i alpha) is taken through sinc: it is log v at
-    alpha = 0 and does not overflow at a subnormal alpha, so no alpha is a
-    special case.
+    Direct up to EM_START; beyond, the remainder `zeta_eval.em_remainder`
+    at x = EM_START + 1 less the one at x = v + 1.  Each block's remainder
+    keeps the Bernoulli terms its smallest x needs (8 or 9 of 16 at x = 17,
+    2 at 1e4, 1 at 1e8), and its pole part is finite at alpha = 0 and at a
+    subnormal alpha, so no alpha is a special case.
     """
     s = 1.0 + 1j * alpha
-    coeffs = [b / math.factorial(2 * j) * math.prod(s + np.arange(2 * j - 1)) for j, b in enumerate(BERNOULLI_EVEN, 1)]
-
-    def tail(x):  # sum_{n <= x} n^{-s} less a constant
-        x_min = float(np.min(x, initial=np.inf))  # an empty block sums no term
-        kept = max((j for j, c in enumerate(coeffs, 1) if abs(c) * x_min ** (1 - 2 * j) >= 1e-20), default=0)
-        log_x, inv_squares, poly = np.log(x), 1.0 / (x * x), 0.0
-        for coeff in reversed(coeffs[:kept]):
-            poly = (poly + coeff) * inv_squares
-        h = alpha * log_x / 2  # -expm1(-2ih)/(i alpha) = log x (sin 2h/2h - i sin h * sin h/h)
-        pole = log_x * (np.sinc(2 * h / np.pi) - 1j * np.sin(h) * np.sinc(h / np.pi))
-        return np.exp(-s * log_x) * (0.5 - x * poly) + pole
-
     head = np.concatenate([[0.0, 0.0], np.cumsum(np.exp(-s * np.log(np.arange(2.0, EM_START + 1))))])
-    blocks = np.split(v, range(EM_BLOCK, v.size, EM_BLOCK))
-    start = tail(float(EM_START))
-    return np.concatenate([head[np.minimum(b, EM_START)] + (tail(np.maximum(b, EM_START) * 1.0) - start) for b in blocks])
+    start, blocks = em_remainder(s, np.array([EM_START + 1.0]))[0], np.split(v, range(EM_BLOCK, v.size, EM_BLOCK))
+    tails = [start - em_remainder(s, np.maximum(b, EM_START) + 1.0)[0] for b in blocks]
+    return np.concatenate([head[np.minimum(b, EM_START)] + tail for b, tail in zip(blocks, tails)])
 
 
 def checked_alphas(alpha):

@@ -219,3 +219,17 @@ def test_bench_counters_read_parameters_the_package_keeps():
         "rotation_invariance_check",
         "second_moment_quadrature_k1",
     } <= checked
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_one_euler_maclaurin_remainder(module):
+    # zeta_eval's one remainder serves zeta's tail, the prime sums' power sums and the
+    # recipe's regular part: no other module reads the Bernoulli numbers (special builds
+    # them), and zeta_lab and shifts take E(z) = expm1(z)/z from zeta_eval, not their own
+    with open(os.path.join(os.path.dirname(tiltlab.__file__), f"{module}.py")) as handle:
+        nodes = list(ast.walk(ast.parse(handle.read())))
+    names = {getattr(node, field, None) for node in nodes for field in ("id", "attr", "name", "asname")}
+    if module not in ("special", "zeta_eval"):
+        assert "BERNOULLI_EVEN" not in names
+    if module in ("zeta_lab", "shifts"):
+        assert not names & {"expm1", "sinc"}

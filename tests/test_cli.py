@@ -295,6 +295,17 @@ def test_non_finite_float_argument_exit_code(tmp_path, token):
     assert code == EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize("shift", [["--alpha", "5e-324"], ["--beta", "1e-310"], ["--alpha", "1e-300"]])
+def test_recipe_k1_at_a_subnormal_shift_writes_the_unshifted_term(tmp_path, shift):
+    # a tiny shift is the unshifted main term, not a non-finite result from dividing by it
+    files = []
+    for name, args in (("base", ["--alpha", "0"]), ("shifted", shift)):
+        files.append(tmp_path / f"{name}.json")
+        assert run_cli(["recipe-k1", "--t-lo", "1000", "--t-hi", "2000", *args, "--out", str(files[-1])]) == EXIT_OK
+    base, shifted = (json.loads(path.read_text())["results"]["recipe_main_term"] for path in files)
+    assert shifted == base
+
+
 def test_non_finite_result_exits_numerical_without_writing(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "second_moment_recipe_k1", lambda *args: float("nan"))
     out = tmp_path / "recipe.json"

@@ -174,6 +174,16 @@ def test_recipe_matches_mpmath(window, c):
     assert got == pytest.approx(recipe_k1_mp(*window, c), rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta", [(5e-324, 0.0), (0.0, 1e-310), (5e-324j, 0.0), (0.0, -5e-324j), (1e-300j, 5e-324)]
+)
+def test_recipe_at_a_subnormal_shift_is_the_unshifted_value(alpha, beta):
+    # the pole band's E(x) = expm1(x)/x and the regular part must not divide by the
+    # subnormal c = alpha + beta, nor by a product of it
+    base = second_moment_recipe_k1(1000, 2000, 0.0, 0.0)
+    assert abs(second_moment_recipe_k1(1000, 2000, alpha, beta) - base) <= 1e-15 * abs(base)
+
+
 @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, -1.0), (1.5, -0.5), (0.2, 0.6 + 0.8j)])
 def test_recipe_rejects_shifts_outside_the_unit_disk(alpha, beta):
     with pytest.raises(ValueError, match=r"\|alpha\| < 1"):

@@ -25,10 +25,12 @@ from tiltlab.zeta_eval import (
     _rs_blocks,
     _rs_jet,
     _rs_main_sums,
+    exprel,
     siegel_theta,
     zeta_em_many,
     zeta_em_progression,
     zeta_line,
+    zeta_regular_part,
     zeta_rs_many,
 )
 
@@ -115,6 +117,39 @@ def test_em_tail_is_the_hurwitz_zeta(sigma, t):
         for r, value in enumerate(got):
             ref = complex(mp.zeta(mp.mpc(sigma, t), terms, r))
             assert abs(value - ref) <= bound * abs(ref), f"row {r}"
+
+
+EXPREL_POINTS = [0.0, 5e-324, -5e-324, 5e-324j, -5e-324j, 1e-3, -1e-3j, 1.0, 30j, 0.5 + 0.5j]
+
+
+def test_exprel_against_mpmath(recwarn):
+    # E(z) = expm1(z)/z within 4 ulps, as a scalar and inside one array, and without a
+    # warning where z is 0 or subnormal (numpy's complex division overflows there)
+    import mpmath as mp
+
+    together = exprel(np.array(EXPREL_POINTS))
+    with mp.workdps(40):
+        for z, in_array in zip(EXPREL_POINTS, together):
+            ref = complex(mp.mpf(1) if z == 0 else mp.expm1(mp.mpc(z)) / mp.mpc(z))
+            for got in (complex(exprel(z)), complex(in_array)):
+                assert abs(got - ref) <= 4 * np.spacing(abs(ref)), f"z = {z}"
+    assert exprel(0.0) == 1.0 and not recwarn.list
+
+
+REGULAR_PART_POINTS = [0.0, 5e-324, 1e-12, 1e-3, -1e-3j, 0.01j, 0.5, -0.9, 0.99j, 0.5 + 0.5j]
+
+
+def test_zeta_regular_part_against_mpmath():
+    # zeta(1 + c) - 1/c from one Euler-Maclaurin remainder, across |c| < 1: Euler's gamma at
+    # c = 0 and at a subnormal c, whose 1/c would overflow.  At c = -0.9 the sum to 16 and the
+    # remainder are each about 13 against a value of 0.5, which costs a few ulps of 13
+    import mpmath as mp
+
+    got = zeta_regular_part(np.array(REGULAR_PART_POINTS))
+    with mp.workdps(40):
+        for c, value in zip(REGULAR_PART_POINTS, got):
+            ref = complex(mp.euler if abs(c) < 1e-300 else mp.zeta(1 + mp.mpc(c)) - 1 / mp.mpc(c))
+            assert abs(value - ref) <= 1e-14 * abs(ref), f"c = {c}"
 
 
 def test_em_progression_against_mpmath():

@@ -379,8 +379,8 @@ def test_streamed_mu_alpha_stops_at_the_prime_count_cap(monkeypatch, extra):
 
 
 def test_a_refused_walk_leaves_no_worker_thread(monkeypatch):
-    # the one-ahead sieve worker is sieving the segment after the one that passes the cap;
-    # the refusal lets the pipeline go, which joins its worker before the error reaches here
+    # the refusal comes from the window's count, before the one-ahead sieve pipeline is
+    # made, so no worker thread starts
     monkeypatch.setenv("TILTLAB_THREADS", "2")
     monkeypatch.setattr(zeta_lab, "SIEVE_SEGMENT", 500)
     monkeypatch.setattr(zeta_lab, "PRIME_COUNT_CAP", 1000)
@@ -398,8 +398,30 @@ def test_a_refused_walk_leaves_no_worker_thread(monkeypatch):
     except ValueError as exc:
         error = exc  # its traceback holds the walk's frames while the threads are listed
     assert re.fullmatch(refused(1, 1e5, 1000) + ".*", str(error))
-    assert pipelines == ["_pipelined"]
+    assert pipelines == []
     assert set(threading.enumerate()) == before
+
+
+def test_a_refused_walk_sieves_only_the_base_primes(monkeypatch):
+    # a window over the cap is counted by the prime-sum recursion, which sieves the primes up
+    # to sqrt(hi) alone, and refused before the walk sieves a segment of it: (1e9, 1.3e9]
+    # holds 14,380,799 primes, and (1e6, 2e6] holds 70,435, one more than the cap set here
+    sieve, limits = zeta_lab._prime_segments, []
+
+    def recorded(lo, limit, ahead=False):
+        limits.append(limit)
+        return sieve(lo, limit, ahead)
+
+    monkeypatch.setattr(zeta_lab, "_prime_segments", recorded)
+    with pytest.raises(ValueError, match=refused(1e9, 1.3e9, zeta_lab.PRIME_COUNT_CAP)):
+        mu_alpha((1e9, 1.3e9), 0.0)
+    assert limits and max(limits) == math.isqrt(1_300_000_000)
+    monkeypatch.setattr(zeta_lab, "PRIME_COUNT_CAP", 70_434)
+    for call in (lambda: mu_alpha((1e6, 2e6), [0.0, 0.5]), lambda: dirichlet_poly([30.0], (1e6, 2e6))):
+        limits.clear()
+        with pytest.raises(ValueError, match=refused(1e6, 2e6, 70_434)):
+            call()
+        assert limits and max(limits) == math.isqrt(2_000_000)
 
 
 def test_streamed_mu_alpha_never_holds_its_window():
